@@ -66,25 +66,25 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "converge":
-            rows, timings = run_converge(cfg, args.workers)
+            rows, info = run_converge(cfg, args.workers)
             csv_path = out / "converge.csv"
             write_csv(csv_path, RESULT_COLUMNS, [r.as_record() for r in rows])
             outputs = [csv_path.name]
             print(f"wrote {csv_path} ({len(rows)} rows)")
         elif args.command == "jumps":
-            rows, timings = run_jumps(cfg, args.workers)
+            rows, info = run_jumps(cfg, args.workers)
             csv_path = out / "jumps.csv"
             write_csv(csv_path, RESULT_COLUMNS, [r.as_record() for r in rows])
             outputs = [csv_path.name]
             print(f"wrote {csv_path} ({len(rows)} rows)")
         elif args.command == "butterfly":
-            records, timings = run_butterfly(cfg, args.workers)
+            records, info = run_butterfly(cfg, args.workers)
             csv_path = out / "butterfly.csv"
             write_csv(csv_path, BUTTERFLY_COLUMNS, records)
             outputs = [csv_path.name]
             print(f"wrote {csv_path} ({len(records)} rows)")
         elif args.command == "verify":
-            results, timings = run_verify(cfg, args.workers)
+            results, info = run_verify(cfg, args.workers)
             report = verify_report(results)
             report_path = out / "verify_report.json"
             report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -99,7 +99,7 @@ def main(argv=None) -> int:
                     out / "manifest.json",
                     config_text=config_text,
                     seed=cfg.seed,
-                    timings=timings,
+                    info=info,
                     outputs=outputs,
                 )
                 print(f"verification failed: {', '.join(report['failures'])}", file=sys.stderr)
@@ -123,7 +123,7 @@ def main(argv=None) -> int:
         out / "manifest.json",
         config_text=config_text,
         seed=cfg.seed,
-        timings=timings,
+        info=info,
         outputs=outputs,
     )
     return 0

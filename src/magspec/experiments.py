@@ -6,7 +6,11 @@ butterfly band tables over rational fluxes, and the named-check
 verification report.  All tabular output is written with 17 significant
 digits and assembled in a fixed key order, so identical config + seed
 reproduces byte-identical CSV; wall-clock timings go to the run manifest
-instead (they cannot be deterministic).
+instead (they cannot be deterministic), together with per-window
+diagnostics (dimension, nonzeros and connected blocks of each window
+matrix).  Every driver returns its rows plus a dict of the manifest
+sections the run adds: ``timings_s`` and, for window runs,
+``diagnostics``.
 """
 
 from __future__ import annotations
@@ -119,7 +123,9 @@ def write_csv(path, columns: Sequence[str], records: Iterable[tuple]) -> None:
             writer.writerow([_fmt(v) for v in rec])
 
 
-def write_manifest(path, *, config_text: str, seed: int, timings: dict, outputs: list[str]) -> None:
+def write_manifest(path, *, config_text: str, seed: int, info: dict, outputs: list[str]) -> None:
+    """Run manifest: tool and library versions, config digest, seed,
+    outputs, and the sections the driver returned in ``info``."""
     import scipy
 
     manifest = {
@@ -127,9 +133,9 @@ def write_manifest(path, *, config_text: str, seed: int, timings: dict, outputs:
         "config_sha256": config_digest(config_text),
         "seed": seed,
         "libraries": {"numpy": np.__version__, "scipy": scipy.__version__},
-        "timings_s": timings,
         "outputs": outputs,
         "written_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **info,
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -186,7 +192,17 @@ def _oracle_cell(model: BuiltModel) -> MagneticCell:
     return magnetic_cell(model.graph, model.operator, model.weights.flux)
 
 
-def _window_spectrum(model: BuiltModel, m: int, boundary: str) -> WindowSpectrum:
+def _diagnostics(m: int, boundary: str, M: np.ndarray, spec: WindowSpectrum) -> dict:
+    return {
+        "m": m,
+        "boundary": boundary,
+        "dim": M.shape[0],
+        "nnz": int(np.count_nonzero(M)),
+        "blocks": spec.blocks,
+    }
+
+
+def _window_spectrum(model: BuiltModel, m: int, boundary: str) -> tuple[WindowSpectrum, dict]:
     win = window_subgraph(model.graph, folner_box(model.graph.dimension, m))
     if boundary == "dirichlet":
         M = assemble_dirichlet(model.operator, win)
@@ -199,7 +215,8 @@ def _window_spectrum(model: BuiltModel, m: int, boundary: str) -> WindowSpectrum
         M = assemble_neumann(model.graph, model.weights, win)
     else:
         raise ConfigError(f"unknown boundary {boundary!r}")
-    return spectral_density(M, win)
+    spec = spectral_density(M, win)
+    return spec, _diagnostics(m, boundary, M, spec)
 
 
 def _boundaries(cfg: ExperimentConfig) -> list[str]:
@@ -253,12 +270,8 @@ def run_converge(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[ResultRo
         oracle_values = dict(zip(lams, ordered_parallel(oracle_at, lams, workers)))
 
     tasks = [(m, bc) for m in cfg.windows for bc in _boundaries(cfg)]
-    spectra = dict(
-        zip(
-            tasks,
-            ordered_parallel(lambda t: _window_spectrum(model, t[0], t[1]), tasks, workers),
-        )
-    )
+    results = ordered_parallel(lambda t: _window_spectrum(model, t[0], t[1]), tasks, workers)
+    spectra = {t: spec for t, (spec, _) in zip(tasks, results)}
     rows = []
     for lam in lams:
         for m in cfg.windows:
@@ -267,8 +280,10 @@ def run_converge(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[ResultRo
                 f_star = oracle_values.get(lam)
                 err = None if f_star is None else abs(f_m - f_star)
                 rows.append(ResultRow(cfg.label, bc, m, lam, f_m, f_star, err))
-    timings = {"total": time.perf_counter() - t0}
-    return rows, timings
+    return rows, {
+        "timings_s": {"total": time.perf_counter() - t0},
+        "diagnostics": [diag for _, diag in results],
+    }
 
 
 def run_jumps(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[ResultRow], dict]:
@@ -339,15 +354,17 @@ def run_jumps(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[ResultRow],
                     d_oracle=None if d_oracle is None else float(d_oracle),
                 )
             )
-        return out
+        return out, _diagnostics(m, "dirichlet", M, spec)
 
     per_window = ordered_parallel(one_window, list(cfg.windows), workers)
     rows = []
     for lam_i, lam in enumerate(lams):
-        for res in per_window:
+        for res, _ in per_window:
             rows.append(res[lam_i])
-    timings = {"total": time.perf_counter() - t0}
-    return rows, timings
+    return rows, {
+        "timings_s": {"total": time.perf_counter() - t0},
+        "diagnostics": [diag for _, diag in per_window],
+    }
 
 
 def hofstadter_flux_list(q_max: int) -> list[Fraction]:
@@ -399,8 +416,7 @@ def run_butterfly(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[tuple],
             records.append(
                 (flux.numerator, flux.denominator, float(flux), i, band.lo, band.hi)
             )
-    timings = {"total": time.perf_counter() - t0}
-    return records, timings
+    return records, {"timings_s": {"total": time.perf_counter() - t0}}
 
 
 DEFAULT_VERIFY_MODELS = """
@@ -451,8 +467,7 @@ def run_verify(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[CheckResul
         )
         results.extend(model_suite(mut, rng))
     results.extend(global_suite(rng, cfg.verify.inertia_instances))
-    timings = {"total": time.perf_counter() - t0}
-    return results, timings
+    return results, {"timings_s": {"total": time.perf_counter() - t0}}
 
 
 def verify_report(results: Sequence[CheckResult]) -> dict:

@@ -184,6 +184,18 @@ oracle: {grid_n: 16}
         rows2, _ = run_converge(cfg, workers=4)
         assert [r.as_record() for r in rows1] == [r.as_record() for r in rows2]
 
+    def test_diagnostics_one_entry_per_window(self):
+        _, info = run_converge(parse_config(SQUARE_YAML))
+        assert [(d["m"], d["boundary"]) for d in info["diagnostics"]] == [
+            (4, "dirichlet"), (4, "neumann"), (8, "dirichlet"), (8, "neumann"),
+        ]
+        for d in info["diagnostics"]:
+            # a square-lattice box is connected; each vertex has its
+            # diagonal entry plus one entry per neighbour inside the box
+            assert d["dim"] == d["m"] ** 2 and d["blocks"] == 1
+            assert d["nnz"] == d["dim"] + 4 * d["m"] * (d["m"] - 1)
+        assert info["timings_s"]["total"] > 0
+
     def test_neumann_rejected_for_non_laplacian(self):
         text = SQUARE_YAML.replace("operator: dml", "operator: harper")
         with pytest.raises(ConfigError):
@@ -205,6 +217,13 @@ windows: [2, 4, 8]
             assert r.d_m == pytest.approx(1.0 if abs(r.lam) < 1e-9 else 2.0)
             assert r.d_prime_m == r.d_m  # every cell fully interior
             assert r.d_oracle == r.d_m
+
+    def test_diagnostics_count_triangle_cells(self):
+        _, info = run_jumps(parse_config(TRIANGLE_YAML))
+        assert info["diagnostics"] == [
+            {"m": m, "boundary": "dirichlet", "dim": 3 * m, "nnz": 9 * m, "blocks": m}
+            for m in (2, 4, 8)
+        ]
 
     def test_dispersive_model_needs_explicit_lambdas(self):
         rows, _ = run_jumps(parse_config(SQUARE_YAML.replace(
@@ -362,3 +381,6 @@ windows: [2, 4]
         proc = run_cli(["jumps", str(cfg), "--out", str(out)])
         assert proc.returncode == 0, proc.stderr
         assert (out / "jumps.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [(d["m"], d["blocks"]) for d in manifest["diagnostics"]] == [(2, 2), (4, 4)]
+        assert set(manifest["timings_s"]) == {"total"}

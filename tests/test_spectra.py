@@ -23,6 +23,7 @@ from magspec.spectra import (
     CountingPointOnEigenvalueWarning,
     UnresolvedClusterError,
     WindowTooLargeError,
+    _components,
     assemble_dirichlet,
     assemble_neumann,
     count_leq,
@@ -375,10 +376,112 @@ class TestRectKernelDim:
         rank = np.linalg.matrix_rank(R, tol=1e-10)
         assert k + rank == 5
 
+    def test_wide_matrix_counts_every_column(self):
+        # a rank-1 2 x 4 matrix has a 3-dimensional kernel, although its
+        # SVD returns only two singular values
+        assert rect_kernel_dim(np.ones((2, 4), dtype=complex), 1e-8) == 3
+
     def test_unresolved_singular_cluster(self):
         R = np.diag([1.0, 1e-7]).astype(complex)
         with pytest.raises(UnresolvedClusterError):
             rect_kernel_dim(R, 1e-8)
+
+
+def random_hermitian(rng, k):
+    A = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    return A + A.conj().T
+
+
+def planted_block(rng, rows, cols, rank):
+    """Dense (hence connected) rows x cols block of the given rank."""
+    return (rng.normal(size=(rows, rank)) + 1j * rng.normal(size=(rows, rank))) @ (
+        rng.normal(size=(rank, cols)) + 1j * rng.normal(size=(rank, cols))
+    )
+
+
+def block_diagonal(blocks):
+    R = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=complex)
+    r = c = 0
+    for b in blocks:
+        R[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return R
+
+
+def scrambled(rng, R):
+    """Random row and column permutations: the blocks stay connected
+    components of the nonzero pattern but are no longer contiguous."""
+    return R[rng.permutation(R.shape[0])][:, rng.permutation(R.shape[1])]
+
+
+class TestBlockPath:
+    """spectral_density and rect_kernel_dim work per connected block of the
+    nonzero pattern; the results must match the dense computation."""
+
+    def test_components_match_csgraph(self):
+        from scipy.sparse import coo_array
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            n = int(rng.integers(1, 300))
+            rows, cols = rng.integers(0, n, (2, int(rng.integers(0, 2 * n))))
+            count, labels = _components(rows, cols, n)
+            pattern = coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+            ref_count, ref_labels = connected_components(pattern, directed=False)
+            assert count == ref_count
+            assert np.array_equal(labels, ref_labels)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_permuted_block_spectrum_matches_dense(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = [1, 3, 3, 2, 5, 1, 4, 3, 2, 7]
+        M = block_diagonal([random_hermitian(rng, k) for k in sizes])
+        p = rng.permutation(M.shape[0])
+        M = M[np.ix_(p, p)]
+        _, _, w = line_window(M.shape[0])
+        spec = spectral_density(M, w)
+        assert spec.blocks == len(sizes)
+        dense = np.linalg.eigvalsh(M)
+        assert np.all(np.diff(spec.eigenvalues) >= 0)
+        assert np.abs(spec.eigenvalues - dense).max() <= 1e-12 * np.linalg.norm(M, 2)
+
+    def test_connected_matrix_takes_the_dense_call(self):
+        rng = np.random.default_rng(3)
+        M = random_hermitian(rng, 12)
+        _, _, w = line_window(12)
+        spec = spectral_density(M, w)
+        assert spec.blocks == 1
+        assert np.array_equal(spec.eigenvalues, np.sort(np.linalg.eigvalsh(M)))
+
+    def test_triangle_window_splits_into_cells(self):
+        g = triangle_cells()
+        _, D = harper_dml(g, uniform_weights(g))
+        w = window_subgraph(g, folner_box(1, 8))
+        assert spectral_density(assemble_dirichlet(D, w), w).blocks == 8
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_permuted_block_kernel_matches_dense_svd(self, seed):
+        rng = np.random.default_rng(seed)
+        # (rows, cols, rank): kernels of 1, 0, 2, 2 and 1 columns; the
+        # 2 x 4 block has more columns than rows, the 1 x 0 block is a row
+        # with no interior column
+        shapes = [(4, 3, 2), (3, 3, 3), (5, 4, 2), (2, 4, 2), (1, 0, 0), (6, 2, 1)]
+        R = scrambled(rng, block_diagonal([planted_block(rng, *s) for s in shapes]))
+        assert R.shape == (21, 16)
+        s = np.linalg.svd(R, compute_uv=False)
+        dense = int(np.count_nonzero(s < 1e-8 * s[0]))
+        assert rect_kernel_dim(R, 1e-8) == dense == 6
+
+    def test_unresolved_value_inside_one_block_raises(self):
+        rng = np.random.default_rng(4)
+        q = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+        # smax = 2 sits in the first block; the second block keeps 1.5e-7,
+        # above tol * smax and inside the 10 tol * smax gap of the union,
+        # though outside the gap its own largest value would give
+        R = scrambled(rng, block_diagonal([q @ np.diag([2.0, 1.0]) @ q.T, q @ np.diag([1.0, 1.5e-7]) @ q.T]))
+        with pytest.raises(UnresolvedClusterError):
+            rect_kernel_dim(R.astype(complex), 1e-8)
 
 
 class TestProjectionWindowDim:
