@@ -46,7 +46,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("config", type=Path, help="YAML experiment config")
         p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="worker threads")
+        p.add_argument("--workers", type=int, default=1, help="accepted and ignored: runs are serial")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 

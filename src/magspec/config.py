@@ -112,7 +112,6 @@ class LambdaSpec:
 @dataclass(frozen=True)
 class OracleSpec:
     grid_n: int = 128
-    n_max: int = 8
     compare: bool = True
     allow_band_edge: bool = False
 
@@ -127,7 +126,6 @@ class ButterflySpec:
 class VerifySpec:
     inertia_instances: int = 200
     window_sizes: tuple[int, ...] = (4, 6)
-    moment_grid_n: int = 128
 
 
 @dataclass(frozen=True)
@@ -223,7 +221,6 @@ def parse_config(text: str, default_label: str = "experiment") -> ExperimentConf
     ora_entry = doc.get("oracle", {}) or {}
     oracle = OracleSpec(
         grid_n=int(ora_entry.get("grid_n", 128)),
-        n_max=int(ora_entry.get("n_max", 8)),
         compare=bool(ora_entry.get("compare", True)),
         allow_band_edge=bool(ora_entry.get("allow_band_edge", False)),
     )
@@ -235,7 +232,6 @@ def parse_config(text: str, default_label: str = "experiment") -> ExperimentConf
     verify = VerifySpec(
         inertia_instances=int(v_entry.get("inertia_instances", 200)),
         window_sizes=tuple(int(x) for x in v_entry.get("window_sizes", (4, 6))),
-        moment_grid_n=int(v_entry.get("moment_grid_n", 128)),
     )
 
     windows = tuple(int(x) for x in doc.get("windows", (8, 16, 32)))

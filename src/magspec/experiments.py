@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -143,11 +142,11 @@ def write_manifest(path, *, config_text: str, seed: int, info: dict, outputs: li
 
 
 def ordered_parallel(fn: Callable, items: Sequence, workers: int) -> list:
-    """Map preserving input order; results never depend on completion order."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Map in input order, serially; ``workers`` is accepted and ignored.
+    On a two-core machine a thread pool made the dense LAPACK calls compete
+    with OpenBLAS's own threads: same rows, more CPU time and memory, no
+    shorter run."""
+    return [fn(x) for x in items]
 
 
 def select_probe_lambdas(

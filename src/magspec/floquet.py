@@ -121,43 +121,52 @@ def magnetic_cell(graph: PeriodicGraph, op: LocalOperator, flux) -> MagneticCell
     return MagneticCell(graph, op, q, dim, hops)
 
 
+def _fibers(cell: MagneticCell, kpts: np.ndarray) -> np.ndarray:
+    """Hermitian fibers at a stack of torus momenta, shape (len(kpts),
+    dim, dim): the sum of hops weighted by e^{i k . n} over coarse
+    offsets n."""
+    H = np.zeros((kpts.shape[0], cell.dim, cell.dim), dtype=complex)
+    for n, block in cell.hops.items():
+        phase = kpts @ np.asarray(n, dtype=float)
+        H += np.exp(1j * phase)[:, None, None] * block
+    return H
+
+
+def _fiber_eigs(cell: MagneticCell, kpts: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the fibers at each momentum, shape
+    (len(kpts), dim); fibers are built and diagonalized in bounded chunks
+    so large stacks stay within memory."""
+    eigs = np.empty((kpts.shape[0], cell.dim), dtype=float)
+    chunk = max(1, (1 << 22) // max(1, cell.dim * cell.dim))
+    for start in range(0, kpts.shape[0], chunk):
+        eigs[start : start + chunk] = np.linalg.eigvalsh(_fibers(cell, kpts[start : start + chunk]))
+    return eigs
+
+
 def bloch_fiber(cell: MagneticCell, k) -> np.ndarray:
     """Hermitian fiber at torus momentum k: sum of hops weighted by
     e^{i k . n} over coarse offsets n."""
-    k = np.asarray(k, dtype=float)
-    H = np.zeros((cell.dim, cell.dim), dtype=complex)
-    for n, block in cell.hops.items():
-        H += np.exp(1j * float(np.dot(k, n))) * block
-    return H
+    return _fibers(cell, np.asarray(k, dtype=float)[None, :])[0]
 
 
 def _midpoints(N: int) -> np.ndarray:
     return (np.arange(N) + 0.5) * (2.0 * np.pi / N)
 
 
+def _mesh(axes) -> np.ndarray:
+    """Points of the product grid of the given axes, shape (#points, d)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def fiber_grid_eigs(cell: MagneticCell, N: int) -> np.ndarray:
     """Eigenvalues of all fibers on the N^d midpoint grid, shape
-    (N^d, dim), each row ascending.  Cached per N; fibers are built and
-    diagonalized in bounded chunks so large grids stay within memory."""
+    (N^d, dim), each row ascending.  Cached per N."""
     cached = cell._grid_cache.get(N)
-    if cached is not None:
-        return cached
-    d = cell.graph.dimension
-    axes = np.meshgrid(*([_midpoints(N)] * d), indexing="ij")
-    kpts = np.stack([a.ravel() for a in axes], axis=-1)
-    total = kpts.shape[0]
-    eigs = np.empty((total, cell.dim), dtype=float)
-    chunk = max(1, (1 << 22) // max(1, cell.dim * cell.dim))
-    offsets = {n: np.asarray(n, dtype=float) for n in cell.hops}
-    for start in range(0, total, chunk):
-        part = kpts[start : start + chunk]
-        H = np.zeros((part.shape[0], cell.dim, cell.dim), dtype=complex)
-        for n, block in cell.hops.items():
-            phase = part @ offsets[n]
-            H += np.exp(1j * phase)[:, None, None] * block
-        eigs[start : start + chunk] = np.linalg.eigvalsh(H)
-    cell._grid_cache[N] = eigs
-    return eigs
+    if cached is None:
+        cached = _fiber_eigs(cell, _mesh([_midpoints(N)] * cell.graph.dimension))
+        cell._grid_cache[N] = cached
+    return cached
 
 
 def _sorted_flat_eigs(cell: MagneticCell, N: int) -> np.ndarray:
@@ -214,58 +223,36 @@ class Band:
     hi: float
 
 
-def _refine_extremum(
-    cell: MagneticCell,
-    band: int,
-    k0: np.ndarray,
-    h0: float,
-    minimize: bool,
-    rounds: int = 14,
-    pts: int = 5,
-) -> float:
-    """Nested local grid refinement of one band's extremum around k0.
-    Derivative-free, so band crossings (where the sorted band function is
-    only continuous) are handled too."""
-    d = cell.graph.dimension
-    k = np.array(k0, dtype=float)
-    h = h0
-    best = None
-    for _ in range(rounds):
-        axes = [np.linspace(k[i] - h, k[i] + h, pts) for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts_all = np.stack([m.ravel() for m in mesh], axis=-1)
-        H = np.zeros((pts_all.shape[0], cell.dim, cell.dim), dtype=complex)
-        for n, block in cell.hops.items():
-            phase = pts_all @ np.asarray(n, dtype=float)
-            H += np.exp(1j * phase)[:, None, None] * block
-        vals = np.linalg.eigvalsh(H)[:, band]
-        idx = int(np.argmin(vals) if minimize else np.argmax(vals))
-        best = float(vals[idx])
-        k = pts_all[idx]
-        h *= 0.5
-    return best
-
-
 def band_edges(cell: MagneticCell, N: int = 64) -> tuple[Band, ...]:
     """Per-band spectral intervals: grid extrema of each sorted fiber
-    eigenvalue branch, refined locally.  Cached per N."""
+    eigenvalue branch, refined by nested local grids (5 points per axis,
+    spacing halved 14 times), all extrema in lockstep.  Derivative-free, so
+    band crossings (where the sorted band function is only continuous) are
+    handled too.  Cached per N."""
     if N < 64:
         raise ValueError("band location needs a grid of N >= 64")
     cached = cell._band_cache.get(N)
     if cached is not None:
         return cached
-    d = cell.graph.dimension
     eigs = fiber_grid_eigs(cell, N)
-    axes = np.meshgrid(*([_midpoints(N)] * d), indexing="ij")
-    kpts = np.stack([a.ravel() for a in axes], axis=-1)
-    h0 = np.pi / N
-    bands = []
-    for b in range(cell.dim):
-        imin = int(np.argmin(eigs[:, b]))
-        imax = int(np.argmax(eigs[:, b]))
-        lo = _refine_extremum(cell, b, kpts[imin], h0, minimize=True)
-        hi = _refine_extremum(cell, b, kpts[imax], h0, minimize=False)
-        bands.append(Band(min(lo, float(eigs[imin, b])), max(hi, float(eigs[imax, b]))))
+    dim, d = cell.dim, cell.graph.dimension
+    rows = np.arange(2 * dim)
+    band = rows % dim  # rows 0..dim-1 seek each band's minimum, the rest its maximum
+    start = np.concatenate([eigs.argmin(axis=0), eigs.argmax(axis=0)])
+    k = _mesh([_midpoints(N)] * d)[start]
+    h = np.pi / N
+    for _ in range(14):
+        grids = np.stack([_mesh([np.linspace(c - h, c + h, 5) for c in kr]) for kr in k])
+        vals = _fiber_eigs(cell, grids.reshape(-1, d)).reshape(2 * dim, -1, dim)[rows, :, band]
+        idx = np.where(rows < dim, vals.argmin(axis=1), vals.argmax(axis=1))
+        k = grids[rows, idx]
+        h *= 0.5
+    best = vals[rows, idx]
+    grid = eigs[start, band]
+    bands = [
+        Band(min(float(best[b]), float(grid[b])), max(float(best[dim + b]), float(grid[dim + b])))
+        for b in range(dim)
+    ]
     out = tuple(sorted(bands, key=lambda band: (band.lo, band.hi)))
     cell._band_cache[N] = out
     return out

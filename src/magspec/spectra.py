@@ -1,12 +1,16 @@
 """Dense window restrictions and eigenvalue counting.
 
-Two counting backends count eigenvalues <= lam: full diagonalization for
-moderate windows, and LDL-inertia counting (Sylvester's law under the
-Bunch-Kaufman factorization) for large ones.  They agree away from
-eigenvalues; they differ when the counting point essentially hits one.
-The inertia backend then brackets it with a small shift and returns the
-upper count, matching the right-continuity of the eigenvalue counting
-function.  The diagonalization paths (``count_leq(method="eigh")`` and
+Every window matrix is read off the operator's stencil by one routine.
+The Neumann Laplacian is the Dirichlet compression of the magnetic
+Laplacian minus a diagonal, so their difference is a nonnegative diagonal
+on the boundary collar by construction.
+
+Two counting backends count eigenvalues <= lam: full diagonalization (the
+default) and LDL-inertia counting (Sylvester's law under the
+Bunch-Kaufman factorization).  They agree away from eigenvalues; they
+differ when the counting point essentially hits one.  The inertia backend
+then brackets it with a small shift and returns the upper count, matching
+the right-continuity of the eigenvalue counting function.  The diagonalization paths (``count_leq(method="eigh")`` and
 ``WindowSpectrum``) keep the plain count of computed eigenvalues <= lam,
 which there depends on rounding, and raise
 ``CountingPointOnEigenvalueWarning`` instead.
@@ -32,10 +36,9 @@ import numpy as np
 import scipy.linalg
 
 from .exhaustion import InteriorSplit, Window
-from .operators import LocalOperator, WeightFunction
+from .operators import LocalOperator, WeightFunction, harper_dml
 
 MAX_DENSE_DIM = 5000
-INERTIA_DIM_THRESHOLD = 2000
 SHIFT_SCALE = 1e-10       # bracketing shift, relative to the norm bound
 ZERO_PIVOT_SCALE = 5e-14  # relative block-eigenvalue size treated as singular
 
@@ -79,50 +82,69 @@ def _check_dim(n: int) -> None:
         )
 
 
+def _stencil_entries(
+    op: LocalOperator, window: Window, columns
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Matrix entries of the operator's columns at the given vertices, read
+    off the stencil: row (window index of the target, -1 for a target
+    outside the window), column (position in ``columns``) and value."""
+    rows, cols, vals = [], [], []
+    for j, v in enumerate(columns):
+        for u, c in op.column(v).items():
+            rows.append(window.index.get(u, -1))
+            cols.append(j)
+            vals.append(c)
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(vals, dtype=complex)
+
+
 def assemble_dirichlet(op: LocalOperator, window: Window) -> np.ndarray:
     """Compression of the operator to functions supported on the window:
     entry (u, v) = <A delta_v, delta_u> for window vertices u, v, read off
     the stencil exactly.  Hermitian by construction (asserted)."""
+    return _compression(op, window)
+
+
+def _compression(op: LocalOperator, window: Window) -> np.ndarray:
+    # body of assemble_dirichlet; assemble_neumann calls it too, so each
+    # window matrix passes through exactly one (traceable) assemble_* call
     n = len(window.verts)
     _check_dim(n)
+    rows, cols, vals = _stencil_entries(op, window, window.verts)
+    inside = rows >= 0
+    rows, cols = rows[inside], cols[inside]
     M = np.zeros((n, n), dtype=complex)
-    for j, v in enumerate(window.verts):
-        for u, c in op.column(v).items():
-            i = window.index.get(u)
-            if i is not None:
-                M[i, j] += c
-    _assert_hermitian(M)
+    np.add.at(M, (rows, cols), vals[inside])
+    _assert_hermitian(M, rows, cols)
     return M
 
 
 def assemble_neumann(
     graph, weights: WeightFunction, window: Window
 ) -> np.ndarray:
-    """Magnetic Laplacian of the induced finite subgraph: diagonal counts
-    the valence inside the window, off-diagonal entries are the negated
-    sigma phases of inner edges.  Only defined for Laplacian-type
+    """Magnetic Laplacian of the induced finite subgraph: the Dirichlet
+    compression of the Laplacian with each diagonal entry lowered by the
+    vertex's valence minus its number of inner edges, so the diagonal
+    counts the valence inside the window.  Only defined for Laplacian-type
     operators, which is why this takes the graph and weights directly."""
-    n = len(window.verts)
-    _check_dim(n)
-    M = np.zeros((n, n), dtype=complex)
-    for e in window.inner_edges():
-        i = window.index[e.origin]
-        j = window.index[e.terminus]
-        p = weights.positive_phase(e.template, e.origin.shift)
-        # (Delta f)(t) picks up -sigma(e) f(o) and (Delta f)(o) the conjugate
-        M[j, i] -= p
-        M[i, j] -= p.conjugate()
-        M[i, i] += 1.0
-        M[j, j] += 1.0
-    _assert_hermitian(M)
+    M = _compression(harper_dml(graph, weights)[1], window)
+    ends = [window.index[v] for e in window.inner_edges() for v in (e.origin, e.terminus)]
+    inner = np.bincount(np.array(ends, dtype=np.intp), minlength=len(window.verts))
+    valence = np.array([graph.valence(v.orbit) for v in window.verts])
+    M[np.diag_indices_from(M)] -= valence - inner
     return M
 
 
-def _assert_hermitian(M: np.ndarray, tol: float = 1e-12) -> None:
-    if M.size == 0:
+def _assert_hermitian(
+    M: np.ndarray, rows: np.ndarray, cols: np.ndarray, tol: float = 1e-12
+) -> None:
+    """Largest |M - M^*| entry against tol times the largest |M| entry (at
+    least 1), over the written entries (rows, cols): every other entry of
+    M - M^* is zero or mirrors a written one, so no n x n temporary."""
+    if rows.size == 0:
         return
-    scale = max(1.0, float(np.abs(M).max()))
-    resid = float(np.abs(M - M.conj().T).max())
+    written = M[rows, cols]
+    scale = max(1.0, float(np.abs(written).max()))
+    resid = float(np.abs(written - M[cols, rows].conj()).max())
     if resid > tol * scale:
         raise AssertionError(f"restriction matrix is not Hermitian: residual {resid:.3e}")
 
@@ -134,16 +156,13 @@ def gershgorin_bound(M: np.ndarray) -> float:
     return float(np.abs(M).sum(axis=1).max())
 
 
-def count_leq(M: np.ndarray, lam: float, method: str = "auto") -> int:
+def count_leq(M: np.ndarray, lam: float, method: str = "eigh") -> int:
     """Number of eigenvalues <= lam, counting multiplicity.
 
     method 'eigh' diagonalizes and warns when lam is within the bracketing
     shift of an eigenvalue; 'inertia' factors M - lam I and counts negative
-    inertia plus nullity, bracketing exact singularities; 'auto' picks by
-    dimension (inertia above 2000).
+    inertia plus nullity, bracketing exact singularities.
     """
-    if method == "auto":
-        method = "inertia" if M.shape[0] > INERTIA_DIM_THRESHOLD else "eigh"
     if method == "eigh":
         if M.shape[0] == 0:
             return 0
@@ -344,10 +363,6 @@ def spectral_density(M: np.ndarray, window: Window) -> WindowSpectrum:
     return WindowSpectrum(evals, len(window.elements), blocks)
 
 
-def default_cluster_tol(M: np.ndarray) -> float:
-    return 1e-8 * max(gershgorin_bound(M), 1e-4)
-
-
 def jump_dim(M: np.ndarray, window: Window, lam: float, tol: float) -> float:
     return spectral_density(M, window).jump(lam, tol)
 
@@ -369,16 +384,17 @@ def interior_restriction(
         )
     n = len(window.verts)
     _check_dim(n)
-    R = np.zeros((n, len(split.interior)), dtype=complex)
-    for j, y in enumerate(split.interior):
-        for u, c in op.column(y).items():
-            i = window.index.get(u)
-            if i is None:
-                raise AssertionError(
-                    f"finite propagation violated: column at {y} leaks outside the window"
-                )
-            R[i, j] += c
-        R[window.index[y], j] -= lam
+    rows, cols, vals = _stencil_entries(op, window, split.interior)
+    leaks = np.flatnonzero(rows < 0)
+    if leaks.size:
+        y = split.interior[cols[leaks[0]]]
+        raise AssertionError(
+            f"finite propagation violated: column at {y} leaks outside the window"
+        )
+    k = len(split.interior)
+    R = np.zeros((n, k), dtype=complex)
+    np.add.at(R, (rows, cols), vals)
+    R[[window.index[y] for y in split.interior], np.arange(k)] -= lam
     return R
 
 

@@ -10,11 +10,15 @@ import pytest
 from hypothesis import given
 
 from magspec.exhaustion import folner_box, interior_vertices, translated, window_subgraph
-from magspec.lattice import line_graph, square_lattice, triangle_cells
+from magspec.lattice import line_graph, periodic_graph, square_lattice, triangle_cells
 from magspec.operators import (
+    LocalOperator,
+    StencilEntry,
+    WeightFunction,
     gauge_transformed,
     harper_dml,
     hofstadter_weights,
+    perturbed_weights,
     uniform_weights,
     unit_phase,
     zero_operator,
@@ -84,8 +88,68 @@ class TestAssembleDirichlet:
         with pytest.raises(WindowTooLargeError):
             assemble_dirichlet(D, w)
 
+    def test_non_hermitian_stencil_rejected(self):
+        # a hop to the right without its conjugate partner, built directly
+        # so that local_operator's own Hermitian check is bypassed
+        g = line_graph()
+        op = LocalOperator(g, {0: (StencilEntry(0, (1,), lambda s: 1.0 + 0.0j),)}, 1, 1, 1.0)
+        w = window_subgraph(g, folner_box(1, 4))
+        with pytest.raises(AssertionError, match="not Hermitian"):
+            assemble_dirichlet(op, w)
+
+
+def reference_neumann(weights, window):
+    """Magnetic Laplacian of the induced subgraph, edge by edge: each inner
+    edge adds 1 to both endpoints' diagonal, -sigma(e) at (terminus,
+    origin) and its conjugate at (origin, terminus)."""
+    n = len(window.verts)
+    M = np.zeros((n, n), dtype=complex)
+    for e in window.inner_edges():
+        i, j = window.index[e.origin], window.index[e.terminus]
+        p = weights.positive_phase(e.template, e.origin.shift)
+        M[j, i] -= p
+        M[i, j] -= p.conjugate()
+        M[i, i] += 1.0
+        M[j, j] += 1.0
+    return M
+
+
+def decorated_lattice():
+    # two orbits: an in-cell rung, a bridge and Landau-phase vertical edges
+    g = periodic_graph(2, 2, [(0, 1, (0, 0)), (1, 0, (1, 0)), (0, 0, (0, 1)), (1, 1, (0, 1))])
+    landau = [lambda s: unit_phase(Fraction(1, 3) * s[0])] * 2
+    return g, WeightFunction(g, [1.0, 1.0, *landau], flux=Fraction(1, 3))
+
+
+def doubled_line():
+    # two parallel edges per step with different phases
+    g = periodic_graph(1, 1, [(0, 0, (1,)), (0, 0, (1,))])
+    return g, WeightFunction(g, [unit_phase(0.1), lambda s: unit_phase(0.37 * s[0])])
+
+
+def perturbed_square():
+    g = square_lattice()
+    return g, perturbed_weights(hofstadter_weights(g, Fraction(1, 3)), 1, (1, 2), 0.3)
+
 
 class TestAssembleNeumann:
+    @pytest.mark.parametrize(
+        "model, elements",
+        [
+            (decorated_lattice, folner_box(2, 4)),
+            (perturbed_square, folner_box(2, 5)),
+            (doubled_line, folner_box(1, 6)),
+            (perturbed_square, translated(folner_box(2, 4), (1, 1))),
+            (decorated_lattice, [(2, -1)]),
+            (doubled_line, [(3,)]),
+        ],
+        ids=["decorated", "perturbed", "doubled-edge", "translated", "single-translate", "single-vertex"],
+    )
+    def test_matches_edge_by_edge_laplacian(self, model, elements):
+        g, weights = model()
+        w = window_subgraph(g, elements)
+        assert np.array_equal(assemble_neumann(g, weights, w), reference_neumann(weights, w))
+
     def test_path_laplacian(self):
         g, _, w = line_window(3)
         M = assemble_neumann(g, uniform_weights(g), w)
@@ -165,9 +229,9 @@ class TestCountLeq:
         with pytest.raises(ValueError):
             count_leq(PATH3, 0.0, method="bogus")
 
-    def test_auto_dispatch_above_threshold_matches_closed_form(self):
-        # dimension 2050 goes through the inertia backend; the full-valence
-        # tridiagonal window of the line has eigenvalues 2 - 2cos(k pi/(n+1))
+    def test_inertia_matches_closed_form_at_dimension_2050(self):
+        # the full-valence tridiagonal window of the line has eigenvalues
+        # 2 - 2cos(k pi/(n+1))
         g = line_graph()
         _, D = harper_dml(g, uniform_weights(g))
         w = window_subgraph(g, folner_box(1, 2050))
@@ -175,7 +239,7 @@ class TestCountLeq:
         n = 2050
         grid = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
         for lam in (0.5, 2.0):
-            assert count_leq(M, lam) == int(np.count_nonzero(grid <= lam))
+            assert count_leq(M, lam, method="inertia") == int(np.count_nonzero(grid <= lam))
 
 
 class TestSpectralDensity:
@@ -331,6 +395,17 @@ class TestInteriorRestriction:
         R = interior_restriction(D, w, split, 0.0)
         assert R.shape == (4, 0)
         assert rect_kernel_dim(R, 1e-8) == 0
+
+    def test_understated_propagation_leaks(self):
+        # offsets of length 2 under a declared propagation of 1: interior
+        # columns next to the boundary reach outside the window
+        g = line_graph()
+        ents = (StencilEntry(0, (2,), lambda s: 1.0 + 0.0j), StencilEntry(0, (-2,), lambda s: 1.0 + 0.0j))
+        op = LocalOperator(g, {0: ents}, 1, 2, 2.0)
+        w = window_subgraph(g, folner_box(1, 6))
+        split = interior_vertices(g, w, 1)
+        with pytest.raises(AssertionError, match="leaks outside the window"):
+            interior_restriction(op, w, split, 0.0)
 
     def test_radius_below_propagation_rejected(self):
         g, D, w = line_window(5)
