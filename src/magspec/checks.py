@@ -7,11 +7,13 @@ invariant that broke.  The acceptance suite runs the same code paths.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
 
 from .exhaustion import (
     folner_box,
@@ -388,12 +390,17 @@ def check_inertia_oracle(
     rng: np.random.Generator, instances: int = 200, max_dim: int = 400
 ) -> CheckResult:
     """Inertia-based counting equals full-eigendecomposition counting on
-    random Hermitian stencil restrictions, exactly, away from eigenvalues."""
+    random Hermitian stencil restrictions, exactly, away from eigenvalues.
+
+    The reference spectrum comes from scipy's LAPACK (heevd, the routine
+    numpy's eigvalsh calls), the one the inertia backend factors with: numpy
+    and scipy each load their own OpenBLAS, and alternating the two makes
+    one thread pool spin while the other works."""
     mismatches = 0
     tested = 0
     for _ in range(instances):
         _, _, M = random_stencil_window(rng, max_dim)
-        evals = np.sort(np.linalg.eigvalsh(M))
+        evals = np.sort(scipy.linalg.eigvalsh(M, driver="evd", check_finite=False))
         norm = max(gershgorin_bound(M), 1e-12)
         lo, hi = float(evals[0]) - 0.1 * norm, float(evals[-1]) + 0.1 * norm
         lams = list(rng.uniform(lo, hi, size=3))
@@ -542,30 +549,49 @@ def check_window_norm_bound(m: ModelUnderTest) -> CheckResult:
     return _guard("window-norm-bound", m.label, run)
 
 
-def model_suite(m: ModelUnderTest, rng: np.random.Generator) -> list[CheckResult]:
-    results = [
-        check_sigma_conjugation(m),
-        check_cocycle_residual(m),
-        check_commutator(m),
-        check_self_adjoint(m, rng),
-        check_propagation_support(m),
-        check_trace_basics(m),
-        check_window_norm_bound(m),
-        check_gauge_invariance(m, rng),
-        check_translation_invariance(m),
-        check_dirichlet_neumann(m),
-        check_interior_radius(m),
-    ]
-    results.extend(check_kernel_inclusion_and_rank(m))
-    results.append(check_moments(m))
+def _run_timed(calls: list[Callable], timings: Optional[dict]) -> list[CheckResult]:
+    """Run the check calls in order and collect their results.  When a
+    timings dict is given, add each call's wall time to it under the
+    call's check name (names joined by "+" for a call that returns
+    several results), summing over repeated names."""
+    results: list[CheckResult] = []
+    for call in calls:
+        t0 = time.perf_counter()
+        out = call()
+        out = out if isinstance(out, list) else [out]
+        if timings is not None:
+            key = "+".join(r.name for r in out)
+            timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
+        results.extend(out)
     return results
 
 
-def global_suite(rng: np.random.Generator, inertia_instances: int = 200) -> list[CheckResult]:
-    results = [
-        check_inertia_oracle(rng, inertia_instances),
-        check_folner_ratio(),
-        check_boundary_collar(),
-    ]
-    results.extend(check_dim_properties(rng))
-    return results
+def model_suite(
+    m: ModelUnderTest, rng: np.random.Generator, timings: Optional[dict] = None
+) -> list[CheckResult]:
+    return _run_timed([
+        lambda: check_sigma_conjugation(m),
+        lambda: check_cocycle_residual(m),
+        lambda: check_commutator(m),
+        lambda: check_self_adjoint(m, rng),
+        lambda: check_propagation_support(m),
+        lambda: check_trace_basics(m),
+        lambda: check_window_norm_bound(m),
+        lambda: check_gauge_invariance(m, rng),
+        lambda: check_translation_invariance(m),
+        lambda: check_dirichlet_neumann(m),
+        lambda: check_interior_radius(m),
+        lambda: check_kernel_inclusion_and_rank(m),
+        lambda: check_moments(m),
+    ], timings)
+
+
+def global_suite(
+    rng: np.random.Generator, inertia_instances: int = 200, timings: Optional[dict] = None
+) -> list[CheckResult]:
+    return _run_timed([
+        lambda: check_inertia_oracle(rng, inertia_instances),
+        check_folner_ratio,
+        check_boundary_collar,
+        lambda: check_dim_properties(rng),
+    ], timings)

@@ -10,6 +10,7 @@ an invariant and exercise the named failures of the verify driver.
 from __future__ import annotations
 
 import hashlib
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -191,6 +192,44 @@ def _model_spec(entry: dict, default_label: str) -> ModelSpec:
     )
 
 
+_SECTION_KEYS = {
+    "model": {"label", "graph", "weights", "operator", "custom_stencil"},
+    "graph": {"dimension", "orbits", "templates"},
+    "weights": {"kind", "flux", "conjugation_defect", "perturb"},
+    "perturb": {"template", "shift", "turns"},
+    "lambdas": {"kind", "count", "margin", "values"},
+    "oracle": {"grid_n", "compare", "allow_band_edge"},
+    "butterfly": {"q_max", "grid_n"},
+    "verify": {"inertia_instances", "window_sizes"},
+}
+_TOP_KEYS = {
+    "label", "model", "models", "boundary", "windows", "lambdas", "oracle",
+    "butterfly", "verify", "interior_radius", "jump_tol_scale", "seed",
+}
+
+
+def _unknown_keys(doc: dict) -> list[str]:
+    """Dotted names of the top-level and section keys that no config field
+    reads, in document order.  A document with a top-level ``graph`` is
+    itself the model, so the model keys are known at the top too."""
+    found: list[str] = []
+
+    def visit(entry, known, prefix: str) -> None:
+        if not isinstance(entry, dict):
+            return
+        for key in entry:
+            if key not in known:
+                found.append(f"{prefix}{key}")
+            elif key in _SECTION_KEYS:
+                visit(entry[key], _SECTION_KEYS[key], f"{prefix}{key}.")
+
+    visit(doc, _TOP_KEYS | (_SECTION_KEYS["model"] if "graph" in doc else set()), "")
+    models = doc.get("models")
+    for i, entry in enumerate(models if isinstance(models, list) else []):
+        visit(entry, _SECTION_KEYS["model"], f"models[{i}].")
+    return found
+
+
 def load_config(path) -> ExperimentConfig:
     text = Path(path).read_text()
     return parse_config(text, default_label=Path(path).stem)
@@ -200,6 +239,13 @@ def parse_config(text: str, default_label: str = "experiment") -> ExperimentConf
     doc = yaml.safe_load(text)
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
+    unknown = _unknown_keys(doc)
+    if unknown:
+        warnings.warn(
+            f"config {default_label!r}: unknown keys ignored: {', '.join(unknown)}",
+            UserWarning,
+            stacklevel=2,
+        )
     label = str(doc.get("label", default_label))
 
     model = None

@@ -453,6 +453,7 @@ def run_verify(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[CheckResul
 
         specs = list(parse_config(DEFAULT_VERIFY_MODELS, "verify-default").models)
     results: list[CheckResult] = []
+    timings: dict[str, float] = {}
     for spec in specs:
         model = build_model(spec)
         mut = ModelUnderTest(
@@ -464,9 +465,9 @@ def run_verify(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[CheckResul
             window_sizes=cfg.verify.window_sizes,
             interior_radius=cfg.interior_radius,
         )
-        results.extend(model_suite(mut, rng))
-    results.extend(global_suite(rng, cfg.verify.inertia_instances))
-    return results, {"timings_s": {"total": time.perf_counter() - t0}}
+        results.extend(model_suite(mut, rng, timings))
+    results.extend(global_suite(rng, cfg.verify.inertia_instances, timings))
+    return results, {"timings_s": {"total": time.perf_counter() - t0, **timings}}
 
 
 def verify_report(results: Sequence[CheckResult]) -> dict:

@@ -6,11 +6,14 @@ Laplacian minus a diagonal, so their difference is a nonnegative diagonal
 on the boundary collar by construction.
 
 Two counting backends count eigenvalues <= lam: full diagonalization (the
-default) and LDL-inertia counting (Sylvester's law under the
-Bunch-Kaufman factorization).  They agree away from eigenvalues; they
-differ when the counting point essentially hits one.  The inertia backend
-then brackets it with a small shift and returns the upper count, matching
-the right-continuity of the eigenvalue counting function.  The diagonalization paths (``count_leq(method="eigh")`` and
+default) and LDL-inertia counting.  The inertia backend calls LAPACK
+``hetrf`` (Bunch-Kaufman) on M - lam I and reads the inertia off the
+eigenvalues of the factor's 1x1 and 2x2 diagonal blocks D, by Sylvester's
+law; the triangular factor is never formed.  The backends agree away from
+eigenvalues; they differ when the counting point essentially hits one.
+The inertia backend then brackets it with a small shift and returns the
+upper count, matching the right-continuity of the eigenvalue counting
+function.  The diagonalization paths (``count_leq(method="eigh")`` and
 ``WindowSpectrum``) keep the plain count of computed eigenvalues <= lam,
 which there depends on rounding, and raise
 ``CountingPointOnEigenvalueWarning`` instead.
@@ -33,7 +36,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from .exhaustion import InteriorSplit, Window
 from .operators import LocalOperator, WeightFunction, harper_dml
@@ -41,6 +44,8 @@ from .operators import LocalOperator, WeightFunction, harper_dml
 MAX_DENSE_DIM = 5000
 SHIFT_SCALE = 1e-10       # bracketing shift, relative to the norm bound
 ZERO_PIVOT_SCALE = 5e-14  # relative block-eigenvalue size treated as singular
+
+_HETRF, _HETRF_LWORK = get_lapack_funcs(("hetrf", "hetrf_lwork"), dtype=np.complex128)
 
 
 class WindowTooLargeError(ValueError):
@@ -174,35 +179,33 @@ def count_leq(M: np.ndarray, lam: float, method: str = "eigh") -> int:
     raise ValueError(f"unknown counting method {method!r}")
 
 
-def _block_eigenvalues(d: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the block-diagonal factor of an LDL^* factorization
-    (1x1 and 2x2 Hermitian blocks)."""
-    n = d.shape[0]
-    out = np.empty(n, dtype=float)
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i + 1, i] != 0:
-            a = d[i, i].real
-            c = d[i + 1, i + 1].real
-            b = d[i + 1, i]
-            half = 0.5 * (a + c)
-            disc = np.hypot(0.5 * (a - c), abs(b))
-            out[i] = half - disc
-            out[i + 1] = half + disc
-            i += 2
-        else:
-            out[i] = d[i, i].real
-            i += 1
-    return out
-
-
 def _inertia(M: np.ndarray, lam: float, zero_tol: float) -> tuple[int, int, int]:
-    B = M - lam * np.eye(M.shape[0], dtype=complex)
-    _, d, _ = scipy.linalg.ldl(B, hermitian=True)
-    eigs = _block_eigenvalues(d)
+    """(negative, zero, positive) counts of the eigenvalues of M - lam I,
+    read off the block diagonal D of LAPACK hetrf's Bunch-Kaufman
+    factorization P (M - lam I) P^T = L D L^* by Sylvester's law.  D has
+    1x1 blocks and 2x2 Hermitian blocks; each 2x2 block starts at a pair
+    of equal negative pivot indices.  NaN or inf input raises ValueError."""
+    n = M.shape[0]
+    B = np.array(M, dtype=complex, order="F")
+    B[np.diag_indices(n)] -= lam
+    if not np.isfinite(B).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lwork = _compute_lwork(_HETRF_LWORK, n, lower=True)
+    ldu, ipiv, info = _HETRF(B, lwork=lwork, lower=True, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"hetrf: illegal value in argument {-info}")
+    eigs = ldu.diagonal().real.copy()
+    first = np.flatnonzero(ipiv < 0)[::2]
+    a, c, b = eigs[first], eigs[first + 1], ldu[first + 1, first]
+    half = 0.5 * (a + c)
+    # |b| through hypot(re, im), as abs() of a complex scalar does; numpy's
+    # vectorized complex abs can differ in the last bit and move D's values
+    disc = np.hypot(0.5 * (a - c), np.hypot(b.real, b.imag))
+    eigs[first] = half - disc
+    eigs[first + 1] = half + disc
     neg = int(np.count_nonzero(eigs < -zero_tol))
     zero = int(np.count_nonzero(np.abs(eigs) <= zero_tol))
-    return neg, zero, M.shape[0] - neg - zero
+    return neg, zero, n - neg - zero
 
 
 def inertia_bracket(M: np.ndarray, lam: float) -> tuple[int, int]:

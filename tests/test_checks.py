@@ -69,6 +69,20 @@ class TestGlobalChecks:
         res = check_inertia_oracle(np.random.default_rng(42), instances=15)
         assert res.passed, res.detail
 
+    def test_inertia_oracle_stays_on_scipy_lapack(self, monkeypatch):
+        # numpy and scipy each load their own OpenBLAS; alternating the two
+        # in this loop makes one thread pool spin while the other works
+        # (about 3x slower on two cores), so the loop makes no numpy
+        # LAPACK call
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy LAPACK call inside the inertia oracle loop")
+
+        for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd", "solve", "inv", "qr", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        res = check_inertia_oracle(np.random.default_rng(5), instances=5)
+        assert res.passed, res.detail
+        assert int(res.detail.split()[0]) > 0  # some counting points were tested
+
     def test_random_stencil_windows_are_hermitian(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

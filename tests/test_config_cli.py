@@ -5,6 +5,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from magspec.config import (
     parse_flux,
 )
 from magspec.experiments import (
+    DEFAULT_VERIFY_MODELS,
     hofstadter_flux_list,
     run_butterfly,
     run_converge,
@@ -119,6 +121,43 @@ custom_stencil:
     def test_shipped_configs_parse(self):
         for path in sorted(CONFIG_DIR.glob("*.yaml")):
             load_config(path)
+
+    def test_known_keys_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for path in sorted(CONFIG_DIR.glob("*.yaml")):
+                load_config(path)
+            for text in (TRIANGLE_YAML, SQUARE_YAML, DEFAULT_VERIFY_MODELS):
+                parse_config(text)
+
+    def test_unknown_keys_warn_once_naming_each(self):
+        text = TRIANGLE_YAML + """
+grid-n: 5
+oracle: {grid_n: 32, n_max: 8}
+verify: {inertia_instances: 3, moment_grid_n: 16}
+models:
+  - label: extra
+    graph: {dimension: 1, orbits: 1, templates: [[0, 0, [1]]], dims: 1}
+    weight: {kind: uniform}
+"""
+        with pytest.warns(UserWarning) as caught:
+            cfg = parse_config(text)
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        for key in ("grid-n", "oracle.n_max", "verify.moment_grid_n",
+                    "models[0].graph.dims", "models[0].weight"):
+            assert key in message
+        # the known keys around them are still read
+        assert cfg.oracle.grid_n == 32 and cfg.verify.inertia_instances == 3
+
+    def test_top_level_model_keys_need_a_top_level_graph(self):
+        text = """
+model: {graph: {dimension: 1, orbits: 1, templates: [[0, 0, [1]]]}}
+weights: {kind: hofstadter, flux: "1/2"}
+"""
+        with pytest.warns(UserWarning, match="ignored: weights$"):
+            cfg = parse_config(text)
+        assert cfg.model.weights.kind == "uniform"
 
 
 class TestProbeSelection:
@@ -265,11 +304,28 @@ class TestRunButterfly:
 class TestRunVerify:
     def test_default_models_pass(self):
         cfg = parse_config(
-            "label: v\nverify: {inertia_instances: 10, window_sizes: [3, 4], moment_grid_n: 32}\n"
+            "label: v\nverify: {inertia_instances: 10, window_sizes: [3, 4]}\n"
         )
         results, _ = run_verify(cfg)
         report = verify_report(results)
         assert report["passed"], report["failures"]
+
+    def test_timings_per_check(self):
+        cfg = parse_config("label: v\nverify: {inertia_instances: 3, window_sizes: [3]}\n")
+        results, info = run_verify(cfg)
+        timings = info["timings_s"]
+        # one entry per check call, summed over the four default models;
+        # a call with several results is keyed by their names joined by "+"
+        assert "inertia-oracle" in timings
+        assert "kernel-inclusion+rank-nullity" in timings
+        names = {name for key in timings if key != "total" for name in key.split("+")}
+        assert names == {r.name for r in results}
+        assert all(t >= 0 for t in timings.values())
+        assert sum(t for k, t in timings.items() if k != "total") <= timings["total"]
+        # the report itself carries no timings, so it stays byte-comparable
+        report = verify_report(results)
+        assert set(report) == {"passed", "num_checks", "failures", "checks"}
+        assert all(set(c) == {"name", "model", "passed", "metric", "detail"} for c in report["checks"])
 
     def test_corrupted_weight_names_the_failure(self):
         text = """
@@ -277,7 +333,7 @@ label: corrupt
 graph: {dimension: 2, orbits: 1, templates: [[0, 0, [1, 0]], [0, 0, [0, 1]]]}
 weights: {kind: hofstadter, flux: "1/3", conjugation_defect: 0.2}
 operator: dml
-verify: {inertia_instances: 5, window_sizes: [3], moment_grid_n: 16}
+verify: {inertia_instances: 5, window_sizes: [3]}
 """
         results, _ = run_verify(parse_config(text))
         report = verify_report(results)
@@ -290,7 +346,7 @@ label: perturbed
 graph: {dimension: 2, orbits: 1, templates: [[0, 0, [1, 0]], [0, 0, [0, 1]]]}
 weights: {kind: hofstadter, flux: "1/3", perturb: {template: 0, shift: [0, 0], turns: 0.3}}
 operator: dml
-verify: {inertia_instances: 5, window_sizes: [3], moment_grid_n: 16}
+verify: {inertia_instances: 5, window_sizes: [3]}
 """
         results, _ = run_verify(parse_config(text))
         failures = verify_report(results)["failures"]
@@ -303,7 +359,7 @@ graph: {dimension: 1, orbits: 1, templates: [[0, 0, [1]]]}
 weights: {kind: uniform}
 operator: dml
 interior_radius: 0
-verify: {inertia_instances: 5, window_sizes: [3], moment_grid_n: 16}
+verify: {inertia_instances: 5, window_sizes: [3]}
 """
         results, _ = run_verify(parse_config(text))
         failures = verify_report(results)["failures"]
@@ -352,7 +408,7 @@ label: corrupt
 graph: {dimension: 2, orbits: 1, templates: [[0, 0, [1, 0]], [0, 0, [0, 1]]]}
 weights: {kind: hofstadter, flux: "1/3", conjugation_defect: 0.2}
 operator: dml
-verify: {inertia_instances: 2, window_sizes: [3], moment_grid_n: 16}
+verify: {inertia_instances: 2, window_sizes: [3]}
 """
         )
         out = tmp_path / "out"

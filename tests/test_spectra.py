@@ -7,6 +7,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 
 from magspec.exhaustion import folner_box, interior_vertices, translated, window_subgraph
@@ -25,9 +26,11 @@ from magspec.operators import (
 )
 from magspec.spectra import (
     CountingPointOnEigenvalueWarning,
+    ZERO_PIVOT_SCALE,
     UnresolvedClusterError,
     WindowTooLargeError,
     _components,
+    _inertia,
     assemble_dirichlet,
     assemble_neumann,
     count_leq,
@@ -240,6 +243,87 @@ class TestCountLeq:
         grid = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
         for lam in (0.5, 2.0):
             assert count_leq(M, lam, method="inertia") == int(np.count_nonzero(grid <= lam))
+
+
+def pivot_sizes(M, lam):
+    """Sizes of the diagonal blocks of the Bunch-Kaufman factor of
+    M - lam I, read off scipy.linalg.ldl independently of _inertia."""
+    _, d, _ = scipy.linalg.ldl(M - lam * np.eye(M.shape[0]), hermitian=True)
+    sizes, k = [], 0
+    while k < d.shape[0]:
+        size = 2 if k + 1 < d.shape[0] and d[k + 1, k] != 0 else 1
+        sizes.append(size)
+        k += size
+    return sizes
+
+
+def assert_inertia_matches_eigvalsh(M, lams):
+    """(neg, zero, pos) of M - lam I against eigvalsh, at points at least
+    1e-6 of the norm away from every eigenvalue."""
+    evals = np.linalg.eigvalsh(M)
+    norm = gershgorin_bound(M)
+    for lam in lams:
+        assert np.abs(evals - lam).min() > 1e-6 * norm
+        neg = int(np.count_nonzero(evals < lam))
+        got = _inertia(M, lam, ZERO_PIVOT_SCALE * norm)
+        assert got == (neg, 0, len(evals) - neg), lam
+
+
+def zero_diagonal_hermitian(rng, n):
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    A = A + A.conj().T
+    A[np.diag_indices(n)] = 0.0
+    return A
+
+
+class TestInertia:
+    def test_zero_diagonal_forces_2x2_pivots(self):
+        rng = np.random.default_rng(21)
+        for n in (2, 3, 7, 12):
+            A = zero_diagonal_hermitian(rng, n)
+            assert 2 in pivot_sizes(A, 0.0)
+            assert_inertia_matches_eigvalsh(A, [0.0])
+
+    def test_adjacent_2x2_blocks(self):
+        # [[0, C], [C^*, 0]] with C square: every Schur complement keeps a
+        # zero diagonal, so at lam = 0 every pivot is 2x2; the spectrum is
+        # +-(singular values of C), n/2 on each side of 0
+        rng = np.random.default_rng(22)
+        k = 6
+        C = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        A = np.block([[np.zeros((k, k)), C], [C.conj().T, np.zeros((k, k))]])
+        assert pivot_sizes(A, 0.0) == [2] * k
+        assert _inertia(A, 0.0, ZERO_PIVOT_SCALE * gershgorin_bound(A)) == (k, 0, k)
+        assert_inertia_matches_eigvalsh(A, [0.0])
+
+    def test_mixed_1x1_and_2x2_pivots(self):
+        rng = np.random.default_rng(23)
+        for n in (5, 9, 16):
+            A = zero_diagonal_hermitian(rng, n)
+            A[np.diag_indices(n)] = np.where(rng.random(n) < 0.5, 0.0, 10.0 * rng.normal(size=n))
+            evals = np.linalg.eigvalsh(A)
+            lams = [0.0, 0.5 * (evals[0] + evals[1]), 0.5 * (evals[-2] + evals[-1]), evals[-1] + 1.0]
+            assert {1, 2} <= set(pivot_sizes(A, 0.0))
+            assert_inertia_matches_eigvalsh(A, lams)
+
+    def test_empty_matrix(self):
+        assert _inertia(np.zeros((0, 0), dtype=complex), 0.3, 1e-14) == (0, 0, 0)
+        assert inertia_bracket(np.zeros((0, 0)), 0.3) == (0, 0)
+
+    @pytest.mark.parametrize("bad", ["nan-entry", "inf-entry", "nan-lambda"])
+    def test_non_finite_input_raises(self, bad):
+        M = PATH3.copy()
+        lam = 1.0
+        if bad == "nan-entry":
+            M[0, 1] = M[1, 0] = np.nan
+        elif bad == "inf-entry":
+            M[2, 2] = np.inf
+        else:
+            lam = float("nan")
+        with pytest.raises(ValueError):
+            _inertia(M, lam, 1e-14)
+        with pytest.raises(ValueError):
+            inertia_count_leq(M, lam)
 
 
 class TestSpectralDensity:
