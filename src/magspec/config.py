@@ -63,14 +63,6 @@ def parse_flux(value) -> Union[Fraction, float, None]:
     raise ConfigError(f"bad flux {value!r}")
 
 
-def format_flux(flux) -> str:
-    if flux is None:
-        return ""
-    if isinstance(flux, Fraction):
-        return f"{flux.numerator}/{flux.denominator}"
-    return repr(float(flux))
-
-
 @dataclass(frozen=True)
 class PerturbSpec:
     template: int

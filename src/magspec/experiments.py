@@ -7,10 +7,10 @@ verification report.  All tabular output is written with 17 significant
 digits and assembled in a fixed key order, so identical config + seed
 reproduces byte-identical CSV; wall-clock timings go to the run manifest
 instead (they cannot be deterministic), together with per-window
-diagnostics (dimension, nonzeros and connected blocks of each window
-matrix).  Every driver returns its rows plus a dict of the manifest
-sections the run adds: ``timings_s`` and, for window runs,
-``diagnostics``.
+diagnostics (dimension, nonzeros, connected blocks, half-bandwidth and
+eigenvalue solver of each window matrix).  Every driver returns its rows
+plus a dict of the manifest sections the run adds: ``timings_s`` and, for
+window runs, ``diagnostics``.
 """
 
 from __future__ import annotations
@@ -198,6 +198,8 @@ def _diagnostics(m: int, boundary: str, M: np.ndarray, spec: WindowSpectrum) -> 
         "dim": M.shape[0],
         "nnz": int(np.count_nonzero(M)),
         "blocks": spec.blocks,
+        "bandwidth": spec.bandwidth,
+        "solver": spec.solver,
     }
 
 

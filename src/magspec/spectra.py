@@ -18,11 +18,15 @@ function.  The diagonalization paths (``count_leq(method="eigh")`` and
 which there depends on rounding, and raise
 ``CountingPointOnEigenvalueWarning`` instead.
 
-Window spectra (``spectral_density``) and interior kernels
-(``rect_kernel_dim``) are computed one connected block of the matrix's
-nonzero pattern at a time: a block-diagonal model such as the triangle
-cells costs O(n) instead of a dense O(n^3) call.  A connected matrix takes
-the plain dense call.
+Window spectra (``spectral_density`` and ``count_leq(method="eigh")``)
+and interior kernels (``rect_kernel_dim``) are computed one connected
+block of the matrix's nonzero pattern at a time: a block-diagonal model
+such as the triangle cells costs O(n) instead of a dense O(n^3) call.  A
+connected matrix whose nonzeros lie within a narrow band (half-bandwidth
+b with BAND_RATIO * b <= n, as a box window in its natural vertex order
+has) is diagonalized in LAPACK band storage by ``hbevd``, at O(n^2 b)
+instead of O(n^3); a connected matrix with a wide band takes the plain
+dense call.
 
 Jumps and kernel dimensions are floating-point notions here, so both are
 defined through clusters with a validated gap, judged over the union of
@@ -44,8 +48,17 @@ from .operators import LocalOperator, WeightFunction, harper_dml
 MAX_DENSE_DIM = 5000
 SHIFT_SCALE = 1e-10       # bracketing shift, relative to the norm bound
 ZERO_PIVOT_SCALE = 5e-14  # relative block-eigenvalue size treated as singular
+# A connected matrix of half-bandwidth b >= 1 is diagonalized in band
+# storage when BAND_RATIO * b <= n.  Band hbevd against dense heevd, wall
+# time on 2 cores (OpenBLAS): Hofstadter boxes (n, b) = (2304, 48) 0.74 s
+# vs 1.27 s and (1024, 32) 0.10 s vs 0.14 s; random band matrices break
+# even near n / b = 20 ((1024, 48) 1.02x the dense time) and lose below it
+# ((1024, 64) 1.32x, (256, 32) 1.22x).  32 keeps a margin over the
+# crossover; the table is in the README.
+BAND_RATIO = 32
 
 _HETRF, _HETRF_LWORK = get_lapack_funcs(("hetrf", "hetrf_lwork"), dtype=np.complex128)
+_HBEVD = get_lapack_funcs("hbevd", dtype=np.complex128)
 
 
 class WindowTooLargeError(ValueError):
@@ -164,16 +177,16 @@ def gershgorin_bound(M: np.ndarray) -> float:
 def count_leq(M: np.ndarray, lam: float, method: str = "eigh") -> int:
     """Number of eigenvalues <= lam, counting multiplicity.
 
-    method 'eigh' diagonalizes and warns when lam is within the bracketing
-    shift of an eigenvalue; 'inertia' factors M - lam I and counts negative
-    inertia plus nullity, bracketing exact singularities.
+    method 'eigh' diagonalizes as spectral_density does (per connected
+    block, in band storage when the band is narrow) and warns when lam is
+    within the bracketing shift of an eigenvalue; 'inertia' factors
+    M - lam I and counts negative inertia plus nullity, bracketing exact
+    singularities.
     """
     if method == "eigh":
-        if M.shape[0] == 0:
-            return 0
-        evals = np.linalg.eigvalsh(M)
+        evals = _block_spectrum(M)[0]
         _warn_if_on_eigenvalue(evals, lam)
-        return int(np.count_nonzero(evals <= lam))
+        return int(np.searchsorted(evals, lam, side="right"))
     if method == "inertia":
         return inertia_count_leq(M, lam)
     raise ValueError(f"unknown counting method {method!r}")
@@ -281,22 +294,42 @@ def _blocks_by_shape(*labelings: np.ndarray, count: int):
         ]
 
 
-def _block_spectrum(M: np.ndarray) -> tuple[np.ndarray, int]:
-    """Sorted eigenvalues of a Hermitian matrix and its number of connected
-    blocks.  The spectrum is the union of the blocks' spectra; equal-size
-    blocks are diagonalized in one stacked call.  A connected matrix takes
-    the plain dense call."""
+def _band_eigvals(M: np.ndarray, b: int) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix of half-bandwidth b, from its b + 1
+    lower diagonals in LAPACK lower band storage: ab[k, j] = M[j + k, j]."""
+    n = M.shape[0]
+    ab = np.zeros((b + 1, n), dtype=complex)
+    for k in range(b + 1):
+        ab[k, : n - k] = M.diagonal(-k)
+    evals, _, info = _HBEVD(ab, compute_v=0, lower=1, overwrite_ab=1)
+    if info:
+        raise np.linalg.LinAlgError(f"hbevd failed with info {info}")
+    return evals
+
+
+def _block_spectrum(M: np.ndarray) -> tuple[np.ndarray, int, int, str]:
+    """Sorted eigenvalues of a Hermitian matrix, the number of connected
+    blocks of its nonzero pattern, its half-bandwidth max |i - j| over the
+    nonzeros (0 without off-diagonal nonzeros) and the solver used.  The
+    spectrum is the union of the blocks' spectra; equal-size blocks are
+    diagonalized in one stacked call ("blocks").  A connected matrix is
+    diagonalized in band storage when BAND_RATIO * b <= n ("banded"), and
+    by the plain dense call otherwise ("dense")."""
     n = M.shape[0]
     if n == 0:
-        return np.zeros(0), 0
-    count, labels = _components(*np.nonzero(M), n)
+        return np.zeros(0), 0, 0, "dense"
+    rows, cols = np.nonzero(M)
+    b = int(np.abs(rows - cols).max()) if rows.size else 0
+    count, labels = _components(rows, cols, n)
     if count == 1:
-        return np.sort(np.linalg.eigvalsh(M)), 1
+        if 0 < BAND_RATIO * b <= n:
+            return np.sort(_band_eigvals(M, b)), 1, b, "banded"
+        return np.sort(np.linalg.eigvalsh(M)), 1, b, "dense"
     parts = [
         np.linalg.eigvalsh(M[idx[:, :, None], idx[:, None, :]]).ravel()
         for _, (idx,) in _blocks_by_shape(labels, count=count)
     ]
-    return np.sort(np.concatenate(parts)), count
+    return np.sort(np.concatenate(parts)), count, b, "blocks"
 
 
 def _block_singular_values(R: np.ndarray) -> np.ndarray:
@@ -322,11 +355,14 @@ def _block_singular_values(R: np.ndarray) -> np.ndarray:
 class WindowSpectrum:
     """Sorted spectrum of one window restriction plus the Folner
     normalization; evaluates the normalized counting function and its
-    jumps.  ``blocks`` is the number of connected blocks of the matrix."""
+    jumps.  ``blocks``, ``bandwidth`` and ``solver`` say how the spectrum
+    was computed (see _block_spectrum)."""
 
     eigenvalues: np.ndarray
     normalization: int
     blocks: int = 1
+    bandwidth: int = 0
+    solver: str = "dense"
 
     def count_leq(self, lam: float) -> int:
         _warn_if_on_eigenvalue(self.eigenvalues, lam)
@@ -362,8 +398,8 @@ class WindowSpectrum:
 def spectral_density(M: np.ndarray, window: Window) -> WindowSpectrum:
     """Diagonalize once, one connected block at a time, and wrap the
     sorted spectrum with the window's Folner normalization."""
-    evals, blocks = _block_spectrum(M)
-    return WindowSpectrum(evals, len(window.elements), blocks)
+    evals, blocks, bandwidth, solver = _block_spectrum(M)
+    return WindowSpectrum(evals, len(window.elements), blocks, bandwidth, solver)
 
 
 def jump_dim(M: np.ndarray, window: Window, lam: float, tol: float) -> float:

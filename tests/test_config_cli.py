@@ -233,6 +233,9 @@ oracle: {grid_n: 16}
             # diagonal entry plus one entry per neighbour inside the box
             assert d["dim"] == d["m"] ** 2 and d["blocks"] == 1
             assert d["nnz"] == d["dim"] + 4 * d["m"] * (d["m"] - 1)
+            # the x-neighbour sits m places away in the natural vertex
+            # order; a band that wide is too wide for the band solver here
+            assert d["bandwidth"] == d["m"] and d["solver"] == "dense"
         assert info["timings_s"]["total"] > 0
 
     def test_neumann_rejected_for_non_laplacian(self):
@@ -260,7 +263,8 @@ windows: [2, 4, 8]
     def test_diagnostics_count_triangle_cells(self):
         _, info = run_jumps(parse_config(TRIANGLE_YAML))
         assert info["diagnostics"] == [
-            {"m": m, "boundary": "dirichlet", "dim": 3 * m, "nnz": 9 * m, "blocks": m}
+            {"m": m, "boundary": "dirichlet", "dim": 3 * m, "nnz": 9 * m, "blocks": m,
+             "bandwidth": 2, "solver": "blocks"}
             for m in (2, 4, 8)
         ]
 

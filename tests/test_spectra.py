@@ -11,6 +11,8 @@ import scipy.linalg
 from hypothesis import given
 
 from magspec.exhaustion import folner_box, interior_vertices, translated, window_subgraph
+from magspec.experiments import select_probe_lambdas
+from magspec.floquet import band_edges, magnetic_cell
 from magspec.lattice import line_graph, periodic_graph, square_lattice, triangle_cells
 from magspec.operators import (
     LocalOperator,
@@ -29,8 +31,10 @@ from magspec.spectra import (
     ZERO_PIVOT_SCALE,
     UnresolvedClusterError,
     WindowTooLargeError,
+    _block_spectrum,
     _components,
     _inertia,
+    _warn_if_on_eigenvalue,
     assemble_dirichlet,
     assemble_neumann,
     count_leq,
@@ -573,6 +577,55 @@ def scrambled(rng, R):
     return R[rng.permutation(R.shape[0])][:, rng.permutation(R.shape[1])]
 
 
+def box_matrix(graph, weights, boundary, m):
+    """Dirichlet or Neumann box window of the magnetic Laplacian, with the
+    auto counting points of the converge driver (9 points, margin 0.1)."""
+    _, D = harper_dml(graph, weights)
+    w = window_subgraph(graph, folner_box(graph.dimension, m))
+    if boundary == "dirichlet":
+        M = assemble_dirichlet(D, w)
+    else:
+        M = assemble_neumann(graph, weights, w)
+    cell = magnetic_cell(graph, D, weights.flux)
+    return M, w, select_probe_lambdas(band_edges(cell), 9, 0.1)
+
+
+def decorated_square_lattice():
+    """Two orbits per cell: an A-B rung, a B-A horizontal bridge and
+    vertical edges on both orbits with the Landau phase at flux 1/3."""
+    alpha = Fraction(1, 3)
+    graph = periodic_graph(2, 2, [(0, 1, (0, 0)), (1, 0, (1, 0)), (0, 0, (0, 1)), (1, 1, (0, 1))])
+    phase = lambda s: unit_phase(alpha * s[0])  # noqa: E731
+    return graph, WeightFunction(graph, [1.0, 1.0, phase, phase], flux=alpha)
+
+
+def on_eigenvalue(evals, lam):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _warn_if_on_eigenvalue(evals, lam)
+    return any(issubclass(c.category, CountingPointOnEigenvalueWarning) for c in caught)
+
+
+def assert_band_path_matches_dense(M, w, bandwidth, points, seed):
+    """The band solver's spectrum agrees with dense eigvalsh to 1e-12 of
+    the norm bound, and its counts agree exactly at the given points and
+    at 50 seeded random points, wherever no eigenvalue of either spectrum
+    lies within the bracketing shift."""
+    spec = spectral_density(M, w)
+    assert (spec.solver, spec.blocks, spec.bandwidth) == ("banded", 1, bandwidth)
+    dense = np.linalg.eigvalsh(M)
+    assert np.abs(spec.eigenvalues - dense).max() <= 1e-12 * gershgorin_bound(M)
+    rng = np.random.default_rng(seed)
+    random_points = rng.uniform(dense[0] - 0.5, dense[-1] + 0.5, 50)
+    checked = 0
+    for lam in [*points, *random_points]:
+        if on_eigenvalue(dense, lam) or on_eigenvalue(spec.eigenvalues, lam):
+            continue
+        assert spec.count_leq(lam) == int(np.count_nonzero(dense <= lam)), lam
+        checked += 1
+    assert checked >= 50
+
+
 class TestBlockPath:
     """spectral_density and rect_kernel_dim work per connected block of the
     nonzero pattern; the results must match the dense computation."""
@@ -610,8 +663,44 @@ class TestBlockPath:
         M = random_hermitian(rng, 12)
         _, _, w = line_window(12)
         spec = spectral_density(M, w)
-        assert spec.blocks == 1
+        assert spec.blocks == 1 and spec.solver == "dense" and spec.bandwidth == 11
         assert np.array_equal(spec.eigenvalues, np.sort(np.linalg.eigvalsh(M)))
+
+    @pytest.mark.parametrize("m", [32, 48])
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("flux", [Fraction(0), Fraction(1, 2), Fraction(1, 3)])
+    def test_hofstadter_box_band_path_matches_dense(self, flux, boundary, m):
+        # half-bandwidth m (the x-neighbour) and n = m^2, so BAND_RATIO * m <= n
+        g = square_lattice()
+        M, w, points = box_matrix(g, hofstadter_weights(g, flux), boundary, m)
+        assert_band_path_matches_dense(M, w, m, points, seed=m)
+
+    def test_two_orbit_window_band_path_matches_dense(self):
+        # the B-A bridge spans 2m - 1 = 63 places and n = 2 m^2 = 2048
+        g, weights = decorated_square_lattice()
+        M, w, points = box_matrix(g, weights, "dirichlet", 32)
+        assert_band_path_matches_dense(M, w, 63, points, seed=7)
+
+    def test_line_window_band_path_matches_dense(self):
+        _, D, w = line_window(200)
+        assert_band_path_matches_dense(assemble_dirichlet(D, w), w, 1, [0.5, 2.0, 3.5], seed=200)
+
+    def test_count_leq_eigh_shares_the_band_path(self):
+        _, D, w = line_window(200)
+        M = assemble_dirichlet(D, w)
+        assert _block_spectrum(M)[3] == "banded"
+        dense = np.linalg.eigvalsh(M)
+        for lam in (-1.0, 0.7, 2.1, 3.3, 5.0):
+            assert count_leq(M, lam) == int(np.count_nonzero(dense <= lam))
+
+    def test_bandwidth_of_matrices_without_off_diagonal_entries(self):
+        # no off-diagonal nonzero: half-bandwidth 0, and the dense call
+        evals, blocks, b, solver = _block_spectrum(np.zeros((0, 0), dtype=complex))
+        assert evals.size == 0 and (blocks, b, solver) == (0, 0, "dense")
+        for value in (0.0, 2.5):
+            evals, blocks, b, solver = _block_spectrum(np.array([[value]], dtype=complex))
+            assert np.array_equal(evals, [value]) and (blocks, b, solver) == (1, 0, "dense")
+            assert count_leq(np.array([[value]], dtype=complex), 1.0) == int(value <= 1.0)
 
     def test_triangle_window_splits_into_cells(self):
         g = triangle_cells()
