@@ -71,7 +71,6 @@ from .spectra import (
     count_leq,
     inertia_count_leq,
     interior_restriction,
-    jump_dim,
     projection_window_dim,
     rect_kernel_dim,
     spectral_density,

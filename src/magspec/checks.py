@@ -180,8 +180,9 @@ def check_gauge_invariance(m: ModelUnderTest, rng: np.random.Generator) -> Check
     def run() -> CheckResult:
         mside = m.window_sizes[-1]
         win = window_subgraph(m.graph, folner_box(m.graph.dimension, mside))
-        phases = {v: unit_phase(rng.random()) for v in win.verts}
-        gauged = gauge_transformed(m.weights, lambda v: phases.get(v, 1.0 + 0.0j))
+        # random phases on the window, then 1 at position -1 (off the window)
+        phases = np.array([unit_phase(rng.random()) for _ in win.verts] + [1.0 + 0.0j])
+        gauged = gauge_transformed(m.weights, lambda orbit, s: phases[win.positions(orbit, s)])
         _, dml = harper_dml(m.graph, m.weights)
         _, dml_g = harper_dml(m.graph, gauged)
         e1 = np.linalg.eigvalsh(assemble_dirichlet(dml, win))
@@ -228,11 +229,8 @@ def check_dirichlet_neumann(m: ModelUnderTest) -> CheckResult:
                     "dirichlet-neumann-order", False, max(off, -diag.min()),
                     "Dirichlet minus Neumann is not a nonnegative diagonal", m.label,
                 )
-            boundary = set(interior_vertices(m.graph, win, 1).boundary)
-            interior_rows = [
-                i for i, v in enumerate(win.verts) if v not in boundary
-            ]
-            if interior_rows and float(np.abs(diag[interior_rows]).max()) > 1e-12:
+            interior_rows = interior_vertices(m.graph, win, 1).interior_positions
+            if interior_rows.size and float(np.abs(diag[interior_rows]).max()) > 1e-12:
                 return CheckResult(
                     "dirichlet-neumann-order", False, float(np.abs(diag[interior_rows]).max()),
                     "Dirichlet/Neumann difference not supported on the boundary", m.label,

@@ -9,6 +9,7 @@ an invariant and exercise the named failures of the verify driver.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import warnings
 from dataclasses import dataclass
@@ -111,7 +112,7 @@ class OracleSpec:
 
 @dataclass(frozen=True)
 class ButterflySpec:
-    q_max: int = 50
+    q_max: int = 12
     grid_n: int = 64
 
 
@@ -148,56 +149,63 @@ def _graph_spec(entry: dict) -> GraphSpec:
         raise ConfigError(f"bad graph section: {exc}") from None
 
 
+def _fields(entry: Optional[dict], **convert) -> dict:
+    """The keys of a config section that have a converter, converted; keys
+    the section leaves out are left to the dataclass defaults."""
+    entry = entry or {}
+    return {key: fn(entry[key]) for key, fn in convert.items() if key in entry}
+
+
+def _optional(fn):
+    return lambda value: None if value is None else fn(value)
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(x) for x in values)
+
+
+def _perturb_spec(p) -> Optional[PerturbSpec]:
+    return PerturbSpec(int(p["template"]), _ints(p["shift"]), float(p["turns"])) if p else None
+
+
 def _weight_spec(entry: Optional[dict]) -> WeightSpec:
-    if not entry:
-        return WeightSpec()
-    perturb = None
-    if entry.get("perturb"):
-        p = entry["perturb"]
-        perturb = PerturbSpec(
-            int(p["template"]), tuple(int(x) for x in p["shift"]), float(p["turns"])
-        )
-    defect = entry.get("conjugation_defect")
-    return WeightSpec(
-        kind=str(entry.get("kind", "uniform")),
-        flux=parse_flux(entry.get("flux")),
-        conjugation_defect=None if defect is None else float(defect),
-        perturb=perturb,
-    )
+    return WeightSpec(**_fields(
+        entry, kind=str, flux=parse_flux, conjugation_defect=_optional(float),
+        perturb=_perturb_spec,
+    ))
 
 
 def _model_spec(entry: dict, default_label: str) -> ModelSpec:
     stencil = []
-    for item in entry.get("custom_stencil", []):
-        a, b, off, coeff = item
+    for a, b, off, coeff in entry.get("custom_stencil", []):
         if isinstance(coeff, (list, tuple)):
             coeff = complex(float(coeff[0]), float(coeff[1]))
         else:
             coeff = complex(coeff)
-        stencil.append((int(a), int(b), tuple(int(x) for x in off), coeff))
+        stencil.append((int(a), int(b), _ints(off), coeff))
     return ModelSpec(
         label=str(entry.get("label", default_label)),
         graph=_graph_spec(entry["graph"]),
-        weights=_weight_spec(entry.get("weights")),
-        operator=str(entry.get("operator", "dml")),
         custom_stencil=tuple(stencil),
+        **_fields(entry, weights=_weight_spec, operator=str),
     )
 
 
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 _SECTION_KEYS = {
-    "model": {"label", "graph", "weights", "operator", "custom_stencil"},
-    "graph": {"dimension", "orbits", "templates"},
-    "weights": {"kind", "flux", "conjugation_defect", "perturb"},
-    "perturb": {"template", "shift", "turns"},
-    "lambdas": {"kind", "count", "margin", "values"},
-    "oracle": {"grid_n", "compare", "allow_band_edge"},
-    "butterfly": {"q_max", "grid_n"},
-    "verify": {"inertia_instances", "window_sizes"},
+    "model": _field_names(ModelSpec),
+    "graph": _field_names(GraphSpec),
+    "weights": _field_names(WeightSpec),
+    "perturb": _field_names(PerturbSpec),
+    "lambdas": _field_names(LambdaSpec),
+    "oracle": _field_names(OracleSpec),
+    "butterfly": _field_names(ButterflySpec),
+    "verify": _field_names(VerifySpec),
 }
-_TOP_KEYS = {
-    "label", "model", "models", "boundary", "windows", "lambdas", "oracle",
-    "butterfly", "verify", "interior_radius", "jump_tol_scale", "seed",
-}
+_TOP_KEYS = _field_names(ExperimentConfig)
 
 
 def _unknown_keys(doc: dict) -> list[str]:
@@ -249,53 +257,39 @@ def parse_config(text: str, default_label: str = "experiment") -> ExperimentConf
         _model_spec(entry, f"{label}-{i}") for i, entry in enumerate(doc.get("models", []))
     )
 
-    lam_entry = doc.get("lambdas", {}) or {}
-    lambdas = LambdaSpec(
-        kind=str(lam_entry.get("kind", "auto")),
-        count=int(lam_entry.get("count", 9)),
-        margin=float(lam_entry.get("margin", 0.1)),
-        values=tuple(float(x) for x in lam_entry.get("values", [])),
-    )
-    ora_entry = doc.get("oracle", {}) or {}
-    oracle = OracleSpec(
-        grid_n=int(ora_entry.get("grid_n", 128)),
-        compare=bool(ora_entry.get("compare", True)),
-        allow_band_edge=bool(ora_entry.get("allow_band_edge", False)),
-    )
-    b_entry = doc.get("butterfly", {}) or {}
-    butterfly = ButterflySpec(
-        q_max=int(b_entry.get("q_max", 12)), grid_n=int(b_entry.get("grid_n", 64))
-    )
-    v_entry = doc.get("verify", {}) or {}
-    verify = VerifySpec(
-        inertia_instances=int(v_entry.get("inertia_instances", 200)),
-        window_sizes=tuple(int(x) for x in v_entry.get("window_sizes", (4, 6))),
-    )
-
-    windows = tuple(int(x) for x in doc.get("windows", (8, 16, 32)))
-    if any(b <= a for a, b in zip(windows, windows[1:])):
-        raise ConfigError("windows must be strictly increasing")
-    boundary = str(doc.get("boundary", "dirichlet"))
-    if boundary not in ("dirichlet", "neumann", "both"):
-        raise ConfigError(f"unknown boundary condition {boundary!r}")
-    interior = doc.get("interior_radius")
     cfg = ExperimentConfig(
         label=label,
         model=model,
         models=models,
-        boundary=boundary,
-        windows=windows,
-        lambdas=lambdas,
-        oracle=oracle,
-        butterfly=butterfly,
-        verify=verify,
-        interior_radius=None if interior is None else int(interior),
-        jump_tol_scale=float(doc.get("jump_tol_scale", 1e-8)),
-        seed=int(doc.get("seed", 0)),
+        lambdas=LambdaSpec(**_fields(
+            doc.get("lambdas"), kind=str, count=int, margin=float,
+            values=lambda values: tuple(float(x) for x in values),
+        )),
+        oracle=OracleSpec(**_fields(
+            doc.get("oracle"), grid_n=int, compare=bool, allow_band_edge=bool,
+        )),
+        butterfly=ButterflySpec(**_fields(doc.get("butterfly"), q_max=int, grid_n=int)),
+        verify=VerifySpec(**_fields(
+            doc.get("verify"), inertia_instances=int, window_sizes=_ints,
+        )),
+        **_fields(
+            doc, boundary=str, windows=_ints, interior_radius=_optional(int),
+            jump_tol_scale=float, seed=int,
+        ),
     )
-    if lambdas.kind not in ("auto", "explicit"):
-        raise ConfigError(f"unknown lambda selection {lambdas.kind!r}")
-    if lambdas.kind == "explicit" and not lambdas.values:
+    if any(b <= a for a, b in zip(cfg.windows, cfg.windows[1:])):
+        raise ConfigError("windows must be strictly increasing")
+    if any(m < 1 for m in cfg.windows):
+        raise ConfigError(f"window sides must be >= 1, got {list(cfg.windows)}")
+    if cfg.boundary not in ("dirichlet", "neumann", "both"):
+        raise ConfigError(f"unknown boundary condition {cfg.boundary!r}")
+    if cfg.interior_radius is not None and cfg.interior_radius < 0:
+        raise ConfigError(f"interior_radius must be >= 0, got {cfg.interior_radius}")
+    if not cfg.jump_tol_scale > 0:
+        raise ConfigError(f"jump_tol_scale must be > 0, got {cfg.jump_tol_scale}")
+    if cfg.lambdas.kind not in ("auto", "explicit"):
+        raise ConfigError(f"unknown lambda selection {cfg.lambdas.kind!r}")
+    if cfg.lambdas.kind == "explicit" and not cfg.lambdas.values:
         raise ConfigError("explicit lambda selection needs values")
     return cfg
 

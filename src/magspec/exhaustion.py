@@ -2,28 +2,24 @@
 
 Windows enumerate their vertices in a fixed order (lexicographic by
 translate, then orbit) so that every matrix built over the same window is
-reproducible.  Interiors are computed against the graph metric: a vertex
-belongs to the r-interior when its whole r-ball stays inside the window,
-which is decided exactly by a breadth-first search seeded on the complement
-inside a padded translate box (the graph itself is never materialized).
+reproducible; they hold them as arrays and find positions by mixed-radix
+arithmetic on the bounding box of their translates.  Interiors are
+computed against the graph metric: a vertex belongs to the r-interior when
+its whole r-ball stays inside the window, which is decided exactly along
+the window's inner edges (the graph itself is never materialized).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .lattice import (
-    OrientedEdge,
-    PeriodicGraph,
-    Shift,
-    Vertex,
-    add,
-    word_ball,
-)
+import numpy as np
+
+from .lattice import PeriodicGraph, Shift, Vertex, add, word_ball
 
 
 def folner_box(dimension: int, m: int) -> list[Shift]:
@@ -62,27 +58,54 @@ def isoperimetric_ratio(elements: Iterable[Shift], delta: int) -> Fraction:
 class Window:
     """Finite window of a periodic graph over a Folner set of translates.
 
-    ``verts`` is the full list (orbit, shift) over the set, sorted by
-    (shift, orbit); ``index`` inverts it.  Immutable after construction.
+    ``elements`` are the translates, sorted and distinct.  Vertex j of the
+    window is (``orbits[j]``, ``shifts[j]``), also kept as ``verts[j]``;
+    vertices are sorted by (shift, orbit).  ``positions`` inverts that
+    order.  Immutable after construction.
     """
 
     graph: PeriodicGraph
     elements: tuple[Shift, ...]
-    verts: tuple[Vertex, ...]
-    index: dict[Vertex, int]
+
+    def __post_init__(self) -> None:
+        norb = self.graph.num_orbits
+        box = np.array(self.elements, dtype=np.int64).reshape(-1, self.graph.dimension)
+        self.verts = tuple(Vertex(orb, s) for s in self.elements for orb in range(norb))
+        self.orbits = np.tile(np.arange(norb), len(box))
+        self.shifts = np.repeat(box, norb, axis=0)
+        self._lo = box.min(axis=0)
+        self._span = tuple(int(x) for x in box.max(axis=0) - self._lo + 1)
+        self._table = np.full(math.prod(self._span) * norb, -1, dtype=np.intp)
+        self._table[self._keys(self.orbits, self.shifts - self._lo)] = np.arange(len(self))
 
     def __len__(self) -> int:
         return len(self.verts)
 
-    def inner_edges(self) -> list[OrientedEdge]:
-        """E+ edges with both endpoints inside the window, deterministic order."""
-        out = []
-        for shift in self.elements:
-            for i in range(len(self.graph.templates)):
-                e = self.graph.template_edge(i, shift)
-                if e.terminus in self.index:
-                    out.append(e)
-        return out
+    def _keys(self, orbits: np.ndarray, rel: np.ndarray) -> np.ndarray:
+        flat = np.ravel_multi_index(tuple(rel.T), self._span, mode="clip")
+        return flat * self.graph.num_orbits + orbits
+
+    def positions(self, orbits, shifts: np.ndarray) -> np.ndarray:
+        """Window position of each vertex (orbits[k], shifts[k]), -1 for a
+        vertex off the window; shifts has shape (k, d), and orbits is an
+        array of k orbits or one orbit for all."""
+        rel = np.asarray(shifts).reshape(-1, self.graph.dimension) - self._lo
+        inside = ((rel >= 0) & (rel < self._span)).all(axis=1)
+        return np.where(inside, self._table[self._keys(orbits, rel)], -1)
+
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every E+ edge with both endpoints inside the window: positions of
+        its origin and terminus and its template index, ordered by origin,
+        then by template."""
+        ends = [np.zeros((3, 0), dtype=np.intp)]
+        for i, t in enumerate(self.graph.templates):
+            tails = np.flatnonzero(self.orbits == t.origin_orbit)
+            heads = self.positions(t.terminus_orbit, self.shifts[tails] + t.offset)
+            inner = heads >= 0
+            ends.append(np.stack([tails[inner], heads[inner], np.full(int(inner.sum()), i)]))
+        tails, heads, templates = np.concatenate(ends, axis=1)
+        order = np.argsort(tails, kind="stable")
+        return tails[order], heads[order], templates[order]
 
 
 def window_subgraph(graph: PeriodicGraph, elements: Iterable[Shift]) -> Window:
@@ -92,11 +115,7 @@ def window_subgraph(graph: PeriodicGraph, elements: Iterable[Shift]) -> Window:
         raise ValueError("window needs at least one translate")
     if any(len(g) != graph.dimension for g in elems):
         raise ValueError("translate dimension mismatch")
-    verts = tuple(
-        Vertex(orb, shift) for shift in elems for orb in range(graph.num_orbits)
-    )
-    index = {v: i for i, v in enumerate(verts)}
-    return Window(graph, elems, verts, index)
+    return Window(graph, elems)
 
 
 @dataclass(eq=False)
@@ -106,49 +125,35 @@ class InteriorSplit:
     interior: tuple[Vertex, ...]
     boundary: tuple[Vertex, ...]
     radius: int
+    interior_positions: np.ndarray
 
 
 def interior_vertices(graph: PeriodicGraph, window: Window, radius: int) -> InteriorSplit:
     """Split window vertices into the r-interior (graph-metric r-ball stays
     inside the window) and the complementary boundary collar.
 
-    The distance to the complement is computed by a multi-source BFS seeded
-    on the non-window vertices of a padded translate box; the padding
-    radius * offset_reach is enough because one graph edge moves the
-    translate by at most offset_reach in l1.
+    A vertex is within distance 1 of the complement when fewer of its
+    edge ends lie on inner edges than its valence; a shortest path to the
+    complement stays inside the window until its last step, so the collar
+    grows from those vertices along the inner edges, once per unit of
+    radius.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if radius == 0:
-        return InteriorSplit(tuple(window.verts), (), 0)
-    pad = radius * graph.offset_reach
-    lo = [min(s[i] for s in window.elements) - pad for i in range(graph.dimension)]
-    hi = [max(s[i] for s in window.elements) + pad for i in range(graph.dimension)]
-    padded = itertools.product(*[range(lo[i], hi[i] + 1) for i in range(graph.dimension)])
-    seeds = []
-    for shift in padded:
-        for orb in range(graph.num_orbits):
-            v = Vertex(orb, shift)
-            if v not in window.index:
-                seeds.append(v)
-    dist = {v: 0 for v in seeds}
-    frontier = deque(seeds)
-    reached: set[Vertex] = set()
-    while frontier:
-        u = frontier.popleft()
-        du = dist[u]
-        if du == radius:
-            continue
-        for e in graph.neighbors(u):
-            w = e.terminus
-            if w not in dist:
-                dist[w] = du + 1
-                frontier.append(w)
-                if w in window.index:
-                    reached.add(w)
-    interior = tuple(v for v in window.verts if v not in reached)
-    boundary = tuple(v for v in window.verts if v in reached)
-    return InteriorSplit(interior, boundary, radius)
+    tails, heads, _ = window.edge_ends()
+    valence = np.array([graph.valence(orb) for orb in range(graph.num_orbits)])
+    degree = np.bincount(np.concatenate([tails, heads]), minlength=len(window))
+    outside = degree < valence[window.orbits]  # some edge leaves the window
+    near = np.zeros(len(window), dtype=bool)
+    for _ in range(radius):
+        grown = near | outside
+        grown[heads[near[tails]]] = True
+        grown[tails[near[heads]]] = True
+        near = grown
+    inside = np.flatnonzero(~near)
+    interior = tuple(window.verts[j] for j in inside)
+    boundary = tuple(window.verts[j] for j in np.flatnonzero(near))
+    return InteriorSplit(interior, boundary, radius, inside)
 
 
 def window_boundary_ratio(graph: PeriodicGraph, window: Window, delta: int) -> Fraction:

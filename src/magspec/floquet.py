@@ -53,12 +53,6 @@ class MagneticCell:
     _flat_cache: dict[int, np.ndarray] = field(default_factory=dict)
     _band_cache: dict[int, tuple] = field(default_factory=dict)
 
-    def rep_index(self, column: int, orbit: int) -> int:
-        return column * self.graph.num_orbits + orbit
-
-    def rep_shift(self, column: int) -> Shift:
-        return (column,) + (0,) * (self.graph.dimension - 1)
-
 
 def _flux_denominator(flux) -> int:
     if flux is None:
@@ -80,40 +74,29 @@ def magnetic_cell(graph: PeriodicGraph, op: LocalOperator, flux) -> MagneticCell
     d = graph.dimension
     norb = graph.num_orbits
     dim = q * norb
-    zero_tail = (0,) * (d - 1)
-
-    def rep(c: int) -> Shift:
-        return (c,) + zero_tail
-
-    for orbit, ents in op.entries.items():
-        for ent in ents:
-            for c in range(q):
-                base = ent.coeff(rep(c))
-                if abs(ent.coeff((c + q,) + zero_tail) - base) > PERIODICITY_TOL:
-                    raise OracleUnavailableError(
-                        "stencil is not periodic under the enlarged cell"
-                    )
-                for j in range(1, d):
-                    probe = tuple(
-                        (c if i == 0 else (1 if i == j else 0)) for i in range(d)
-                    )
-                    if abs(ent.coeff(probe) - base) > PERIODICITY_TOL:
-                        raise OracleUnavailableError(
-                            "stencil coefficients depend on a transverse translate"
-                        )
+    reps = np.zeros((q, d), dtype=np.int64)  # the cell's columns c = 0..q-1
+    reps[:, 0] = np.arange(q)
+    steps = np.eye(d, dtype=np.int64)
+    steps[0, 0] = q  # one coarse step, then a unit step along each transverse axis
 
     hops: dict[Shift, np.ndarray] = {}
     for orbit in range(norb):
         for ent in op.entries.get(orbit, ()):
+            coeffs = ent.coeff(reps)
+            for j, step in enumerate(steps):
+                if np.abs(ent.coeff(reps + step) - coeffs).max() > PERIODICITY_TOL:
+                    raise OracleUnavailableError(
+                        "stencil is not periodic under the enlarged cell" if j == 0
+                        else "stencil coefficients depend on a transverse translate"
+                    )
             for c in range(q):
-                coeff = ent.coeff(rep(c))
                 t0 = c + ent.offset[0]
                 c2 = t0 % q
                 n = ((t0 - c2) // q,) + tuple(ent.offset[1:])
                 block = hops.setdefault(n, np.zeros((dim, dim), dtype=complex))
                 row = c2 * norb + ent.target_orbit
                 col = c * norb + orbit
-                block[row, col] += coeff
+                block[row, col] += coeffs[c]
     for n, block in hops.items():
         rev = hops.get(tuple(-x for x in n))
         if rev is None or np.abs(rev - block.conj().T).max() > 1e-12:

@@ -8,8 +8,9 @@ coboundary; that coboundary is recovered here by integrating phase ratios
 over a spanning forest of a finite window and checking consistency on the
 remaining edges.  Operators are stored as one aggregated stencil per
 orbit, with coefficients that may depend on the origin translate (this is
-how magnetic phases enter); everything downstream only ever applies the
-stencil to finitely supported functions.
+how magnetic phases enter).  Weight rules and coefficients map an array of
+k origin translates (shape (k, d)) to k complex values; everything
+downstream reads the stencil off at arrays of vertices (``triplets``).
 """
 
 from __future__ import annotations
@@ -22,15 +23,13 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from .exhaustion import Window
 from .lattice import (
-    OrientedEdge,
     PeriodicGraph,
     Shift,
     Vertex,
     act,
-    add,
     neg,
-    reverse,
     simplicial_distance,
     word_ball,
     word_length,
@@ -39,8 +38,9 @@ from .lattice import (
 HERMITIAN_TOL = 1e-12
 COCYCLE_TOL = 1e-12
 
-PhaseRule = Union[complex, Callable[[Shift], complex]]
-CoeffRule = Callable[[Shift], complex]
+# array rules: origin translates of shape (k, d) -> k complex values
+PhaseRule = Union[complex, Callable[[np.ndarray], np.ndarray]]
+CoeffRule = Callable[[np.ndarray], np.ndarray]
 
 
 class WeightError(ValueError):
@@ -65,11 +65,31 @@ def unit_phase(turns) -> complex:
     return complex(np.exp(2j * np.pi * turns))
 
 
+def landau_phase(flux, x: np.ndarray) -> np.ndarray:
+    """e^{2 pi i flux x} on an integer array x, bit for bit unit_phase(flux
+    * x): a rational flux p/q is reduced exactly, as ((p x) mod q) / q, and
+    a float flux as (flux x) mod 1."""
+    if isinstance(flux, (Fraction, int)):
+        turns = (flux.numerator * x) % flux.denominator / flux.denominator
+    else:
+        turns = (flux * x) % 1.0
+    return np.exp(2j * np.pi * turns)
+
+
+def _cmul(a, b) -> np.ndarray:
+    """Elementwise a * b as Python's complex product computes it; numpy's
+    complex multiply may fuse a multiply-add and differ in the last bit."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 class WeightFunction:
     """Per-template phase rules on E+ edges; reversal conjugates.
 
-    ``rules[i]`` is a complex constant or a callable of the origin
-    translate of the template edge.  ``flux`` records the magnetic flux
+    ``rules[i]`` is a complex constant or an array rule of the origin
+    translates of the template's edges.  ``flux`` records the magnetic flux
     parameter when meaningful (a Fraction for rational flux); the Floquet
     oracle uses it to size its enlarged cell.  ``conjugation_defect`` is a
     fault-injection knob multiplying reversed-edge phases, used to exercise
@@ -86,22 +106,20 @@ class WeightFunction:
         if len(rules) != len(graph.templates):
             raise WeightError("need one phase rule per edge template")
         self.graph = graph
-        self._rules = tuple(rules)
+        self._rules = tuple(_as_rule(r) for r in rules)
         self.flux = flux
         self._defect = conjugation_defect
 
-    def positive_phase(self, template: int, shift: Shift) -> complex:
-        """Phase of the E+ edge of ``template`` anchored at ``shift``."""
-        rule = self._rules[template]
-        return complex(rule(shift)) if callable(rule) else complex(rule)
+    def positive_phase(self, template: int, shifts: np.ndarray) -> np.ndarray:
+        """Phases of the E+ edges of ``template`` anchored at the origin
+        translates ``shifts``, shape (k, d)."""
+        return self._rules[template](shifts)
 
-    def phase(self, edge: OrientedEdge) -> complex:
-        if not edge.reversed:
-            return self.positive_phase(edge.template, edge.origin.shift)
-        value = self.positive_phase(edge.template, edge.terminus.shift).conjugate()
-        if self._defect is not None:
-            value *= self._defect
-        return value
+    def reversed_phase(self, template: int, shifts: np.ndarray) -> np.ndarray:
+        """Phases of the reverses of those edges: the conjugates, times the
+        injected defect if any."""
+        value = self.positive_phase(template, shifts).conj()
+        return value if self._defect is None else _cmul(value, self._defect)
 
 
 def uniform_weights(graph: PeriodicGraph) -> WeightFunction:
@@ -126,21 +144,22 @@ def hofstadter_weights(graph: PeriodicGraph, flux) -> WeightFunction:
         if t.offset == (1, 0):
             rules.append(1.0 + 0.0j)
         else:
-            rules.append(lambda s, a=flux: unit_phase(a * s[0]))
+            rules.append(lambda s: landau_phase(flux, s[:, 0]))
     return WeightFunction(graph, rules, flux=flux)
 
 
 def gauge_transformed(
-    weights: WeightFunction, u: Callable[[Vertex], complex]
+    weights: WeightFunction, u: Callable[[int, np.ndarray], np.ndarray]
 ) -> WeightFunction:
     """sigma'(e) = sigma(e) u(terminus) conj(u(origin)) for a U(1) vertex
-    function u; window spectra are invariant under this."""
+    function u, evaluated as u(orbit, shifts) on the translates of one
+    orbit; window spectra are invariant under this."""
     g = weights.graph
     rules: list[PhaseRule] = []
-    for i in range(len(g.templates)):
-        def rule(s: Shift, i=i) -> complex:
-            e = g.template_edge(i, s)
-            return weights.positive_phase(i, s) * u(e.terminus) * u(e.origin).conjugate()
+    for i, t in enumerate(g.templates):
+        def rule(s: np.ndarray, i=i, t=t) -> np.ndarray:
+            head = _cmul(weights.positive_phase(i, s), u(t.terminus_orbit, s + t.offset))
+            return _cmul(head, np.conj(u(t.origin_orbit, s)))
 
         rules.append(rule)
     return WeightFunction(g, rules, flux=weights.flux)
@@ -153,23 +172,17 @@ def perturbed_weights(
     perturbation breaks weak invariance."""
     shift = tuple(shift)
     factor = unit_phase(turns)
-    rules: list[PhaseRule] = []
-    for i in range(len(weights.graph.templates)):
-        if i == template:
-            rules.append(
-                lambda s, i=i: weights.positive_phase(i, s)
-                * (factor if s == shift else 1.0)
-            )
-        else:
-            rules.append(lambda s, i=i: weights.positive_phase(i, s))
+    rules = list(weights._rules)
+    rules[template] = lambda s, rule=rules[template]: _cmul(
+        rule(s), np.where((s == shift).all(axis=1), factor, 1.0 + 0.0j)
+    )
     return WeightFunction(weights.graph, rules, flux=weights.flux)
 
 
 def with_conjugation_defect(weights: WeightFunction, turns: float) -> WeightFunction:
     """Fault injection: reversed edges no longer carry the conjugate phase."""
-    rules = [lambda s, i=i: weights.positive_phase(i, s) for i in range(len(weights.graph.templates))]
     return WeightFunction(
-        weights.graph, rules, flux=weights.flux, conjugation_defect=unit_phase(turns)
+        weights.graph, weights._rules, flux=weights.flux, conjugation_defect=unit_phase(turns)
     )
 
 
@@ -190,20 +203,17 @@ class Cocycle:
             ) from None
 
 
-def _box_vertices(graph: PeriodicGraph, radius: int) -> list[Vertex]:
-    box = itertools.product(range(-radius, radius + 1), repeat=graph.dimension)
-    return [Vertex(orb, s) for s in box for orb in range(graph.num_orbits)]
+def _box(graph: PeriodicGraph, radius: int) -> Window:
+    side = range(-radius, radius + 1)
+    return Window(graph, tuple(itertools.product(side, repeat=graph.dimension)))
 
 
-def _window_edges(graph: PeriodicGraph, verts: Sequence[Vertex]) -> list[OrientedEdge]:
-    vset = set(verts)
-    out = []
-    for v in verts:
-        for i, t in enumerate(graph.templates):
-            if t.origin_orbit == v.orbit:
-                e = graph.template_edge(i, v.shift)
-                if e.terminus in vset:
-                    out.append(e)
+def _per_template(rule, templates: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """rule(i, shifts of the edges of template i), one call per template."""
+    out = np.empty(len(templates), dtype=complex)
+    for i in np.unique(templates):
+        sel = templates == i
+        out[sel] = rule(int(i), shifts[sel])
     return out
 
 
@@ -212,14 +222,17 @@ def check_conjugation_symmetry(
 ) -> float:
     """Max residual of |sigma| = 1 and sigma(reversed) = conj(sigma) over a
     box window; raises WeightError above 1e-12."""
-    edges = _window_edges(graph, _box_vertices(graph, radius))
-    worst = 0.0
-    for e in edges:
-        p = weights.phase(e)
-        if abs(abs(p) - 1.0) > HERMITIAN_TOL:
-            raise WeightError(f"invalid weight: |sigma| != 1 on edge {e}")
-        q = weights.phase(reverse(e))
-        worst = max(worst, abs(q - p.conjugate()))
+    window = _box(graph, radius)
+    tails, _, templates = window.edge_ends()
+    shifts = window.shifts[tails]
+    p = _per_template(weights.positive_phase, templates, shifts)
+    bad = np.flatnonzero(np.abs(_abs(p) - 1.0) > HERMITIAN_TOL)
+    if bad.size:
+        k = bad[0]
+        e = graph.template_edge(int(templates[k]), tuple(int(x) for x in shifts[k]))
+        raise WeightError(f"invalid weight: |sigma| != 1 on edge {e}")
+    diff = _per_template(weights.reversed_phase, templates, shifts) - p.conj()
+    worst = float(_abs(diff).max(initial=0.0))
     if worst > HERMITIAN_TOL:
         raise WeightError(
             f"invalid weight: sigma(reversed) != conj(sigma), residual {worst:.3e}"
@@ -241,47 +254,45 @@ def validate_weights(
     mismatch above 1e-12, and WeightError when the conjugation contract
     itself is broken.
     """
-    verts = _box_vertices(graph, radius)
-    edges = _window_edges(graph, verts)
+    window = _box(graph, radius)
+    tails, heads, templates = window.edge_ends()
     check_conjugation_symmetry(graph, weights, radius)
 
-    adjacency: dict[Vertex, list[tuple[Vertex, OrientedEdge]]] = {v: [] for v in verts}
-    for e in edges:
-        adjacency[e.origin].append((e.terminus, e))
-        adjacency[e.terminus].append((e.origin, e))
+    ends = list(zip(tails.tolist(), heads.tolist()))
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in window.verts]
+    for k, (a, b) in enumerate(ends):
+        adjacency[a].append((b, k))
+        adjacency[b].append((a, k))
+    shifts = window.shifts[tails]
+    phase = _per_template(weights.positive_phase, templates, shifts).tolist()
 
     cocycles: dict[Shift, Cocycle] = {}
     for gamma in graph.generators:
-        def ratio(e: OrientedEdge) -> complex:
-            shifted = graph.template_edge(e.template, add(gamma, e.origin.shift))
-            return weights.phase(shifted) / weights.phase(e)
-
-        values: dict[Vertex, complex] = {}
-        for base in sorted(verts):
+        moved = _per_template(weights.positive_phase, templates, shifts + gamma).tolist()
+        # Python complex division, not numpy's, which rounds differently
+        ratio = [p / q for p, q in zip(moved, phase)]
+        values: dict[int, complex] = {}
+        for base in sorted(range(len(window)), key=window.verts.__getitem__):
             if base in values:
                 continue
             values[base] = 1.0 + 0.0j
             queue = [base]
             while queue:
                 u = queue.pop()
-                for w, e in adjacency[u]:
+                for w, k in adjacency[u]:
                     if w in values:
                         continue
-                    r = ratio(e)
                     # s(terminus) = ratio * s(origin) along the tree edge
-                    values[w] = values[u] * r if u == e.origin else values[u] / r
+                    values[w] = values[u] * ratio[k] if u == ends[k][0] else values[u] / ratio[k]
                     queue.append(w)
         worst = 0.0
-        for e in edges:
-            resid = abs(
-                ratio(e) - values[e.terminus] * values[e.origin].conjugate()
-            )
-            worst = max(worst, resid)
+        for (a, b), r in zip(ends, ratio):
+            worst = max(worst, abs(r - values[b] * values[a].conjugate()))
         if worst > COCYCLE_TOL:
             raise NotWeaklyInvariantError(
                 f"not weakly invariant: cycle residual {worst:.3e} for generator {gamma}"
             )
-        cocycles[gamma] = Cocycle(gamma, values)
+        cocycles[gamma] = Cocycle(gamma, {window.verts[j]: c for j, c in values.items()})
     return cocycles
 
 
@@ -323,7 +334,7 @@ class LocalOperator:
     """Self-adjoint operator of bounded propagation, one aggregated stencil
     per orbit.  ``propagation`` is the graph-metric bound on how far a
     basis vector's image can spread; ``offset_reach`` is the largest l1
-    translate jump of any entry (used for window padding); ``norm_bound``
+    translate jump of any entry (0 for a block-diagonal stencil); ``norm_bound``
     is the Gershgorin row-sum bound on the operator norm."""
 
     graph: PeriodicGraph
@@ -332,20 +343,36 @@ class LocalOperator:
     offset_reach: int
     norm_bound: float
 
-    def column(self, v: Vertex) -> dict[Vertex, complex]:
-        """A applied to the basis vector at v, as a finitely supported map."""
-        out: dict[Vertex, complex] = {}
-        for ent in self.entries.get(v.orbit, ()):
-            u = Vertex(ent.target_orbit, add(v.shift, ent.offset))
-            out[u] = out.get(u, 0.0) + ent.coeff(v.shift)
-        return out
+    def triplets(
+        self, orbits: np.ndarray, shifts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The operator's columns at the source vertices (orbits[j],
+        shifts[j]), shifts of shape (k, d): target orbit, target shift,
+        source position j and value of every stencil entry, ordered by
+        source, then by stencil entry.  Each coefficient rule is evaluated
+        once, on the translates of all sources of its orbit."""
+        parts = [(np.zeros(0, dtype=np.intp), np.zeros((0, self.graph.dimension), dtype=np.int64),
+                  np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex))]
+        for orbit, ents in self.entries.items():
+            src = np.flatnonzero(orbits == orbit)
+            at = shifts[src]
+            for ent in ents:
+                parts.append((np.full(src.size, ent.target_orbit), at + ent.offset, src, ent.coeff(at)))
+        to_orbit, to_shift, src, vals = (np.concatenate(col) for col in zip(*parts))
+        order = np.argsort(src, kind="stable")
+        return to_orbit[order], to_shift[order], src[order], vals[order]
 
 
 def _as_rule(c) -> CoeffRule:
     if callable(c):
         return c
     value = complex(c)
-    return lambda s, value=value: value
+    return lambda s, value=value: np.full(len(s), value)
+
+
+def _abs(values: np.ndarray) -> np.ndarray:
+    """|z| as abs() of a complex scalar computes it; numpy's can differ."""
+    return np.hypot(values.real, values.imag)
 
 
 def local_operator(
@@ -356,8 +383,8 @@ def local_operator(
     """Build and validate a stencil operator.
 
     ``raw_entries`` is an iterable of (origin_orbit, target_orbit, offset,
-    coeff) with coeff a complex constant or a callable of the origin
-    translate.  Entries sharing (origin, target, offset) are summed.
+    coeff) with coeff a complex constant or an array rule of origin
+    translates.  Entries sharing (origin, target, offset) are summed.
     Hermitian symmetry is checked numerically on a sample of translates and
     the propagation bound is computed by BFS in the graph metric;
     unreachable stencil targets are rejected.
@@ -378,23 +405,24 @@ def local_operator(
         return lambda s, rules=tuple(rules): sum(r(s) for r in rules)
 
     merged = {key: combined(key) for key in table}
-    samples = word_ball(graph.dimension, sample_radius)
-    scale = 1.0
-    for rule in merged.values():
-        scale = max(scale, max(abs(rule(s)) for s in samples))
+    samples = np.array(word_ball(graph.dimension, sample_radius), dtype=np.int64)
+    values = {key: rule(samples) for key, rule in merged.items()}
+    scale = max([1.0] + [float(_abs(v).max()) for v in values.values()])
     for (a, b, off), rule in merged.items():
         partner = merged.get((b, a, neg(off)))
         if partner is None:
-            if max(abs(rule(s)) for s in samples) > HERMITIAN_TOL * scale:
+            if _abs(values[(a, b, off)]).max() > HERMITIAN_TOL * scale:
                 raise StencilError(
                     f"stencil entry ({a},{b},{off}) has no Hermitian partner"
                 )
             continue
-        for s in samples:
-            if abs(partner(add(s, off)) - rule(s).conjugate()) > HERMITIAN_TOL * scale:
-                raise StencilError(
-                    f"stencil not Hermitian at entry ({a},{b},{off}), translate {s}"
-                )
+        resid = _abs(partner(samples + off) - values[(a, b, off)].conj())
+        bad = np.flatnonzero(resid > HERMITIAN_TOL * scale)
+        if bad.size:
+            s = tuple(int(x) for x in samples[bad[0]])
+            raise StencilError(
+                f"stencil not Hermitian at entry ({a},{b},{off}), translate {s}"
+            )
 
     propagation = 0
     for (a, b, off) in merged:
@@ -415,8 +443,8 @@ def local_operator(
     for (a, b, off) in sorted(merged):
         entries.setdefault(a, []).append(StencilEntry(b, off, merged[(a, b, off)]))
     norm_bound = 0.0
-    for a, ents in entries.items():
-        row = sum(max(abs(e.coeff(s)) for s in samples) for e in ents)
+    for a in entries:
+        row = sum(float(_abs(values[(a, e.target_orbit, e.offset)]).max()) for e in entries[a])
         norm_bound = max(norm_bound, row)
     offset_reach = max(
         (word_length(off) for (_, _, off) in merged), default=0
@@ -452,7 +480,7 @@ def harper_dml(
         )
         hop_raw.append(
             (t.terminus_orbit, t.origin_orbit, neg(t.offset),
-             lambda s, i=i, off=t.offset: weights.positive_phase(i, add(s, neg(off))).conjugate())
+             lambda s, i=i, off=t.offset: weights.positive_phase(i, s - off).conj())
         )
     harper = local_operator(graph, hop_raw)
     lap_raw: list[tuple[int, int, Shift, object]] = [
@@ -467,16 +495,16 @@ def harper_dml(
 
 def apply_local(op: LocalOperator, f: Mapping[Vertex, complex]) -> dict[Vertex, complex]:
     """Apply the stencil to a finitely supported function.  The support
-    grows by at most the propagation radius; accumulation order is fixed
-    for reproducibility."""
+    grows by at most the propagation radius; accumulation order (source
+    vertices sorted, then stencil entries) is fixed for reproducibility."""
+    support = [v for v in sorted(f) if f[v] != 0]
+    orbits = np.array([v.orbit for v in support], dtype=np.intp)
+    shifts = np.array([v.shift for v in support], dtype=np.int64).reshape(-1, op.graph.dimension)
+    to_orbit, to_shift, src, vals = op.triplets(orbits, shifts)
     out: dict[Vertex, complex] = {}
-    for v in sorted(f):
-        c = f[v]
-        if c == 0:
-            continue
-        for ent in op.entries.get(v.orbit, ()):
-            u = Vertex(ent.target_orbit, add(v.shift, ent.offset))
-            out[u] = out.get(u, 0.0) + ent.coeff(v.shift) * c
+    for b, x, j, c in zip(to_orbit.tolist(), to_shift.tolist(), src.tolist(), vals.tolist()):
+        u = Vertex(b, tuple(x))
+        out[u] = out.get(u, 0.0) + c * f[support[j]]
     return out
 
 

@@ -1,9 +1,10 @@
 """Dense window restrictions and eigenvalue counting.
 
-Every window matrix is read off the operator's stencil by one routine.
-The Neumann Laplacian is the Dirichlet compression of the magnetic
-Laplacian minus a diagonal, so their difference is a nonnegative diagonal
-on the boundary collar by construction.
+Every window matrix is read off the operator's stencil by one routine,
+``LocalOperator.triplets``, with rows found by ``Window.positions``.  The
+Neumann Laplacian is the Dirichlet compression of the magnetic Laplacian
+minus a diagonal, so their difference is a nonnegative diagonal on the
+boundary collar by construction.
 
 Two counting backends count eigenvalues <= lam: full diagonalization (the
 default) and LDL-inertia counting.  The inertia backend calls LAPACK
@@ -100,21 +101,6 @@ def _check_dim(n: int) -> None:
         )
 
 
-def _stencil_entries(
-    op: LocalOperator, window: Window, columns
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrix entries of the operator's columns at the given vertices, read
-    off the stencil: row (window index of the target, -1 for a target
-    outside the window), column (position in ``columns``) and value."""
-    rows, cols, vals = [], [], []
-    for j, v in enumerate(columns):
-        for u, c in op.column(v).items():
-            rows.append(window.index.get(u, -1))
-            cols.append(j)
-            vals.append(c)
-    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(vals, dtype=complex)
-
-
 def assemble_dirichlet(op: LocalOperator, window: Window) -> np.ndarray:
     """Compression of the operator to functions supported on the window:
     entry (u, v) = <A delta_v, delta_u> for window vertices u, v, read off
@@ -127,7 +113,8 @@ def _compression(op: LocalOperator, window: Window) -> np.ndarray:
     # window matrix passes through exactly one (traceable) assemble_* call
     n = len(window.verts)
     _check_dim(n)
-    rows, cols, vals = _stencil_entries(op, window, window.verts)
+    to_orbit, to_shift, cols, vals = op.triplets(window.orbits, window.shifts)
+    rows = window.positions(to_orbit, to_shift)  # -1 for a target off the window
     inside = rows >= 0
     rows, cols = rows[inside], cols[inside]
     M = np.zeros((n, n), dtype=complex)
@@ -145,10 +132,10 @@ def assemble_neumann(
     counts the valence inside the window.  Only defined for Laplacian-type
     operators, which is why this takes the graph and weights directly."""
     M = _compression(harper_dml(graph, weights)[1], window)
-    ends = [window.index[v] for e in window.inner_edges() for v in (e.origin, e.terminus)]
-    inner = np.bincount(np.array(ends, dtype=np.intp), minlength=len(window.verts))
-    valence = np.array([graph.valence(v.orbit) for v in window.verts])
-    M[np.diag_indices_from(M)] -= valence - inner
+    tails, heads, _ = window.edge_ends()
+    inner = np.bincount(np.concatenate([tails, heads]), minlength=len(window))
+    valence = np.array([graph.valence(orb) for orb in range(graph.num_orbits)])
+    M[np.diag_indices_from(M)] -= valence[window.orbits] - inner
     return M
 
 
@@ -402,10 +389,6 @@ def spectral_density(M: np.ndarray, window: Window) -> WindowSpectrum:
     return WindowSpectrum(evals, len(window.elements), blocks, bandwidth, solver)
 
 
-def jump_dim(M: np.ndarray, window: Window, lam: float, tol: float) -> float:
-    return spectral_density(M, window).jump(lam, tol)
-
-
 def interior_restriction(
     op: LocalOperator, window: Window, split: InteriorSplit, lam: float
 ) -> np.ndarray:
@@ -423,17 +406,19 @@ def interior_restriction(
         )
     n = len(window.verts)
     _check_dim(n)
-    rows, cols, vals = _stencil_entries(op, window, split.interior)
+    interior = split.interior_positions
+    to_orbit, to_shift, cols, vals = op.triplets(window.orbits[interior], window.shifts[interior])
+    rows = window.positions(to_orbit, to_shift)
     leaks = np.flatnonzero(rows < 0)
     if leaks.size:
         y = split.interior[cols[leaks[0]]]
         raise AssertionError(
             f"finite propagation violated: column at {y} leaks outside the window"
         )
-    k = len(split.interior)
+    k = interior.size
     R = np.zeros((n, k), dtype=complex)
     np.add.at(R, (rows, cols), vals)
-    R[[window.index[y] for y in split.interior], np.arange(k)] -= lam
+    R[interior, np.arange(k)] -= lam
     return R
 
 
@@ -467,6 +452,7 @@ def projection_window_dim(
     """Window-normalized dimension of a subspace given by its orthogonal
     projection matrix over the (possibly padded) outer window:
     (1/#Lambda) sum over inner-window vertices of the projection diagonal.
+    The inner window must lie inside the outer one.
     """
     n = P.shape[0]
     if P.shape != (n, n) or n != len(outer.verts):
@@ -476,6 +462,8 @@ def projection_window_dim(
         raise ValueError("input fails the projection test: not self-adjoint")
     if float(np.abs(P @ P - P).max()) > tol * scale:
         raise ValueError("input fails the projection test: not idempotent")
-    idx = [outer.index[v] for v in inner.verts]
+    idx = outer.positions(inner.orbits, inner.shifts)
+    if (idx < 0).any():
+        raise ValueError("inner window leaves the outer window")
     diag = np.real(np.diag(P)[idx])
     return float(diag.sum() / len(inner.elements))

@@ -14,6 +14,7 @@ import pytest
 
 from magspec.config import (
     ConfigError,
+    ExperimentConfig,
     build_model,
     load_config,
     parse_config,
@@ -56,6 +57,13 @@ oracle: {grid_n: 32}
 seed: 7
 """
 
+# one value out of range per entry; each must be a ConfigError, not a crash
+OUT_OF_RANGE = ["windows: [0, 4]", "interior_radius: -1", "jump_tol_scale: 0"]
+
+
+def triangle_with(line):
+    return TRIANGLE_YAML.replace("windows: [2, 4, 8]\n", "") + line + "\n"
+
 
 class TestParseFlux:
     def test_rational(self):
@@ -86,6 +94,14 @@ class TestParseConfig:
         assert cfg.boundary == "both"
         assert cfg.windows == (4, 8)
         assert cfg.lambdas.count == 5
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert parse_config("label: x\n") == ExperimentConfig(label="x")
+
+    @pytest.mark.parametrize("line", OUT_OF_RANGE)
+    def test_out_of_range_values_rejected(self, line):
+        with pytest.raises(ConfigError):
+            parse_config(triangle_with(line))
 
     def test_windows_must_increase(self):
         with pytest.raises(ConfigError):
@@ -421,6 +437,15 @@ verify: {inertia_instances: 2, window_sizes: [3]}
         assert "sigma-conjugation" in proc.stdout + proc.stderr
         report = json.loads((out / "verify_report.json").read_text())
         assert not report["passed"]
+
+    @pytest.mark.parametrize("command", ["converge", "jumps"])
+    @pytest.mark.parametrize("line", OUT_OF_RANGE)
+    def test_out_of_range_config_exits_2(self, tmp_path, command, line):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(triangle_with(line))
+        proc = run_cli([command, str(cfg), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
 
     def test_missing_config_is_config_error(self, tmp_path):
         proc = run_cli(["converge", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])

@@ -14,8 +14,8 @@ from magspec.lattice import Vertex, periodic_graph
 from magspec.operators import (
     WeightFunction,
     harper_dml,
+    landau_phase,
     translation_commutator,
-    unit_phase,
     validate_weights,
 )
 from magspec.spectra import (
@@ -42,8 +42,8 @@ def model():
     rules = [
         1.0,
         1.0,
-        lambda s: unit_phase(ALPHA * s[0]),
-        lambda s: unit_phase(ALPHA * s[0]),
+        lambda s: landau_phase(ALPHA, s[:, 0]),
+        lambda s: landau_phase(ALPHA, s[:, 0]),
     ]
     weights = WeightFunction(graph, rules, flux=ALPHA)
     harper, dml = harper_dml(graph, weights)

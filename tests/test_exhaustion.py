@@ -63,20 +63,20 @@ class TestWindowSubgraph:
         g = line_graph()
         w = window_subgraph(g, folner_box(1, 3))
         assert len(w.verts) == 3
-        assert len(w.inner_edges()) == 2
+        assert len(w.edge_ends()[0]) == 2
 
     def test_square_four_cycle(self):
         g = square_lattice()
         w = window_subgraph(g, folner_box(2, 2))
         assert len(w.verts) == 4
-        assert len(w.inner_edges()) == 4
+        assert len(w.edge_ends()[0]) == 4
 
     def test_triangle_windows(self):
         g = triangle_cells()
         for m in (1, 3, 5):
             w = window_subgraph(g, folner_box(1, m))
             assert len(w.verts) == 3 * m
-            assert len(w.inner_edges()) == 3 * m
+            assert len(w.edge_ends()[0]) == 3 * m
 
     def test_vertex_count_identity(self):
         g = triangle_cells()
@@ -95,9 +95,9 @@ class TestWindowSubgraph:
         g = square_lattice()
         w = window_subgraph(g, folner_box(2, 4))
         seen = set()
-        for e in w.inner_edges():
-            key = (e.origin, e.terminus, e.template)
-            rev = (e.terminus, e.origin, e.template)
+        for tail, head, template in zip(*w.edge_ends()):
+            key = (tail, head, template)
+            rev = (head, tail, template)
             assert key not in seen and rev not in seen
             seen.add(key)
         # 2 m (m-1) undirected edges inside an m x m window

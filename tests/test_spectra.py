@@ -13,7 +13,7 @@ from hypothesis import given
 from magspec.exhaustion import folner_box, interior_vertices, translated, window_subgraph
 from magspec.experiments import select_probe_lambdas
 from magspec.floquet import band_edges, magnetic_cell
-from magspec.lattice import line_graph, periodic_graph, square_lattice, triangle_cells
+from magspec.lattice import Vertex, line_graph, periodic_graph, square_lattice, triangle_cells
 from magspec.operators import (
     LocalOperator,
     StencilEntry,
@@ -21,6 +21,7 @@ from magspec.operators import (
     gauge_transformed,
     harper_dml,
     hofstadter_weights,
+    landau_phase,
     perturbed_weights,
     uniform_weights,
     unit_phase,
@@ -42,13 +43,17 @@ from magspec.spectra import (
     inertia_bracket,
     inertia_count_leq,
     interior_restriction,
-    jump_dim,
     projection_window_dim,
     rect_kernel_dim,
     spectral_density,
 )
 
 PATH3 = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], dtype=complex)
+
+
+def index_of(window):
+    """Vertex -> window position, built vertex by vertex."""
+    return {v: j for j, v in enumerate(window.verts)}
 
 
 def line_window(m):
@@ -99,7 +104,8 @@ class TestAssembleDirichlet:
         # a hop to the right without its conjugate partner, built directly
         # so that local_operator's own Hermitian check is bypassed
         g = line_graph()
-        op = LocalOperator(g, {0: (StencilEntry(0, (1,), lambda s: 1.0 + 0.0j),)}, 1, 1, 1.0)
+        one = lambda s: np.ones(len(s), dtype=complex)  # noqa: E731
+        op = LocalOperator(g, {0: (StencilEntry(0, (1,), one),)}, 1, 1, 1.0)
         w = window_subgraph(g, folner_box(1, 4))
         with pytest.raises(AssertionError, match="not Hermitian"):
             assemble_dirichlet(op, w)
@@ -110,10 +116,14 @@ def reference_neumann(weights, window):
     edge adds 1 to both endpoints' diagonal, -sigma(e) at (terminus,
     origin) and its conjugate at (origin, terminus)."""
     n = len(window.verts)
+    index = index_of(window)
     M = np.zeros((n, n), dtype=complex)
-    for e in window.inner_edges():
-        i, j = window.index[e.origin], window.index[e.terminus]
-        p = weights.positive_phase(e.template, e.origin.shift)
+    g = window.graph
+    for e in (g.template_edge(t, s) for s in window.elements for t in range(len(g.templates))):
+        if e.terminus not in index:
+            continue
+        i, j = index[e.origin], index[e.terminus]
+        p = weights.positive_phase(e.template, np.array([e.origin.shift]))[0]
         M[j, i] -= p
         M[i, j] -= p.conjugate()
         M[i, i] += 1.0
@@ -124,14 +134,14 @@ def reference_neumann(weights, window):
 def decorated_lattice():
     # two orbits: an in-cell rung, a bridge and Landau-phase vertical edges
     g = periodic_graph(2, 2, [(0, 1, (0, 0)), (1, 0, (1, 0)), (0, 0, (0, 1)), (1, 1, (0, 1))])
-    landau = [lambda s: unit_phase(Fraction(1, 3) * s[0])] * 2
+    landau = [lambda s: landau_phase(Fraction(1, 3), s[:, 0])] * 2
     return g, WeightFunction(g, [1.0, 1.0, *landau], flux=Fraction(1, 3))
 
 
 def doubled_line():
     # two parallel edges per step with different phases
     g = periodic_graph(1, 1, [(0, 0, (1,)), (0, 0, (1,))])
-    return g, WeightFunction(g, [unit_phase(0.1), lambda s: unit_phase(0.37 * s[0])])
+    return g, WeightFunction(g, [unit_phase(0.1), lambda s: landau_phase(0.37, s[:, 0])])
 
 
 def perturbed_square():
@@ -180,9 +190,9 @@ class TestAssembleNeumann:
         assert np.abs(off).max() < 1e-14
         diag = np.real(np.diag(diff))
         assert diag.min() >= 0
-        interior = interior_vertices(g, w, 1).interior
-        for v in interior:
-            assert diag[w.index[v]] == 0.0
+        index = index_of(w)
+        for v in interior_vertices(g, w, 1).interior:
+            assert diag[index[v]] == 0.0
 
     def test_neumann_counts_dominate(self):
         g = square_lattice()
@@ -365,8 +375,9 @@ class TestSpectralDensity:
         base = hofstadter_weights(g, Fraction(1, 3))
         rng = np.random.default_rng(5)
         w = window_subgraph(g, folner_box(2, 4))
-        phases = {v: unit_phase(rng.random()) for v in w.verts}
-        gauged = gauge_transformed(base, lambda v: phases.get(v, 1.0))
+        # random phases on the window, then 1 at position -1 (off the window)
+        phases = np.array([unit_phase(rng.random()) for _ in w.verts] + [1.0])
+        gauged = gauge_transformed(base, lambda orbit, s: phases[w.positions(orbit, s)])
         _, D1 = harper_dml(g, base)
         _, D2 = harper_dml(g, gauged)
         e1 = np.linalg.eigvalsh(assemble_dirichlet(D1, w))
@@ -429,29 +440,30 @@ class TestJumpDim:
         for m in (2, 5, 8):
             w = window_subgraph(g, folner_box(1, m))
             M = assemble_dirichlet(D, w)
-            assert jump_dim(M, w, 0.0, 1e-8) == pytest.approx(1.0)
-            assert jump_dim(M, w, 3.0, 1e-8) == pytest.approx(2.0)
+            spec = spectral_density(M, w)
+            assert spec.jump(0.0, 1e-8) == pytest.approx(1.0)
+            assert spec.jump(3.0, 1e-8) == pytest.approx(2.0)
 
     def test_gap_point_has_no_jump(self):
         g = triangle_cells()
         _, D = harper_dml(g, uniform_weights(g))
         w = window_subgraph(g, folner_box(1, 4))
-        assert jump_dim(assemble_dirichlet(D, w), w, 1.5, 1e-8) == 0.0
+        assert spectral_density(assemble_dirichlet(D, w), w).jump(1.5, 1e-8) == 0.0
 
     def test_path_simple_eigenvalue(self):
         g, D, w = line_window(3)
-        assert jump_dim(PATH3, w, 2.0, 1e-10) == pytest.approx(1.0 / 3.0)
+        assert spectral_density(PATH3, w).jump(2.0, 1e-10) == pytest.approx(1.0 / 3.0)
 
     def test_unresolved_cluster_raises(self):
         g, D, w = line_window(3)
         # tol so coarse that the neighbors sit within 10 tol of lambda
         with pytest.raises(UnresolvedClusterError):
-            jump_dim(PATH3, w, 2.0, 0.2)
+            spectral_density(PATH3, w).jump(2.0, 0.2)
 
     def test_nonpositive_tol_rejected(self):
         g, D, w = line_window(3)
         with pytest.raises(ValueError):
-            jump_dim(PATH3, w, 2.0, 0.0)
+            spectral_density(PATH3, w).jump(2.0, 0.0)
 
 
 class TestInteriorRestriction:
@@ -470,8 +482,9 @@ class TestInteriorRestriction:
         R2 = interior_restriction(D, w, split, 2.0)
         shift = R0 - R2
         expected = np.zeros((5, 3))
+        index = index_of(w)
         for j, y in enumerate(split.interior):
-            expected[w.index[y], j] = 2.0
+            expected[index[y], j] = 2.0
         assert np.allclose(shift, expected)
 
     def test_empty_interior(self):
@@ -488,7 +501,8 @@ class TestInteriorRestriction:
         # offsets of length 2 under a declared propagation of 1: interior
         # columns next to the boundary reach outside the window
         g = line_graph()
-        ents = (StencilEntry(0, (2,), lambda s: 1.0 + 0.0j), StencilEntry(0, (-2,), lambda s: 1.0 + 0.0j))
+        one = lambda s: np.ones(len(s), dtype=complex)  # noqa: E731
+        ents = (StencilEntry(0, (2,), one), StencilEntry(0, (-2,), one))
         op = LocalOperator(g, {0: ents}, 1, 2, 2.0)
         w = window_subgraph(g, folner_box(1, 6))
         split = interior_vertices(g, w, 1)
@@ -507,11 +521,13 @@ class TestInteriorRestriction:
         g, D, w = line_window(6)
         split = interior_vertices(g, w, 1)
         wide = window_subgraph(g, folner_box(1, 10))
-        for y in split.interior:
-            col = D.column(y)
-            for u, c in col.items():
-                if u not in w.index:
-                    assert u in wide.index and c == 0.0
+        inside = split.interior_positions
+        to_orbit, to_shift, _, vals = D.triplets(w.orbits[inside], w.shifts[inside])
+        index, wide_index = index_of(w), index_of(wide)
+        for b, x, c in zip(to_orbit, to_shift, vals):
+            u = Vertex(int(b), tuple(int(t) for t in x))
+            if u not in index:
+                assert u in wide_index and c == 0.0
 
 
 class TestRectKernelDim:
@@ -595,7 +611,7 @@ def decorated_square_lattice():
     vertical edges on both orbits with the Landau phase at flux 1/3."""
     alpha = Fraction(1, 3)
     graph = periodic_graph(2, 2, [(0, 1, (0, 0)), (1, 0, (1, 0)), (0, 0, (0, 1)), (1, 1, (0, 1))])
-    phase = lambda s: unit_phase(alpha * s[0])  # noqa: E731
+    phase = lambda s: landau_phase(alpha, s[:, 0])  # noqa: E731
     return graph, WeightFunction(graph, [1.0, 1.0, phase, phase], flux=alpha)
 
 
@@ -750,8 +766,9 @@ class TestProjectionWindowDim:
         w = window_subgraph(g, folner_box(2, 4))
         split = interior_vertices(g, w, 1)
         P = np.zeros((len(w.verts),) * 2, dtype=complex)
+        index = index_of(w)
         for v in split.interior:
-            P[w.index[v], w.index[v]] = 1.0
+            P[index[v], index[v]] = 1.0
         got = projection_window_dim(P, w, w)
         assert got == pytest.approx(len(split.interior) / len(w.elements))
 
@@ -761,6 +778,13 @@ class TestProjectionWindowDim:
         inner = window_subgraph(g, folner_box(1, 4))
         P = np.eye(8, dtype=complex)
         assert projection_window_dim(P, outer, inner) == pytest.approx(1.0)
+
+    def test_inner_window_must_lie_inside_outer(self):
+        g = line_graph()
+        outer = window_subgraph(g, folner_box(1, 4))
+        inner = window_subgraph(g, translated(folner_box(1, 2), (3,)))
+        with pytest.raises(ValueError, match="leaves the outer window"):
+            projection_window_dim(np.eye(4, dtype=complex), outer, inner)
 
     def test_non_projection_rejected(self):
         g = line_graph()
