@@ -49,13 +49,11 @@ from .operators import (
     StencilError,
     WeightFunction,
     WeightError,
-    apply_local,
     gamma_trace_power,
     gauge_transformed,
     harper_dml,
     hofstadter_weights,
     local_operator,
-    magnetic_translate,
     translation_commutator,
     uniform_weights,
     validate_weights,

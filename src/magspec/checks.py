@@ -39,16 +39,16 @@ from .lattice import (
 from .operators import (
     LocalOperator,
     WeightFunction,
-    apply_local,
     check_conjugation_symmetry,
     gauge_transformed,
     gamma_trace_power,
     harper_dml,
-    inner_product,
     local_operator,
     translation_commutator,
     unit_phase,
     validate_weights,
+    window_coo,
+    window_matvec,
 )
 from .spectra import (
     assemble_dirichlet,
@@ -125,11 +125,13 @@ def check_cocycle_residual(m: ModelUnderTest) -> CheckResult:
 def check_commutator(m: ModelUnderTest) -> CheckResult:
     def run() -> CheckResult:
         cocycles = validate_weights(m.graph, m.weights, COCYCLE_RADIUS + m.operator.propagation)
-        zero = (0,) * m.graph.dimension
-        tests = [{Vertex(orb, zero): 1.0 + 0.0j} for orb in range(m.graph.num_orbits)]
-        tests.append(
-            {Vertex(orb, zero): 0.5 + 0.25j * (orb + 1) for orb in range(m.graph.num_orbits)}
-        )
+        window = next(iter(cocycles.values())).window
+        # delta at each orbit representative, then one mix of them all
+        orbits = np.arange(m.graph.num_orbits)
+        origin = window.positions(orbits, np.zeros((orbits.size, m.graph.dimension), dtype=np.int64))
+        tests = np.zeros((orbits.size + 1, len(window)), dtype=complex)
+        tests[orbits, origin] = 1.0
+        tests[-1, origin] = 0.5 + 0.25j * (orbits + 1)
         scale = max(1.0, m.operator.norm_bound)
         worst = max(
             translation_commutator(m.operator, c, tests) for c in cocycles.values()
@@ -143,14 +145,20 @@ def check_commutator(m: ModelUnderTest) -> CheckResult:
 
 def check_self_adjoint(m: ModelUnderTest, rng: np.random.Generator) -> CheckResult:
     def run() -> CheckResult:
-        ball = simplicial_ball(m.graph, Vertex(0, (0,) * m.graph.dimension), 2)
-        support = sorted(ball)
+        support = sorted(simplicial_ball(m.graph, Vertex(0, (0,) * m.graph.dimension), 2))
+        # f and g live on the ball, so the compression to a window over its
+        # translates gives <Af, g> exactly
+        window = window_subgraph(m.graph, [v.shift for v in support])
+        pos = window.positions(np.array([v.orbit for v in support]), np.array([v.shift for v in support]))
+        coo = window_coo(m.operator, window)
         worst = 0.0
         for _ in range(5):
-            f = {v: complex(*rng.normal(size=2)) for v in support}
-            g = {v: complex(*rng.normal(size=2)) for v in support}
-            lhs = inner_product(apply_local(m.operator, f), g)
-            rhs = inner_product(f, apply_local(m.operator, g))
+            # one complex normal per ball vertex in sorted-Vertex order, f then g
+            f, g = np.zeros((2, len(window)), dtype=complex)
+            f[pos] = rng.normal(size=(len(support), 2)).view(complex)[:, 0]
+            g[pos] = rng.normal(size=(len(support), 2)).view(complex)[:, 0]
+            lhs = np.vdot(g, window_matvec(coo, f))
+            rhs = np.vdot(window_matvec(coo, g), f)
             norm = max(1.0, abs(lhs), abs(rhs))
             worst = max(worst, abs(lhs - rhs) / norm)
         return CheckResult(
@@ -163,12 +171,14 @@ def check_self_adjoint(m: ModelUnderTest, rng: np.random.Generator) -> CheckResu
 def check_propagation_support(m: ModelUnderTest) -> CheckResult:
     def run() -> CheckResult:
         zero = (0,) * m.graph.dimension
-        ok = True
-        for orb in range(m.graph.num_orbits):
-            v = Vertex(orb, zero)
-            ball = simplicial_ball(m.graph, v, m.operator.propagation)
-            col = apply_local(m.operator, {v: 1.0 + 0.0j})
-            ok = ok and all(u in ball for u, c in col.items() if c != 0)
+        balls = [simplicial_ball(m.graph, Vertex(orb, zero), m.operator.propagation)
+                 for orb in range(m.graph.num_orbits)]
+        to_orbit, to_shift, src, vals = m.operator.triplets(np.arange(len(balls)), np.array([zero] * len(balls)))
+        ok = all(
+            Vertex(b, tuple(x)) in balls[j]
+            for b, x, j, c in zip(to_orbit.tolist(), to_shift.tolist(), src.tolist(), vals.tolist())
+            if c != 0
+        )
         return CheckResult(
             "propagation-support", ok, 0.0 if ok else 1.0,
             f"supp(A delta_v) inside the {m.operator.propagation}-ball, exact", m.label,
@@ -181,7 +191,7 @@ def check_gauge_invariance(m: ModelUnderTest, rng: np.random.Generator) -> Check
         mside = m.window_sizes[-1]
         win = window_subgraph(m.graph, folner_box(m.graph.dimension, mside))
         # random phases on the window, then 1 at position -1 (off the window)
-        phases = np.array([unit_phase(rng.random()) for _ in win.verts] + [1.0 + 0.0j])
+        phases = np.array([unit_phase(rng.random()) for _ in range(len(win))] + [1.0 + 0.0j])
         gauged = gauge_transformed(m.weights, lambda orbit, s: phases[win.positions(orbit, s)])
         _, dml = harper_dml(m.graph, m.weights)
         _, dml_g = harper_dml(m.graph, gauged)
@@ -378,7 +388,7 @@ def random_stencil_window(rng: np.random.Generator, max_dim: int = 400):
         side_max = max(2, int((max_dim / norb) ** (1.0 / dimension)))
         side = int(rng.integers(2, side_max + 1))
         win = window_subgraph(graph, folner_box(dimension, side))
-        if len(win.verts) > max_dim:
+        if len(win) > max_dim:
             continue
         M = assemble_dirichlet(op, win)
         return op, win, M
@@ -476,7 +486,7 @@ def check_dim_properties(rng: np.random.Generator) -> list[CheckResult]:
     trace on the block model (the invariant-projection case)."""
     graph = square_lattice()
     win = window_subgraph(graph, folner_box(2, 4))
-    n = len(win.verts)
+    n = len(win)
     norm = len(win.elements)
     results = []
 
@@ -517,7 +527,7 @@ def check_dim_properties(rng: np.random.Generator) -> list[CheckResult]:
     twin = window_subgraph(tri, folner_box(1, 6))
     cellP = _random_projection(rng, 3, 1)
     blocks = [cellP] * len(twin.elements)
-    P_inv = np.zeros((len(twin.verts), len(twin.verts)), dtype=complex)
+    P_inv = np.zeros((len(twin), len(twin)), dtype=complex)
     for b, blk in enumerate(blocks):
         P_inv[3 * b : 3 * b + 3, 3 * b : 3 * b + 3] = blk
     inv_err = abs(projection_window_dim(P_inv, twin, twin) - float(np.trace(cellP).real))

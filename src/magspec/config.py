@@ -138,22 +138,24 @@ class ExperimentConfig:
     seed: int = 0
 
 
-def _graph_spec(entry: dict) -> GraphSpec:
-    try:
-        templates = tuple(
-            (int(a), int(b), tuple(int(x) for x in off))
-            for a, b, off in entry.get("templates", [])
-        )
-        return GraphSpec(int(entry["dimension"]), int(entry["orbits"]), templates)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad graph section: {exc}") from None
-
-
 def _fields(entry: Optional[dict], **convert) -> dict:
     """The keys of a config section that have a converter, converted; keys
-    the section leaves out are left to the dataclass defaults."""
-    entry = entry or {}
-    return {key: fn(entry[key]) for key, fn in convert.items() if key in entry}
+    the section leaves out are left to the dataclass defaults.  A section
+    that is not a mapping, or a value its converter rejects, is a
+    ConfigError."""
+    if entry is None:
+        return {}
+    if not isinstance(entry, dict):
+        raise ConfigError(f"expected a mapping of keys, got {entry!r}")
+    out = {}
+    for key in (k for k in convert if k in entry):
+        try:
+            out[key] = convert[key](entry[key])
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {key} {entry[key]!r}: {type(exc).__name__}: {exc}") from None
+    return out
 
 
 def _optional(fn):
@@ -162,6 +164,19 @@ def _optional(fn):
 
 def _ints(values) -> tuple[int, ...]:
     return tuple(int(x) for x in values)
+
+
+def _graph_spec(entry: dict) -> GraphSpec:
+    templates = tuple((int(a), int(b), _ints(off)) for a, b, off in entry.get("templates", []))
+    return GraphSpec(int(entry["dimension"]), int(entry["orbits"]), templates)
+
+
+def _stencil(entries) -> tuple:
+    """(origin, target, offset, coeff) rows; a coeff [re, im] is complex."""
+    return tuple(
+        (int(a), int(b), _ints(off), complex(*map(float, c)) if isinstance(c, list) else complex(c))
+        for a, b, off, c in entries
+    )
 
 
 def _perturb_spec(p) -> Optional[PerturbSpec]:
@@ -176,19 +191,20 @@ def _weight_spec(entry: Optional[dict]) -> WeightSpec:
 
 
 def _model_spec(entry: dict, default_label: str) -> ModelSpec:
-    stencil = []
-    for a, b, off, coeff in entry.get("custom_stencil", []):
-        if isinstance(coeff, (list, tuple)):
-            coeff = complex(float(coeff[0]), float(coeff[1]))
-        else:
-            coeff = complex(coeff)
-        stencil.append((int(a), int(b), _ints(off), coeff))
-    return ModelSpec(
+    if not isinstance(entry, dict) or "graph" not in entry:
+        raise ConfigError(f"a model needs a graph section, got {entry!r}")
+    spec = ModelSpec(
         label=str(entry.get("label", default_label)),
-        graph=_graph_spec(entry["graph"]),
-        custom_stencil=tuple(stencil),
-        **_fields(entry, weights=_weight_spec, operator=str),
+        **_fields(entry, graph=_graph_spec, weights=_weight_spec, operator=str,
+                  custom_stencil=_stencil),
     )
+    p, g = spec.weights.perturb, spec.graph
+    if p is not None and not (0 <= p.template < len(g.templates) and len(p.shift) == g.dimension):
+        raise ConfigError(
+            f"perturb {p} does not fit a graph of dimension {g.dimension} "
+            f"with {len(g.templates)} templates"
+        )
+    return spec
 
 
 def _field_names(cls) -> set[str]:

@@ -59,9 +59,9 @@ class Window:
     """Finite window of a periodic graph over a Folner set of translates.
 
     ``elements`` are the translates, sorted and distinct.  Vertex j of the
-    window is (``orbits[j]``, ``shifts[j]``), also kept as ``verts[j]``;
-    vertices are sorted by (shift, orbit).  ``positions`` inverts that
-    order.  Immutable after construction.
+    window is (``orbits[j]``, ``shifts[j]``); vertices are sorted by
+    (shift, orbit).  ``positions`` inverts that order.  Immutable after
+    construction.
     """
 
     graph: PeriodicGraph
@@ -70,7 +70,6 @@ class Window:
     def __post_init__(self) -> None:
         norb = self.graph.num_orbits
         box = np.array(self.elements, dtype=np.int64).reshape(-1, self.graph.dimension)
-        self.verts = tuple(Vertex(orb, s) for s in self.elements for orb in range(norb))
         self.orbits = np.tile(np.arange(norb), len(box))
         self.shifts = np.repeat(box, norb, axis=0)
         self._lo = box.min(axis=0)
@@ -79,7 +78,16 @@ class Window:
         self._table[self._keys(self.orbits, self.shifts - self._lo)] = np.arange(len(self))
 
     def __len__(self) -> int:
-        return len(self.verts)
+        return len(self.orbits)
+
+    def vertex(self, j: int) -> Vertex:
+        """Vertex j as an (orbit, shift) pair, for messages."""
+        return Vertex(int(self.orbits[j]), tuple(int(x) for x in self.shifts[j]))
+
+    @property
+    def verts(self) -> tuple[Vertex, ...]:
+        """Every vertex, built on access; only the benchmark's tracer reads it."""
+        return tuple(map(self.vertex, range(len(self))))
 
     def _keys(self, orbits: np.ndarray, rel: np.ndarray) -> np.ndarray:
         flat = np.ravel_multi_index(tuple(rel.T), self._span, mode="clip")
@@ -120,10 +128,9 @@ def window_subgraph(graph: PeriodicGraph, elements: Iterable[Shift]) -> Window:
 
 @dataclass(eq=False)
 class InteriorSplit:
-    """Partition of a window into its r-interior and the boundary collar."""
+    """Partition of a window into its r-interior (ascending window
+    positions) and the boundary collar (every other position)."""
 
-    interior: tuple[Vertex, ...]
-    boundary: tuple[Vertex, ...]
     radius: int
     interior_positions: np.ndarray
 
@@ -150,17 +157,14 @@ def interior_vertices(graph: PeriodicGraph, window: Window, radius: int) -> Inte
         grown[heads[near[tails]]] = True
         grown[tails[near[heads]]] = True
         near = grown
-    inside = np.flatnonzero(~near)
-    interior = tuple(window.verts[j] for j in inside)
-    boundary = tuple(window.verts[j] for j in np.flatnonzero(near))
-    return InteriorSplit(interior, boundary, radius, inside)
+    return InteriorSplit(radius, np.flatnonzero(~near))
 
 
 def window_boundary_ratio(graph: PeriodicGraph, window: Window, delta: int) -> Fraction:
     """Fraction of window vertices within graph distance delta of the
     complement (the inner delta-collar of the window subgraph)."""
     split = interior_vertices(graph, window, delta)
-    return Fraction(len(split.boundary), len(window.verts))
+    return Fraction(len(window) - split.interior_positions.size, len(window))
 
 
 def translated(elements: Sequence[Shift], gamma: Shift) -> list[Shift]:

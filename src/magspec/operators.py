@@ -5,21 +5,23 @@ Weights assign a unit-modulus phase to every oriented edge, with reversal
 acting by complex conjugation.  A weight is weakly invariant under the
 translation action when each generator changes it only by a vertex
 coboundary; that coboundary is recovered here by integrating phase ratios
-over a spanning forest of a finite window and checking consistency on the
+over a spanning forest of a box window and checking consistency on the
 remaining edges.  Operators are stored as one aggregated stencil per
 orbit, with coefficients that may depend on the origin translate (this is
 how magnetic phases enter).  Weight rules and coefficients map an array of
 k origin translates (shape (k, d)) to k complex values; everything
-downstream reads the stencil off at arrays of vertices (``triplets``).
+downstream reads the stencil off at arrays of vertices (``triplets``), and
+on a window as COO triplets (``window_coo``).  Functions live on windows
+as arrays indexed by window position: cocycles, the twisted translations
+they define and the matvecs behind the trace powers.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .lattice import (
     PeriodicGraph,
     Shift,
     Vertex,
-    act,
     neg,
     simplicial_distance,
     word_ball,
@@ -189,18 +190,12 @@ def with_conjugation_defect(weights: WeightFunction, turns: float) -> WeightFunc
 @dataclass(eq=False)
 class Cocycle:
     """U(1) vertex function s_gamma solving the coboundary equation for one
-    generator, stored on the finite window it was solved on."""
+    generator, on the window it was solved on: ``values[j]`` is its value
+    at window position j."""
 
     gamma: Shift
-    values: dict[Vertex, complex]
-
-    def __call__(self, v: Vertex) -> complex:
-        try:
-            return self.values[v]
-        except KeyError:
-            raise WeightError(
-                f"cocycle for {self.gamma} not solved at {v}; enlarge the validation radius"
-            ) from None
+    window: Window
+    values: np.ndarray
 
 
 def _box(graph: PeriodicGraph, radius: int) -> Window:
@@ -247,8 +242,9 @@ def validate_weights(
 
     For each generator gamma the ratio sigma(gamma e)/sigma(e) is
     integrated along a BFS spanning forest (base value 1 on the least
-    vertex of each connected component) and every non-tree edge is checked
-    for consistency.  Returns one cocycle per generator.
+    vertex of each connected component, in (orbit, shift) order) and every
+    non-tree edge is checked for consistency.  Returns one cocycle per
+    generator, on the box window.
 
     Raises NotWeaklyInvariantError when some cycle carries holonomy
     mismatch above 1e-12, and WeightError when the conjugation contract
@@ -259,28 +255,29 @@ def validate_weights(
     check_conjugation_symmetry(graph, weights, radius)
 
     ends = list(zip(tails.tolist(), heads.tolist()))
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in window.verts]
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(len(window))]
     for k, (a, b) in enumerate(ends):
         adjacency[a].append((b, k))
         adjacency[b].append((a, k))
     shifts = window.shifts[tails]
     phase = _per_template(weights.positive_phase, templates, shifts).tolist()
+    bases = np.argsort(window.orbits, kind="stable").tolist()  # (orbit, shift) order
 
     cocycles: dict[Shift, Cocycle] = {}
     for gamma in graph.generators:
         moved = _per_template(weights.positive_phase, templates, shifts + gamma).tolist()
-        # Python complex division, not numpy's, which rounds differently
+        # Python complex arithmetic, not numpy's, which rounds differently
         ratio = [p / q for p, q in zip(moved, phase)]
-        values: dict[int, complex] = {}
-        for base in sorted(range(len(window)), key=window.verts.__getitem__):
-            if base in values:
+        values: list = [None] * len(window)
+        for base in bases:
+            if values[base] is not None:
                 continue
             values[base] = 1.0 + 0.0j
             queue = [base]
             while queue:
                 u = queue.pop()
                 for w, k in adjacency[u]:
-                    if w in values:
+                    if values[w] is not None:
                         continue
                     # s(terminus) = ratio * s(origin) along the tree edge
                     values[w] = values[u] * ratio[k] if u == ends[k][0] else values[u] / ratio[k]
@@ -292,34 +289,8 @@ def validate_weights(
             raise NotWeaklyInvariantError(
                 f"not weakly invariant: cycle residual {worst:.3e} for generator {gamma}"
             )
-        cocycles[gamma] = Cocycle(gamma, {window.verts[j]: c for j, c in values.items()})
+        cocycles[gamma] = Cocycle(gamma, window, np.array(values, dtype=complex))
     return cocycles
-
-
-def magnetic_translate(
-    cocycle: Cocycle, f: Mapping[Vertex, complex]
-) -> dict[Vertex, complex]:
-    """(T f)(x) = s(g^{-1} x) f(g^{-1} x), the twisted translation by g."""
-    return {act(cocycle.gamma, v): cocycle(v) * c for v, c in f.items()}
-
-
-def l2_norm(f: Mapping[Vertex, complex]) -> float:
-    return math.sqrt(sum(abs(c) ** 2 for c in f.values()))
-
-
-def function_diff(
-    f: Mapping[Vertex, complex], g: Mapping[Vertex, complex]
-) -> dict[Vertex, complex]:
-    out = dict(f)
-    for v, c in g.items():
-        out[v] = out.get(v, 0.0) - c
-    return out
-
-
-def inner_product(f: Mapping[Vertex, complex], g: Mapping[Vertex, complex]) -> complex:
-    """<f, g> with the physics convention conjugating the second argument."""
-    keys = f.keys() & g.keys()
-    return sum(f[v] * complex(g[v]).conjugate() for v in sorted(keys))
 
 
 @dataclass(frozen=True)
@@ -493,50 +464,86 @@ def harper_dml(
     return harper, dml
 
 
-def apply_local(op: LocalOperator, f: Mapping[Vertex, complex]) -> dict[Vertex, complex]:
-    """Apply the stencil to a finitely supported function.  The support
-    grows by at most the propagation radius; accumulation order (source
-    vertices sorted, then stencil entries) is fixed for reproducibility."""
-    support = [v for v in sorted(f) if f[v] != 0]
-    orbits = np.array([v.orbit for v in support], dtype=np.intp)
-    shifts = np.array([v.shift for v in support], dtype=np.int64).reshape(-1, op.graph.dimension)
-    to_orbit, to_shift, src, vals = op.triplets(orbits, shifts)
-    out: dict[Vertex, complex] = {}
-    for b, x, j, c in zip(to_orbit.tolist(), to_shift.tolist(), src.tolist(), vals.tolist()):
-        u = Vertex(b, tuple(x))
-        out[u] = out.get(u, 0.0) + c * f[support[j]]
+
+
+def window_coo(
+    op: LocalOperator, window: Window, sources: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The operator's columns at the window positions ``sources`` (all by
+    default) as COO triplets: the window position of each stencil target
+    (-1 off the window), the index of its source in ``sources`` and its
+    value, ordered by source, then by stencil entry.  Every window matrix
+    and matvec reads the operator through this."""
+    src = np.arange(len(window)) if sources is None else sources
+    to_orbit, to_shift, cols, vals = op.triplets(window.orbits[src], window.shifts[src])
+    return window.positions(to_orbit, to_shift), cols, vals
+
+
+def window_matvec(coo: tuple[np.ndarray, np.ndarray, np.ndarray], f: np.ndarray) -> np.ndarray:
+    """The operator's compression to the window applied to functions f on
+    it (last axis: window positions); targets off the window drop out."""
+    rows, cols, vals = coo
+    inside = rows >= 0
+    out = np.zeros(f.shape, dtype=complex)
+    np.add.at(out.T, rows[inside], (vals[inside] * f[..., cols[inside]]).T)
     return out
 
 
-def translation_commutator(
-    op: LocalOperator, cocycle: Cocycle, tests: Iterable[Mapping[Vertex, complex]]
-) -> float:
-    """max over test functions of ||A T f - T A f||_2 for the twisted
-    translation built from the cocycle.  Vanishes (to rounding) exactly
-    when the cocycle solves the coboundary equation."""
-    worst = 0.0
-    for f in tests:
-        lhs = apply_local(op, magnetic_translate(cocycle, f))
-        rhs = magnetic_translate(cocycle, apply_local(op, f))
-        worst = max(worst, l2_norm(function_diff(lhs, rhs)))
-    return worst
+def _leaves(window: Window, sources: np.ndarray, targets: np.ndarray, what: str) -> None:
+    """WeightError at the first source whose target is off the window."""
+    off = np.flatnonzero(targets < 0)
+    if off.size:
+        v = window.vertex(int(sources[off[0]]))
+        raise WeightError(f"{what} of {v} leaves the window; enlarge the validation radius")
+
+
+def translation_commutator(op: LocalOperator, cocycle: Cocycle, tests: np.ndarray) -> float:
+    """max over the test functions f (rows of ``tests``, functions on the
+    cocycle's window) of ||A T f - T A f||_2 for the twisted translation
+    (T f)(gamma x) = s(x) f(x).  Vanishes (to rounding) exactly when the
+    cocycle solves the coboundary equation.  Raises WeightError when T or
+    A would carry a test function off the window."""
+    window = cocycle.window
+    rows, cols, _ = coo = window_coo(op, window)
+    image = window.positions(window.orbits, window.shifts + np.asarray(cocycle.gamma))
+
+    def translate(f: np.ndarray) -> np.ndarray:
+        supp = np.flatnonzero(f.any(axis=0))
+        _leaves(window, supp, image[supp], f"translate by {cocycle.gamma}")
+        out = np.zeros_like(f)
+        out[:, image[supp]] = cocycle.values[supp] * f[:, supp]
+        return out
+
+    def apply(f: np.ndarray) -> np.ndarray:
+        touched = f.any(axis=0)[cols]
+        _leaves(window, cols[touched], rows[touched], "operator image")
+        return window_matvec(coo, f)
+
+    f = np.asarray(tests, dtype=complex)
+    diff = apply(translate(f)) - translate(apply(f))
+    return float(np.linalg.norm(diff, axis=1).max(initial=0.0))
 
 
 def gamma_trace_power(op: LocalOperator, n: int) -> float:
     """Trace per fundamental domain of the n-th power: the sum over orbit
-    representatives of <A^n delta_v, delta_v>, computed by n local
-    applications (finite by bounded propagation).  n = 0 returns the
+    representatives v of <A^n delta_v, delta_v>, by n matvecs on the box
+    {-R..R}^d, R = (n // 2) * offset_reach.  The truncation is exact: a
+    step moves the translate by at most offset_reach in l1, so a closed
+    n-walk from v is within k * reach of v after k steps and within
+    (n - k) * reach walking back, never farther than R.  n = 0 returns the
     number of orbits; the result is real for Hermitian stencils."""
     if n < 0:
         raise ValueError("power must be nonnegative")
-    zero = (0,) * op.graph.dimension
-    total = 0.0 + 0.0j
-    for orbit in range(op.graph.num_orbits):
-        v0 = Vertex(orbit, zero)
-        f: dict[Vertex, complex] = {v0: 1.0 + 0.0j}
-        for _ in range(n):
-            f = apply_local(op, f)
-        total += f.get(v0, 0.0)
+    graph = op.graph
+    box = _box(graph, (n // 2) * op.offset_reach)
+    coo = window_coo(op, box)
+    orbits = np.arange(graph.num_orbits)
+    origin = box.positions(orbits, np.zeros((graph.num_orbits, graph.dimension), dtype=np.int64))
+    f = np.zeros((graph.num_orbits, len(box)), dtype=complex)
+    f[orbits, origin] = 1.0
+    for _ in range(n):
+        f = window_matvec(coo, f)
+    total = complex(f[orbits, origin].sum())
     tol = 1e-12 * max(1.0, op.norm_bound**n)
     if abs(total.imag) > tol:
         raise ArithmeticError(f"trace power came out non-real: {total}")

@@ -1,7 +1,8 @@
 """Dense window restrictions and eigenvalue counting.
 
 Every window matrix is read off the operator's stencil by one routine,
-``LocalOperator.triplets``, with rows found by ``Window.positions``.  The
+``operators.window_coo`` (``LocalOperator.triplets`` at the window's
+vertices, with rows found by ``Window.positions``).  The
 Neumann Laplacian is the Dirichlet compression of the magnetic Laplacian
 minus a diagonal, so their difference is a nonnegative diagonal on the
 boundary collar by construction.
@@ -44,7 +45,7 @@ import numpy as np
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from .exhaustion import InteriorSplit, Window
-from .operators import LocalOperator, WeightFunction, harper_dml
+from .operators import LocalOperator, WeightFunction, harper_dml, window_coo
 
 MAX_DENSE_DIM = 5000
 SHIFT_SCALE = 1e-10       # bracketing shift, relative to the norm bound
@@ -111,11 +112,10 @@ def assemble_dirichlet(op: LocalOperator, window: Window) -> np.ndarray:
 def _compression(op: LocalOperator, window: Window) -> np.ndarray:
     # body of assemble_dirichlet; assemble_neumann calls it too, so each
     # window matrix passes through exactly one (traceable) assemble_* call
-    n = len(window.verts)
+    n = len(window)
     _check_dim(n)
-    to_orbit, to_shift, cols, vals = op.triplets(window.orbits, window.shifts)
-    rows = window.positions(to_orbit, to_shift)  # -1 for a target off the window
-    inside = rows >= 0
+    rows, cols, vals = window_coo(op, window)
+    inside = rows >= 0  # drop targets off the window
     rows, cols = rows[inside], cols[inside]
     M = np.zeros((n, n), dtype=complex)
     np.add.at(M, (rows, cols), vals[inside])
@@ -404,14 +404,13 @@ def interior_restriction(
             f"interior radius {split.radius} is below the propagation bound "
             f"{op.propagation}"
         )
-    n = len(window.verts)
+    n = len(window)
     _check_dim(n)
     interior = split.interior_positions
-    to_orbit, to_shift, cols, vals = op.triplets(window.orbits[interior], window.shifts[interior])
-    rows = window.positions(to_orbit, to_shift)
+    rows, cols, vals = window_coo(op, window, interior)
     leaks = np.flatnonzero(rows < 0)
     if leaks.size:
-        y = split.interior[cols[leaks[0]]]
+        y = window.vertex(interior[cols[leaks[0]]])
         raise AssertionError(
             f"finite propagation violated: column at {y} leaks outside the window"
         )
@@ -455,7 +454,7 @@ def projection_window_dim(
     The inner window must lie inside the outer one.
     """
     n = P.shape[0]
-    if P.shape != (n, n) or n != len(outer.verts):
+    if P.shape != (n, n) or n != len(outer):
         raise ValueError("projection must be square over the outer window")
     scale = max(1.0, float(np.abs(P).max()) if P.size else 1.0)
     if float(np.abs(P - P.conj().T).max()) > tol * scale:

@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies: random small periodic graphs and shifts."""
+"""Shared test helpers: hypothesis strategies for random small periodic
+graphs and shifts, and the vertex list of a window."""
 
 import hypothesis.strategies as st
 
@@ -38,3 +39,9 @@ def graph_specs(draw):
 def graphs(draw):
     dimension, orbits, templates = draw(graph_specs())
     return periodic_graph(dimension, orbits, templates)
+
+
+def vertices(window):
+    """The window's vertices as Vertex pairs, in window order, read off its
+    arrays: the vertex-by-vertex references compare against these."""
+    return [window.vertex(j) for j in range(len(window))]

@@ -243,7 +243,8 @@ def test_moment_identity():
             for n in range(MOMENT_NMAX + 1):
                 window_trace = float(np.sum(evals**n)) / norm
                 split = interior_vertices(g, win, n * op.propagation)
-                bound = (op.norm_bound**n) * len(split.boundary) / norm
+                collar = len(win) - split.interior_positions.size
+                bound = (op.norm_bound**n) * collar / norm
                 gap = abs(window_trace - walk[n])
                 if gap > bound + 1e-9 * max(1.0, abs(walk[n])):
                     collar_failures.append(

@@ -65,6 +65,25 @@ def triangle_with(line):
     return TRIANGLE_YAML.replace("windows: [2, 4, 8]\n", "") + line + "\n"
 
 
+# malformed sections: each must be a ConfigError (exit 2 from the CLI),
+# not a KeyError, TypeError, ValueError or IndexError from deeper down
+MALFORMED = [
+    "weights: {kind: uniform, perturb: {template: 0}}",
+    "lambdas: {count: null}",
+    "windows: 4",
+    "lambdas: {kind: explicit, values: [a]}",
+    "weights: {kind: uniform, perturb: {template: 5, shift: [0], turns: 0.1}}",
+]
+
+
+def line_with(line):
+    return (
+        "label: bad\n"
+        "graph: {dimension: 1, orbits: 1, templates: [[0, 0, [1]]]}\n"
+        "operator: dml\n" + line + "\n"
+    )
+
+
 class TestParseFlux:
     def test_rational(self):
         assert parse_flux("2/5") == Fraction(2, 5)
@@ -396,6 +415,17 @@ def run_cli(args):
 
 
 class TestCli:
+    @pytest.mark.parametrize("line", MALFORMED)
+    def test_malformed_section_is_a_config_error(self, tmp_path, line):
+        with pytest.raises(ConfigError):
+            parse_config(line_with(line))
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(line_with(line))
+        proc = run_cli(["converge", str(cfg), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+        assert "Traceback" not in proc.stderr
+
     def test_converge_writes_csv_and_manifest(self, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text(TRIANGLE_YAML)

@@ -10,7 +10,7 @@ import pytest
 
 from magspec.exhaustion import folner_box, interior_vertices, window_subgraph
 from magspec.floquet import band_edges, ids_oracle, magnetic_cell, moment_crosscheck
-from magspec.lattice import Vertex, periodic_graph
+from magspec.lattice import periodic_graph
 from magspec.operators import (
     WeightFunction,
     harper_dml,
@@ -54,8 +54,9 @@ def test_weights_are_weakly_invariant(model):
     graph, weights, dml = model
     cocycles = validate_weights(graph, weights, 5)
     assert len(cocycles) == 4
-    zero = (0, 0)
-    tests = [{Vertex(0, zero): 1.0}, {Vertex(1, zero): 1.0 + 0.5j}]
+    window = cocycles[(1, 0)].window
+    tests = np.zeros((2, len(window)), dtype=complex)
+    tests[[0, 1], window.positions(np.array([0, 1]), np.zeros((2, 2), dtype=int))] = [1.0, 1.0 + 0.5j]
     worst = max(
         translation_commutator(dml, c, tests) for c in cocycles.values()
     )
@@ -92,6 +93,6 @@ def test_neumann_dominates_and_interiors_inject(model):
     en = np.sort(np.linalg.eigvalsh(assemble_neumann(graph, weights, win)))
     assert (en <= ed + 1e-12).all()
     split = interior_vertices(graph, win, dml.propagation)
-    assert 0 < len(split.interior) < len(win.verts)
+    assert 0 < split.interior_positions.size < len(win)
     R = interior_restriction(dml, win, split, 2.0)  # spectral-gap shift
     assert rect_kernel_dim(R, 1e-8) == 0

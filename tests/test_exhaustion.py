@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -15,6 +16,8 @@ from magspec.exhaustion import (
     window_subgraph,
 )
 from magspec.lattice import Vertex, line_graph, square_lattice, triangle_cells
+
+from strategies import vertices
 
 
 class TestFolnerBox:
@@ -62,34 +65,34 @@ class TestWindowSubgraph:
     def test_line_path(self):
         g = line_graph()
         w = window_subgraph(g, folner_box(1, 3))
-        assert len(w.verts) == 3
+        assert len(w) == 3
         assert len(w.edge_ends()[0]) == 2
 
     def test_square_four_cycle(self):
         g = square_lattice()
         w = window_subgraph(g, folner_box(2, 2))
-        assert len(w.verts) == 4
+        assert len(w) == 4
         assert len(w.edge_ends()[0]) == 4
 
     def test_triangle_windows(self):
         g = triangle_cells()
         for m in (1, 3, 5):
             w = window_subgraph(g, folner_box(1, m))
-            assert len(w.verts) == 3 * m
+            assert len(w) == 3 * m
             assert len(w.edge_ends()[0]) == 3 * m
 
     def test_vertex_count_identity(self):
         g = triangle_cells()
         for m in (2, 4, 7):
             w = window_subgraph(g, folner_box(1, m))
-            assert len(w.verts) == len(w.elements) * g.num_orbits
+            assert len(w) == len(w.elements) * g.num_orbits
 
     def test_vertex_order_lexicographic(self):
         g = triangle_cells()
         w = window_subgraph(g, [(1,), (0,)])
-        assert w.verts == tuple(
-            Vertex(orb, (s,)) for s in (0, 1) for orb in range(3)
-        )
+        assert vertices(w) == [Vertex(orb, (s,)) for s in (0, 1) for orb in range(3)]
+        assert w.orbits.tolist() == [0, 1, 2] * 2
+        assert w.shifts.tolist() == [[0]] * 3 + [[1]] * 3
 
     def test_eplus_transversal_inside_window(self):
         g = square_lattice()
@@ -109,46 +112,48 @@ class TestInteriorVertices:
         g = line_graph()
         w = window_subgraph(g, folner_box(1, 5))
         split = interior_vertices(g, w, 1)
-        assert {v.shift[0] for v in split.interior} == {1, 2, 3}
-        assert {v.shift[0] for v in split.boundary} == {0, 4}
+        assert w.shifts[split.interior_positions, 0].tolist() == [1, 2, 3]
+        boundary = np.setdiff1d(np.arange(len(w)), split.interior_positions)
+        assert w.shifts[boundary, 0].tolist() == [0, 4]
 
     def test_radius_zero(self):
         g = square_lattice()
         w = window_subgraph(g, folner_box(2, 3))
         split = interior_vertices(g, w, 0)
-        assert split.interior == w.verts and split.boundary == ()
+        assert split.interior_positions.tolist() == list(range(len(w)))
 
     @pytest.mark.parametrize("m", [3, 5, 8])
     def test_square_interior_count(self, m):
         g = square_lattice()
         w = window_subgraph(g, folner_box(2, m))
         split = interior_vertices(g, w, 1)
-        assert len(split.interior) == (m - 2) ** 2
+        assert split.interior_positions.size == (m - 2) ** 2
 
     def test_nesting_and_partition(self):
         g = square_lattice()
         w = window_subgraph(g, folner_box(2, 6))
         s1 = interior_vertices(g, w, 1)
         s2 = interior_vertices(g, w, 2)
-        assert set(s2.interior) <= set(s1.interior)
+        assert set(s2.interior_positions.tolist()) <= set(s1.interior_positions.tolist())
         for s in (s1, s2):
-            assert set(s.interior) | set(s.boundary) == set(w.verts)
-            assert not (set(s.interior) & set(s.boundary))
+            assert np.all(np.diff(s.interior_positions) > 0)
+            assert 0 <= s.interior_positions.min() and s.interior_positions.max() < len(w)
 
     def test_disconnected_cells_are_their_own_interior(self):
         # intra-cell graphs have radius-r balls that never leave the cell
         g = triangle_cells()
         w = window_subgraph(g, folner_box(1, 4))
         split = interior_vertices(g, w, 3)
-        assert split.interior == w.verts
+        assert split.interior_positions.tolist() == list(range(len(w)))
 
     def test_translated_window_same_interior_size(self):
         g = square_lattice()
         box = folner_box(2, 5)
         w1 = window_subgraph(g, box)
         w2 = window_subgraph(g, translated(box, (7, -3)))
-        assert len(interior_vertices(g, w1, 1).interior) == len(
-            interior_vertices(g, w2, 1).interior
+        assert (
+            interior_vertices(g, w1, 1).interior_positions.size
+            == interior_vertices(g, w2, 1).interior_positions.size
         )
 
 
@@ -173,7 +178,7 @@ class TestBoundaryRatios:
         for m in (6, 12, 24):
             w = window_subgraph(g, folner_box(2, m))
             split = interior_vertices(g, w, 1)
-            ratios.append(Fraction(len(split.interior), len(w.elements)))
+            ratios.append(Fraction(split.interior_positions.size, len(w.elements)))
         assert ratios[0] < ratios[1] < ratios[2] <= g.num_orbits
 
     def test_graph_collar_ratio_decreasing_in_m(self):

@@ -48,12 +48,14 @@ from magspec.spectra import (
     spectral_density,
 )
 
+from strategies import vertices
+
 PATH3 = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], dtype=complex)
 
 
 def index_of(window):
     """Vertex -> window position, built vertex by vertex."""
-    return {v: j for j, v in enumerate(window.verts)}
+    return {v: j for j, v in enumerate(vertices(window))}
 
 
 def line_window(m):
@@ -115,7 +117,7 @@ def reference_neumann(weights, window):
     """Magnetic Laplacian of the induced subgraph, edge by edge: each inner
     edge adds 1 to both endpoints' diagonal, -sigma(e) at (terminus,
     origin) and its conjugate at (origin, terminus)."""
-    n = len(window.verts)
+    n = len(window)
     index = index_of(window)
     M = np.zeros((n, n), dtype=complex)
     g = window.graph
@@ -190,9 +192,7 @@ class TestAssembleNeumann:
         assert np.abs(off).max() < 1e-14
         diag = np.real(np.diag(diff))
         assert diag.min() >= 0
-        index = index_of(w)
-        for v in interior_vertices(g, w, 1).interior:
-            assert diag[index[v]] == 0.0
+        assert (diag[interior_vertices(g, w, 1).interior_positions] == 0.0).all()
 
     def test_neumann_counts_dominate(self):
         g = square_lattice()
@@ -376,7 +376,7 @@ class TestSpectralDensity:
         rng = np.random.default_rng(5)
         w = window_subgraph(g, folner_box(2, 4))
         # random phases on the window, then 1 at position -1 (off the window)
-        phases = np.array([unit_phase(rng.random()) for _ in w.verts] + [1.0])
+        phases = np.array([unit_phase(rng.random()) for _ in range(len(w))] + [1.0])
         gauged = gauge_transformed(base, lambda orbit, s: phases[w.positions(orbit, s)])
         _, D1 = harper_dml(g, base)
         _, D2 = harper_dml(g, gauged)
@@ -482,9 +482,7 @@ class TestInteriorRestriction:
         R2 = interior_restriction(D, w, split, 2.0)
         shift = R0 - R2
         expected = np.zeros((5, 3))
-        index = index_of(w)
-        for j, y in enumerate(split.interior):
-            expected[index[y], j] = 2.0
+        expected[split.interior_positions, np.arange(3)] = 2.0
         assert np.allclose(shift, expected)
 
     def test_empty_interior(self):
@@ -492,7 +490,7 @@ class TestInteriorRestriction:
         _, D = harper_dml(g, uniform_weights(g))
         w = window_subgraph(g, folner_box(2, 2))
         split = interior_vertices(g, w, 1)
-        assert split.interior == ()
+        assert split.interior_positions.size == 0
         R = interior_restriction(D, w, split, 0.0)
         assert R.shape == (4, 0)
         assert rect_kernel_dim(R, 1e-8) == 0
@@ -506,7 +504,8 @@ class TestInteriorRestriction:
         op = LocalOperator(g, {0: ents}, 1, 2, 2.0)
         w = window_subgraph(g, folner_box(1, 6))
         split = interior_vertices(g, w, 1)
-        with pytest.raises(AssertionError, match="leaks outside the window"):
+        leak = r"column at Vertex\(orbit=0, shift=\(1,\)\) leaks outside the window"
+        with pytest.raises(AssertionError, match=leak):
             interior_restriction(op, w, split, 0.0)
 
     def test_radius_below_propagation_rejected(self):
@@ -752,7 +751,7 @@ class TestProjectionWindowDim:
     def test_identity_gives_orbit_count(self):
         g = triangle_cells()
         w = window_subgraph(g, folner_box(1, 4))
-        P = np.eye(len(w.verts), dtype=complex)
+        P = np.eye(len(w), dtype=complex)
         assert projection_window_dim(P, w, w) == pytest.approx(3.0)
 
     def test_zero_projection(self):
@@ -765,12 +764,10 @@ class TestProjectionWindowDim:
         g = square_lattice()
         w = window_subgraph(g, folner_box(2, 4))
         split = interior_vertices(g, w, 1)
-        P = np.zeros((len(w.verts),) * 2, dtype=complex)
-        index = index_of(w)
-        for v in split.interior:
-            P[index[v], index[v]] = 1.0
+        P = np.zeros((len(w),) * 2, dtype=complex)
+        P[split.interior_positions, split.interior_positions] = 1.0
         got = projection_window_dim(P, w, w)
-        assert got == pytest.approx(len(split.interior) / len(w.elements))
+        assert got == pytest.approx(split.interior_positions.size / len(w.elements))
 
     def test_padded_window_diagonal_restriction(self):
         g = line_graph()
