@@ -303,6 +303,12 @@ def parse_config(text: str, default_label: str = "experiment") -> ExperimentConf
         raise ConfigError(f"interior_radius must be >= 0, got {cfg.interior_radius}")
     if not cfg.jump_tol_scale > 0:
         raise ConfigError(f"jump_tol_scale must be > 0, got {cfg.jump_tol_scale}")
+    if cfg.oracle.grid_n < 8:
+        raise ConfigError(f"oracle.grid_n must be >= 8, got {cfg.oracle.grid_n}")
+    if cfg.butterfly.grid_n < 64:
+        raise ConfigError(f"butterfly.grid_n must be >= 64, got {cfg.butterfly.grid_n}")
+    if cfg.butterfly.q_max < 1:
+        raise ConfigError(f"butterfly.q_max must be >= 1, got {cfg.butterfly.q_max}")
     if cfg.lambdas.kind not in ("auto", "explicit"):
         raise ConfigError(f"unknown lambda selection {cfg.lambdas.kind!r}")
     if cfg.lambdas.kind == "explicit" and not cfg.lambdas.values:

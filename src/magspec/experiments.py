@@ -8,9 +8,11 @@ digits and assembled in a fixed key order, so identical config + seed
 reproduces byte-identical CSV; wall-clock timings go to the run manifest
 instead (they cannot be deterministic), together with per-window
 diagnostics (dimension, nonzeros, connected blocks, half-bandwidth and
-eigenvalue solver of each window matrix).  Every driver returns its rows
-plus a dict of the manifest sections the run adds: ``timings_s`` and, for
-window runs, ``diagnostics``.
+eigenvalue solver of each window matrix) or per-flux butterfly diagnostics
+(fiber dimension and the fibers diagonalized on the grid and in the band
+edge refinement).  Every driver returns its rows plus a dict of the
+manifest sections the run adds: ``timings_s`` and, for window and
+butterfly runs, ``diagnostics``.
 """
 
 from __future__ import annotations
@@ -381,21 +383,32 @@ def run_butterfly(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[tuple],
     """Band intervals of the square-lattice family per rational flux.
     Asserts the alpha -> 1 - alpha reflection symmetry of the band data
     (about the valence for the Laplacian, about zero for the hopping
-    operator) before returning."""
+    operator) before returning.  Its ``diagnostics`` hold one entry per
+    flux: p, q, the fiber dimension, the grid fibers and the distinct
+    momenta the band edge refinement diagonalized."""
     t0 = time.perf_counter()
     graph = square_lattice()
     use_dml = cfg.model is None or cfg.model.operator != "harper"
     center = 4.0 if use_dml else 0.0
     fluxes = hofstadter_flux_list(cfg.butterfly.q_max)
 
-    def bands_at(flux: Fraction) -> list[Band]:
+    grid_fibers = cfg.butterfly.grid_n ** graph.dimension
+
+    def bands_at(flux: Fraction) -> tuple[list[Band], dict]:
         weights = hofstadter_weights(graph, flux)
         harper, dml = harper_dml(graph, weights)
         op = dml if use_dml else harper
         cell = magnetic_cell(graph, op, flux)
-        return list(band_edges(cell, cfg.butterfly.grid_n))
+        bands = list(band_edges(cell, cfg.butterfly.grid_n))
+        diag = {
+            "p": flux.numerator, "q": flux.denominator, "dim": cell.dim,
+            "grid_fibers": grid_fibers,
+            "refine_fibers": cell.fibers_diagonalized - grid_fibers,
+        }
+        return bands, diag
 
-    all_bands = dict(zip(fluxes, ordered_parallel(bands_at, fluxes, workers)))
+    per_flux = ordered_parallel(bands_at, fluxes, workers)
+    all_bands = {flux: bands for flux, (bands, _) in zip(fluxes, per_flux)}
     for flux in fluxes:
         mirror = 1 - flux
         if mirror not in all_bands:
@@ -417,7 +430,10 @@ def run_butterfly(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[tuple],
             records.append(
                 (flux.numerator, flux.denominator, float(flux), i, band.lo, band.hi)
             )
-    return records, {"timings_s": {"total": time.perf_counter() - t0}}
+    return records, {
+        "timings_s": {"total": time.perf_counter() - t0},
+        "diagnostics": [diag for _, diag in per_flux],
+    }
 
 
 DEFAULT_VERIFY_MODELS = """

@@ -49,6 +49,7 @@ class MagneticCell:
     q: int
     dim: int
     hops: dict[Shift, np.ndarray]
+    fibers_diagonalized: int = 0  # momenta diagonalized by _fiber_eigs so far
     _grid_cache: dict[int, np.ndarray] = field(default_factory=dict)
     _flat_cache: dict[int, np.ndarray] = field(default_factory=dict)
     _band_cache: dict[int, tuple] = field(default_factory=dict)
@@ -107,23 +108,37 @@ def magnetic_cell(graph: PeriodicGraph, op: LocalOperator, flux) -> MagneticCell
 def _fibers(cell: MagneticCell, kpts: np.ndarray) -> np.ndarray:
     """Hermitian fibers at a stack of torus momenta, shape (len(kpts),
     dim, dim): the sum of hops weighted by e^{i k . n} over coarse
-    offsets n."""
+    offsets n.  Each nonzero hop entry is added in place, so no temporary
+    the size of the stack is made per hop."""
     H = np.zeros((kpts.shape[0], cell.dim, cell.dim), dtype=complex)
     for n, block in cell.hops.items():
-        phase = kpts @ np.asarray(n, dtype=float)
-        H += np.exp(1j * phase)[:, None, None] * block
+        e = np.exp(1j * (kpts @ np.asarray(n, dtype=float)))
+        for r, c in zip(*np.nonzero(block)):
+            H[:, r, c] += e * block[r, c]
     return H
 
 
 def _fiber_eigs(cell: MagneticCell, kpts: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the fibers at each momentum, shape
     (len(kpts), dim); fibers are built and diagonalized in bounded chunks
-    so large stacks stay within memory."""
+    so large stacks stay within memory.  Adds len(kpts) to the cell's
+    ``fibers_diagonalized``."""
     eigs = np.empty((kpts.shape[0], cell.dim), dtype=float)
     chunk = max(1, (1 << 22) // max(1, cell.dim * cell.dim))
     for start in range(0, kpts.shape[0], chunk):
         eigs[start : start + chunk] = np.linalg.eigvalsh(_fibers(cell, kpts[start : start + chunk]))
+    cell.fibers_diagonalized += kpts.shape[0]
     return eigs
+
+
+def _distinct_fiber_eigs(cell: MagneticCell, kpts: np.ndarray) -> np.ndarray:
+    """``_fiber_eigs`` at every row of kpts, diagonalizing each distinct
+    momentum once.  Rows are matched on their exact bit patterns, so +0.0
+    and -0.0 stay apart; ``eigvalsh`` treats each matrix of a stack on its
+    own, so every eigenvalue has the bits of a direct call."""
+    keys = np.ascontiguousarray(kpts, dtype=float).view(np.int64)
+    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+    return _fiber_eigs(cell, distinct.view(float))[inverse.reshape(-1)]
 
 
 def bloch_fiber(cell: MagneticCell, k) -> np.ndarray:
@@ -211,7 +226,15 @@ def band_edges(cell: MagneticCell, N: int = 64) -> tuple[Band, ...]:
     eigenvalue branch, refined by nested local grids (5 points per axis,
     spacing halved 14 times), all extrema in lockstep.  Derivative-free, so
     band crossings (where the sorted band function is only continuous) are
-    handled too.  Cached per N."""
+    handled too.  Cached per N.
+
+    Each round builds the local grids of all 2 * dim extrema as one array
+    and diagonalizes every distinct momentum of the round once (the
+    extrema often share a momentum).  The grid axes reproduce
+    ``np.linspace(k - h, k + h, 5)`` bit for bit and points are matched
+    on their exact bits, so the edges, and the CSVs written from them,
+    stay byte-identical to one linspace grid and one diagonalization per
+    extremum."""
     if N < 64:
         raise ValueError("band location needs a grid of N >= 64")
     cached = cell._band_cache.get(N)
@@ -223,10 +246,14 @@ def band_edges(cell: MagneticCell, N: int = 64) -> tuple[Band, ...]:
     band = rows % dim  # rows 0..dim-1 seek each band's minimum, the rest its maximum
     start = np.concatenate([eigs.argmin(axis=0), eigs.argmax(axis=0)])
     k = _mesh([_midpoints(N)] * d)[start]
+    corners = _mesh([np.arange(5)] * d)  # (5^d, d) axis index of each local grid point
     h = np.pi / N
     for _ in range(14):
-        grids = np.stack([_mesh([np.linspace(c - h, c + h, 5) for c in kr]) for kr in k])
-        vals = _fiber_eigs(cell, grids.reshape(-1, d)).reshape(2 * dim, -1, dim)[rows, :, band]
+        lo, hi = k - h, k + h
+        axes = np.arange(5.0) * ((hi - lo) / 4)[..., None] + lo[..., None]  # np.linspace's steps
+        axes[..., -1] = hi
+        grids = axes[:, np.arange(d), corners]  # (2 * dim, 5^d, d)
+        vals = _distinct_fiber_eigs(cell, grids.reshape(-1, d)).reshape(2 * dim, -1, dim)[rows, :, band]
         idx = np.where(rows < dim, vals.argmin(axis=1), vals.argmax(axis=1))
         k = grids[rows, idx]
         h *= 0.5

@@ -1,9 +1,11 @@
 """Shared test helpers: hypothesis strategies for random small periodic
-graphs and shifts, and the vertex list of a window."""
+graphs and shifts, the vertex list of a window, and the two-orbit
+decorated square lattice."""
 
 import hypothesis.strategies as st
 
 from magspec.lattice import periodic_graph
+from magspec.operators import WeightFunction, harper_dml, landau_phase
 
 
 @st.composite
@@ -45,3 +47,25 @@ def vertices(window):
     """The window's vertices as Vertex pairs, in window order, read off its
     arrays: the vertex-by-vertex references compare against these."""
     return [window.vertex(j) for j in range(len(window))]
+
+
+def decorated_lattice(flux):
+    """Two-orbit decorated square lattice at a rational flux in Landau
+    gauge: an A-B rung inside the cell, a B-A horizontal bridge and
+    vertical edges on both orbits carrying the column-dependent phase.
+    Returns (graph, weights, dml)."""
+    graph = periodic_graph(2, 2, [
+        (0, 1, (0, 0)),
+        (1, 0, (1, 0)),
+        (0, 0, (0, 1)),
+        (1, 1, (0, 1)),
+    ])
+    rules = [
+        1.0,
+        1.0,
+        lambda s: landau_phase(flux, s[:, 0]),
+        lambda s: landau_phase(flux, s[:, 0]),
+    ]
+    weights = WeightFunction(graph, rules, flux=flux)
+    harper, dml = harper_dml(graph, weights)
+    return graph, weights, dml

@@ -61,6 +61,15 @@ seed: 7
 OUT_OF_RANGE = ["windows: [0, 4]", "interior_radius: -1", "jump_tol_scale: 0"]
 
 
+# grid sizes and flux denominators the Floquet routines refuse: config
+# errors at parse time, not a ValueError from deep inside a run
+FLOQUET_OUT_OF_RANGE = [
+    "oracle: {grid_n: 4}",
+    "butterfly: {grid_n: 32}",
+    "butterfly: {q_max: 0}",
+]
+
+
 def triangle_with(line):
     return TRIANGLE_YAML.replace("windows: [2, 4, 8]\n", "") + line + "\n"
 
@@ -121,6 +130,17 @@ class TestParseConfig:
     def test_out_of_range_values_rejected(self, line):
         with pytest.raises(ConfigError):
             parse_config(triangle_with(line))
+
+    @pytest.mark.parametrize("line", FLOQUET_OUT_OF_RANGE)
+    def test_floquet_values_out_of_range_rejected(self, line):
+        with pytest.raises(ConfigError):
+            parse_config(line_with(line))
+
+    def test_floquet_smallest_values_accepted(self):
+        cfg = parse_config(line_with(
+            "oracle: {grid_n: 8}\nbutterfly: {grid_n: 64, q_max: 1}"
+        ))
+        assert (cfg.oracle.grid_n, cfg.butterfly.grid_n, cfg.butterfly.q_max) == (8, 64, 1)
 
     def test_windows_must_increase(self):
         with pytest.raises(ConfigError):
@@ -340,6 +360,21 @@ class TestRunButterfly:
         assert all(b[4] >= lo - 1e-4 and b[5] <= hi + 1e-4 for b in half)
 
 
+    def test_diagnostics_one_entry_per_flux(self):
+        text = "label: bf\nbutterfly: {q_max: 3, grid_n: 64}\n"
+        _, info = run_butterfly(parse_config(text))
+        diags = info["diagnostics"]
+        assert [(d["p"], d["q"]) for d in diags] == [
+            (f.numerator, f.denominator) for f in hofstadter_flux_list(3)
+        ]
+        for d in diags:
+            assert d["dim"] == d["q"]
+            assert d["grid_fibers"] == 64**2
+            assert 0 < d["refine_fibers"] <= 14 * 2 * d["dim"] * 25
+        third = next(d for d in diags if (d["p"], d["q"]) == (1, 3))
+        assert third["refine_fibers"] == 1400
+
+
 class TestRunVerify:
     def test_default_models_pass(self):
         cfg = parse_config(
@@ -476,6 +511,27 @@ verify: {inertia_instances: 2, window_sizes: [3]}
         proc = run_cli([command, str(cfg), "--out", str(tmp_path / "out")])
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error:")
+
+    @pytest.mark.parametrize("command", ["converge", "butterfly"])
+    @pytest.mark.parametrize("line", FLOQUET_OUT_OF_RANGE)
+    def test_floquet_out_of_range_config_exits_2(self, tmp_path, command, line):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(line_with(line))
+        proc = run_cli([command, str(cfg), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_butterfly_manifest_has_diagnostics(self, tmp_path):
+        cfg = tmp_path / "bf.yaml"
+        cfg.write_text("label: bf\nbutterfly: {q_max: 2, grid_n: 64}\n")
+        out = tmp_path / "out"
+        proc = run_cli(["butterfly", str(cfg), "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        with (out / "butterfly.csv").open() as fh:
+            assert next(csv.reader(fh)) == ["p", "q", "alpha", "band", "lo", "hi"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [(d["p"], d["q"]) for d in manifest["diagnostics"]] == [(0, 1), (1, 2), (1, 1)]
 
     def test_missing_config_is_config_error(self, tmp_path):
         proc = run_cli(["converge", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])

@@ -10,14 +10,7 @@ import pytest
 
 from magspec.exhaustion import folner_box, interior_vertices, window_subgraph
 from magspec.floquet import band_edges, ids_oracle, magnetic_cell, moment_crosscheck
-from magspec.lattice import periodic_graph
-from magspec.operators import (
-    WeightFunction,
-    harper_dml,
-    landau_phase,
-    translation_commutator,
-    validate_weights,
-)
+from magspec.operators import translation_commutator, validate_weights
 from magspec.spectra import (
     assemble_dirichlet,
     assemble_neumann,
@@ -25,29 +18,14 @@ from magspec.spectra import (
     rect_kernel_dim,
     spectral_density,
 )
+from strategies import decorated_lattice
 
 ALPHA = Fraction(1, 3)
 
 
 @pytest.fixture(scope="module")
 def model():
-    # A-B rung inside the cell, B-A horizontal bridge, vertical edges on
-    # both orbits carrying the column-dependent Landau phase
-    graph = periodic_graph(2, 2, [
-        (0, 1, (0, 0)),
-        (1, 0, (1, 0)),
-        (0, 0, (0, 1)),
-        (1, 1, (0, 1)),
-    ])
-    rules = [
-        1.0,
-        1.0,
-        lambda s: landau_phase(ALPHA, s[:, 0]),
-        lambda s: landau_phase(ALPHA, s[:, 0]),
-    ]
-    weights = WeightFunction(graph, rules, flux=ALPHA)
-    harper, dml = harper_dml(graph, weights)
-    return graph, weights, dml
+    return decorated_lattice(ALPHA)
 
 
 def test_weights_are_weakly_invariant(model):

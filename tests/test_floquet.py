@@ -6,9 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from magspec.experiments import hofstadter_flux_list
 from magspec.floquet import (
     BandEdgeError,
     OracleUnavailableError,
+    _distinct_fiber_eigs,
+    _fiber_eigs,
+    _fibers,
     band_edges,
     bloch_fiber,
     exact_ids_from_jumps,
@@ -23,6 +27,7 @@ from magspec.floquet import (
 from magspec.lattice import (
     isolated_cells,
     line_graph,
+    periodic_graph,
     square_lattice,
     triangle_cells,
 )
@@ -32,6 +37,7 @@ from magspec.operators import (
     uniform_weights,
     zero_operator,
 )
+from strategies import decorated_lattice
 
 
 def square_cell(alpha, operator="dml"):
@@ -173,6 +179,141 @@ class TestBandEdges:
         cell = square_cell(Fraction(1, 3))
         merged = merged_intervals(band_edges(cell, 64))
         assert len(merged) == 3
+
+
+def reference_fibers(cell, kpts):
+    """The fibers as one broadcast (len(kpts), dim, dim) product per hop."""
+    H = np.zeros((kpts.shape[0], cell.dim, cell.dim), dtype=complex)
+    for n, block in cell.hops.items():
+        phase = kpts @ np.asarray(n, dtype=float)
+        H += np.exp(1j * phase)[:, None, None] * block
+    return H
+
+
+def reference_mesh(axes):
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def reference_band_edges(cell, N=64):
+    """Band edges refined with one np.linspace grid per extremum and round,
+    every grid point diagonalized, as band_edges did before points were
+    deduplicated."""
+    d, dim = cell.graph.dimension, cell.dim
+    midpoints = (np.arange(N) + 0.5) * (2.0 * np.pi / N)
+    kgrid = reference_mesh([midpoints] * d)
+    eigs = np.linalg.eigvalsh(reference_fibers(cell, kgrid))
+    rows = np.arange(2 * dim)
+    band = rows % dim
+    start = np.concatenate([eigs.argmin(axis=0), eigs.argmax(axis=0)])
+    k = kgrid[start]
+    h = np.pi / N
+    for _ in range(14):
+        grids = np.stack([reference_mesh([np.linspace(c - h, c + h, 5) for c in kr]) for kr in k])
+        fibers = reference_fibers(cell, grids.reshape(-1, d))
+        vals = np.linalg.eigvalsh(fibers).reshape(2 * dim, -1, dim)[rows, :, band]
+        idx = np.where(rows < dim, vals.argmin(axis=1), vals.argmax(axis=1))
+        k = grids[rows, idx]
+        h *= 0.5
+    best = vals[rows, idx]
+    grid = eigs[start, band]
+    bands = [
+        (min(float(best[b]), float(grid[b])), max(float(best[dim + b]), float(grid[dim + b])))
+        for b in range(dim)
+    ]
+    return np.array(sorted(bands))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.asarray(a).view(np.int64), np.asarray(b).view(np.int64)
+    )
+
+
+def line_cell():
+    g = line_graph()
+    _, D = harper_dml(g, uniform_weights(g))
+    return magnetic_cell(g, D, Fraction(0))
+
+
+def decorated_cell():
+    graph, _, dml = decorated_lattice(Fraction(1, 3))
+    return magnetic_cell(graph, dml, Fraction(1, 3))
+
+
+def cubic_cell():
+    g = periodic_graph(3, 1, [(0, 0, (1, 0, 0)), (0, 0, (0, 1, 0)), (0, 0, (0, 0, 1))])
+    _, D = harper_dml(g, uniform_weights(g))
+    return magnetic_cell(g, D, Fraction(0))
+
+
+SQUARE_CASES = [
+    (alpha, operator) for operator in ("dml", "harper") for alpha in hofstadter_flux_list(7)
+]
+
+
+class TestBandEdgeBitIdentity:
+    """Deduplicated refinement and in-place fibers reproduce the linspace
+    refinement and the broadcast fibers bit for bit."""
+
+    def assert_identical(self, cell):
+        d = cell.graph.dimension
+        got = np.array([(b.lo, b.hi) for b in band_edges(cell, 64)])
+        assert same_bits(got, reference_band_edges(cell, 64))
+        rng = np.random.default_rng(5)
+        kpts = np.concatenate([
+            reference_mesh([(np.arange(8) + 0.5) * (np.pi / 4)] * d),
+            rng.uniform(-np.pi, 3 * np.pi, size=(64, d)),
+        ])
+        assert same_bits(_fibers(cell, kpts), reference_fibers(cell, kpts))
+
+    def test_line(self):
+        self.assert_identical(line_cell())
+
+    @pytest.mark.parametrize("alpha,operator", SQUARE_CASES)
+    def test_square_lattice(self, alpha, operator):
+        self.assert_identical(square_cell(alpha, operator))
+
+    def test_decorated_lattice(self):
+        cell = decorated_cell()
+        assert cell.dim == 6
+        self.assert_identical(cell)
+
+    def test_cubic_lattice(self):
+        self.assert_identical(cubic_cell())
+
+    def test_signed_zero_momenta_are_not_merged(self):
+        cell = square_cell(Fraction(1, 3))
+        kpts = np.array([[0.0, 0.25], [-0.0, 0.25], [0.0, 0.25], [-0.0, 0.25]])
+        before = cell.fibers_diagonalized
+        eigs = _distinct_fiber_eigs(cell, kpts)
+        assert cell.fibers_diagonalized - before == 2
+        assert same_bits(eigs, np.linalg.eigvalsh(reference_fibers(cell, kpts)))
+
+    def test_distinct_eigs_match_direct_calls(self):
+        cell = square_cell(Fraction(2, 5))
+        rng = np.random.default_rng(3)
+        kpts = rng.uniform(0.0, 2 * np.pi, size=(6, 2))[rng.integers(0, 6, size=40)]
+        assert same_bits(_distinct_fiber_eigs(cell, kpts), _fiber_eigs(cell, kpts))
+
+
+class TestRefinementWork:
+    """Fibers the refinement diagonalizes: distinct momenta per round, far
+    fewer than one local grid per extremum (14 rounds x 2q rows x 25)."""
+
+    @pytest.mark.parametrize("alpha,expected", [(Fraction(1, 3), 1400), (Fraction(2, 5), 1420)])
+    def test_refine_fibers_pinned(self, alpha, expected):
+        cell = square_cell(alpha)
+        band_edges(cell, 64)
+        assert cell.fibers_diagonalized - 64**2 == expected
+        assert expected < 14 * 2 * cell.dim * 25
+
+    def test_cached_edges_diagonalize_nothing(self):
+        cell = square_cell(Fraction(1, 3))
+        band_edges(cell, 64)
+        before = cell.fibers_diagonalized
+        band_edges(cell, 64)
+        assert cell.fibers_diagonalized == before
 
 
 class TestJumpOracle:
