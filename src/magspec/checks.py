@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .exhaustion import (
     folner_box,
@@ -53,9 +52,11 @@ from .operators import (
 from .spectra import (
     assemble_dirichlet,
     assemble_neumann,
+    blas_thread_counts,
     gershgorin_bound,
     inertia_count_leq,
     interior_restriction,
+    one_blas_thread,
     projection_window_dim,
     rect_kernel_dim,
     spectral_density,
@@ -71,6 +72,8 @@ class CheckResult:
     metric: float
     detail: str
     model: str = ""
+    # run facts for the verify manifest; the report (as_dict) leaves them out
+    diagnostics: Optional[dict] = None
 
     def as_dict(self) -> dict:
         return {
@@ -394,38 +397,63 @@ def random_stencil_window(rng: np.random.Generator, max_dim: int = 400):
         return op, win, M
 
 
+def oracle_points(rng: np.random.Generator, evals: np.ndarray, norm: float) -> list[float]:
+    """The inertia oracle's counting points for one matrix with ascending
+    spectrum evals and norm bound norm: three uniform draws from the
+    spectrum's range widened by 0.1 norm on each side, then a point 5e-8
+    norm above the middle eigenvalue."""
+    lo, hi = float(evals[0]) - 0.1 * norm, float(evals[-1]) + 0.1 * norm
+    lams = list(rng.uniform(lo, hi, size=3))
+    lams.append(float(evals[len(evals) // 2]) + 5e-8 * norm)
+    return lams
+
+
 def check_inertia_oracle(
     rng: np.random.Generator, instances: int = 200, max_dim: int = 400
 ) -> CheckResult:
     """Inertia-based counting equals full-eigendecomposition counting on
-    random Hermitian stencil restrictions, exactly, away from eigenvalues.
+    random Hermitian stencil restrictions, exactly, away from eigenvalues:
+    points within 1e-9 of the norm bound of an eigenvalue are excluded.
 
-    The reference spectrum comes from scipy's LAPACK (heevd, the routine
-    numpy's eigvalsh calls), the one the inertia backend factors with: numpy
-    and scipy each load their own OpenBLAS, and alternating the two makes
-    one thread pool spin while the other works."""
-    mismatches = 0
-    tested = 0
-    for _ in range(instances):
-        _, _, M = random_stencil_window(rng, max_dim)
-        evals = np.sort(scipy.linalg.eigvalsh(M, driver="evd", check_finite=False))
-        norm = max(gershgorin_bound(M), 1e-12)
-        lo, hi = float(evals[0]) - 0.1 * norm, float(evals[-1]) + 0.1 * norm
-        lams = list(rng.uniform(lo, hi, size=3))
-        mid = len(evals) // 2
-        lams.append(float(evals[mid]) + 5e-8 * norm)
-        for lam in lams:
-            if np.abs(evals - lam).min() <= 1e-9 * norm:
-                continue  # excluded: counting at an eigenvalue is ambiguous
-            tested += 1
-            expected = int(np.count_nonzero(evals <= lam))
-            got = inertia_count_leq(M, lam)
-            if got != expected:
-                mismatches += 1
+    The reference spectrum is the one ``count_leq(method="eigh")`` counts
+    on (``spectral_density``: per connected block, in band storage when the
+    band is narrow, dense otherwise), so the check reads "inertia backend
+    == eigh backend".  The loop runs inside ``one_blas_thread``: its
+    matrices (n <= max_dim) are too small for a second BLAS thread to
+    help, and with numpy's and scipy's OpenBLAS alternating, that thread
+    only spins.  The result's ``diagnostics`` count the instances per
+    reference solver, the largest dimension, the points tested and
+    excluded, and the OpenBLAS thread counts read inside the loop."""
+    mismatches = tested = excluded = largest = 0
+    solvers = dict.fromkeys(("blocks", "banded", "dense"), 0)
+    with one_blas_thread():
+        for _ in range(instances):
+            _, win, M = random_stencil_window(rng, max_dim)
+            spec = spectral_density(M, win)
+            evals = spec.eigenvalues
+            solvers[spec.solver] += 1
+            largest = max(largest, M.shape[0])
+            norm = max(gershgorin_bound(M), 1e-12)
+            for lam in oracle_points(rng, evals, norm):
+                if np.abs(evals - lam).min() <= 1e-9 * norm:
+                    excluded += 1  # counting at an eigenvalue is ambiguous
+                    continue
+                tested += 1
+                expected = int(np.count_nonzero(evals <= lam))
+                if inertia_count_leq(M, lam) != expected:
+                    mismatches += 1
+        threads = blas_thread_counts()
     return CheckResult(
         "inertia-oracle", mismatches == 0, float(mismatches),
         f"{tested} counting points over {instances} random restrictions, "
         f"{mismatches} mismatches",
+        diagnostics={
+            "solvers": solvers,
+            "max_dim": largest,
+            "points_tested": tested,
+            "points_excluded": excluded,
+            "blas_threads": threads,
+        },
     )
 
 

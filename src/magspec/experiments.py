@@ -8,11 +8,11 @@ digits and assembled in a fixed key order, so identical config + seed
 reproduces byte-identical CSV; wall-clock timings go to the run manifest
 instead (they cannot be deterministic), together with per-window
 diagnostics (dimension, nonzeros, connected blocks, half-bandwidth and
-eigenvalue solver of each window matrix) or per-flux butterfly diagnostics
+eigenvalue solver of each window matrix), per-flux butterfly diagnostics
 (fiber dimension and the fibers diagonalized on the grid and in the band
-edge refinement).  Every driver returns its rows plus a dict of the
-manifest sections the run adds: ``timings_s`` and, for window and
-butterfly runs, ``diagnostics``.
+edge refinement) or the inertia oracle's run facts for verify.  Every
+driver returns its rows plus a dict of the manifest sections the run
+adds: ``timings_s`` and ``diagnostics``.
 """
 
 from __future__ import annotations
@@ -460,7 +460,9 @@ models:
 def run_verify(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[CheckResult], dict]:
     """Run every named invariant check over the configured models plus the
     model-independent suites.  Returns the full result list; the caller
-    decides the exit code from the pass flags."""
+    decides the exit code from the pass flags.  The manifest's
+    ``diagnostics`` hold one entry per check that reports run facts
+    (today the inertia oracle), tagged with the check's name."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     specs = list(cfg.models)
@@ -485,7 +487,10 @@ def run_verify(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[CheckResul
         )
         results.extend(model_suite(mut, rng, timings))
     results.extend(global_suite(rng, cfg.verify.inertia_instances, timings))
-    return results, {"timings_s": {"total": time.perf_counter() - t0, **timings}}
+    return results, {
+        "timings_s": {"total": time.perf_counter() - t0, **timings},
+        "diagnostics": [{"check": r.name, **r.diagnostics} for r in results if r.diagnostics],
+    }
 
 
 def verify_report(results: Sequence[CheckResult]) -> dict:

@@ -137,8 +137,23 @@ def _distinct_fiber_eigs(cell: MagneticCell, kpts: np.ndarray) -> np.ndarray:
     and -0.0 stay apart; ``eigvalsh`` treats each matrix of a stack on its
     own, so every eigenvalue has the bits of a direct call."""
     keys = np.ascontiguousarray(kpts, dtype=float).view(np.int64)
-    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
-    return _fiber_eigs(cell, distinct.view(float))[inverse.reshape(-1)]
+    distinct, inverse = _distinct_rows(keys)
+    return _fiber_eigs(cell, distinct.view(float))[inverse]
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2D integer array in lexicographic order, and
+    for each row the index of its distinct row: what ``np.unique(keys,
+    axis=0, return_inverse=True)`` returns, from a lexsort over the
+    columns (first column most significant) and a row-change mask instead
+    of an argsort over void-typed rows."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
 
 
 def bloch_fiber(cell: MagneticCell, k) -> np.ndarray:

@@ -34,12 +34,19 @@ Jumps and kernel dimensions are floating-point notions here, so both are
 defined through clusters with a validated gap, judged over the union of
 all blocks' values: the caller gets an error ("unresolved cluster")
 instead of a silently wrong multiplicity.
+
+``one_blas_thread`` pins every loaded OpenBLAS to one thread for the
+duration of a loop of small factorizations and diagonalizations, where a
+second BLAS thread only spins.
 """
 
 from __future__ import annotations
 
+import ctypes
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
@@ -61,6 +68,70 @@ BAND_RATIO = 32
 
 _HETRF, _HETRF_LWORK = get_lapack_funcs(("hetrf", "hetrf_lwork"), dtype=np.complex128)
 _HBEVD = get_lapack_funcs("hbevd", dtype=np.complex128)
+
+
+# (prefix, suffix) of the thread-control symbols an OpenBLAS build exports:
+# plain, ILP64, and the scipy-openblas builds that numpy and scipy ship
+_OPENBLAS_SYMBOLS = (
+    ("openblas_", ""), ("openblas_", "64_"), ("scipy_openblas_", ""), ("scipy_openblas_", "64_"),
+)
+
+
+def _openblas_controls() -> list[tuple[str, Callable[[], int], Callable[[int], None]]]:
+    """(library file name, get_num_threads, set_num_threads) for every
+    OpenBLAS mapped into this process, found by path in /proc/self/maps.
+    Empty without /proc or when no loaded library exports both symbols."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_SYMBOLS:
+            try:
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((path.rsplit("/", 1)[-1], get, set_))
+            break
+    return controls
+
+
+def blas_thread_counts() -> dict[str, int]:
+    """Thread count of every loaded OpenBLAS, keyed by library file name
+    (numpy and scipy each load their own)."""
+    return {name: int(get()) for name, get, _ in _openblas_controls()}
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread, then restore
+    each library's previous count, also when the body raises.
+
+    Meant for loops of small LAPACK calls (the inertia oracle's hetrf and
+    reference spectra), where OpenBLAS keeps a second thread spinning for
+    nothing and a loop that alternates numpy's and scipy's libraries makes
+    one pool spin while the other works.  It is scoped, not process-wide:
+    a dense eigvalsh at n = 2304 takes 1.6-2 times as long on one thread.
+    Where no setter is found it does nothing: without /proc (no way to
+    list the loaded libraries), or with a BLAS that is not OpenBLAS."""
+    controls = _openblas_controls()
+    previous = [(set_, int(get())) for _, get, set_ in controls]
+    for set_, _ in previous:
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, count in previous:
+            set_(count)
 
 
 class WindowTooLargeError(ValueError):

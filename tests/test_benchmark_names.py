@@ -7,6 +7,9 @@ path (``perfbench/`` is not on the test path) and resolves its names."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,8 @@ import pytest
 from magspec.exhaustion import folner_box, window_subgraph
 from magspec.lattice import triangle_cells
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -37,6 +41,21 @@ def test_traced_functions_resolve(layer):
 def test_traced_library_functions_resolve():
     for mod_name, name in TRACER.LIBRARY.values():
         assert callable(getattr(importlib.import_module(mod_name), name, None)), (mod_name, name)
+
+
+def test_cli_import_loads_traced_library_modules():
+    # Tracer.install looks the library modules up in sys.modules right
+    # after the benchmark child imports magspec.cli, so that import alone
+    # must load them; checked in a fresh interpreter
+    script = (
+        f"import json, sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import magspec.cli; print(json.dumps(sorted(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    missing = {mod_name for mod_name, _ in TRACER.LIBRARY.values()} - loaded
+    assert not missing, f"import magspec.cli does not load {sorted(missing)}"
 
 
 def test_window_vertex_count_hook():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from magspec.checks import (
     ModelUnderTest,
@@ -15,6 +16,7 @@ from magspec.checks import (
     check_interior_radius,
     check_sigma_conjugation,
     model_suite,
+    oracle_points,
     random_stencil_window,
 )
 from magspec.lattice import square_lattice, triangle_cells
@@ -23,6 +25,13 @@ from magspec.operators import (
     hofstadter_weights,
     uniform_weights,
     with_conjugation_defect,
+)
+from magspec.spectra import (
+    _openblas_controls,
+    blas_thread_counts,
+    gershgorin_bound,
+    one_blas_thread,
+    spectral_density,
 )
 
 
@@ -69,19 +78,16 @@ class TestGlobalChecks:
         res = check_inertia_oracle(np.random.default_rng(42), instances=15)
         assert res.passed, res.detail
 
-    def test_inertia_oracle_stays_on_scipy_lapack(self, monkeypatch):
-        # numpy and scipy each load their own OpenBLAS; alternating the two
-        # in this loop makes one thread pool spin while the other works
-        # (about 3x slower on two cores), so the loop makes no numpy
-        # LAPACK call
-        def forbidden(*args, **kwargs):
-            raise AssertionError("numpy LAPACK call inside the inertia oracle loop")
-
-        for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd", "solve", "inv", "qr", "cholesky"):
-            monkeypatch.setattr(np.linalg, name, forbidden)
-        res = check_inertia_oracle(np.random.default_rng(5), instances=5)
-        assert res.passed, res.detail
-        assert int(res.detail.split()[0]) > 0  # some counting points were tested
+    def test_inertia_oracle_diagnostics(self):
+        res = check_inertia_oracle(np.random.default_rng(5), instances=12)
+        diag = res.diagnostics
+        assert set(diag["solvers"]) == {"blocks", "banded", "dense"}
+        assert sum(diag["solvers"].values()) == 12
+        assert diag["points_tested"] + diag["points_excluded"] == 4 * 12
+        assert res.detail.startswith(f"{diag['points_tested']} counting points")
+        assert 0 < diag["max_dim"] <= 400
+        assert all(count == 1 for count in diag["blas_threads"].values())
+        assert "diagnostics" not in res.as_dict()
 
     def test_random_stencil_windows_are_hermitian(self):
         rng = np.random.default_rng(3)
@@ -101,3 +107,80 @@ class TestGlobalChecks:
     def test_dim_properties(self):
         results = check_dim_properties(np.random.default_rng(9))
         assert all(r.passed for r in results), [r.detail for r in results]
+
+
+class TestOneBlasThread:
+    """The inertia oracle's loop runs with every loaded OpenBLAS (numpy's
+    and scipy's) on one thread, and only that loop."""
+
+    @pytest.fixture
+    def two_threads(self):
+        # start from a known count above one, and give back what was there
+        controls = _openblas_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread control found in this process")
+        before = [(set_, get()) for _, get, set_ in controls]
+        for set_, _ in before:
+            set_(2)
+        yield
+        for set_, count in before:
+            set_(count)
+
+    def test_every_openblas_reports_one_thread_inside(self, two_threads):
+        with one_blas_thread():
+            counts = blas_thread_counts()
+        assert counts and all(c == 1 for c in counts.values()), counts
+
+    def test_counts_restored_on_exit(self, two_threads):
+        before = blas_thread_counts()
+        assert set(before.values()) == {2}
+        with one_blas_thread():
+            pass
+        assert blas_thread_counts() == before
+
+    def test_counts_restored_after_exception(self, two_threads):
+        before = blas_thread_counts()
+        with pytest.raises(KeyError):
+            with one_blas_thread():
+                raise KeyError("body failed")
+        assert blas_thread_counts() == before
+
+    def test_oracle_factors_on_one_thread(self, two_threads, monkeypatch):
+        import magspec.checks as checks
+
+        seen = []
+        factor = checks.inertia_count_leq
+
+        def recording(M, lam):
+            seen.append(blas_thread_counts())
+            return factor(M, lam)
+
+        monkeypatch.setattr(checks, "inertia_count_leq", recording)
+        before = blas_thread_counts()
+        res = check_inertia_oracle(np.random.default_rng(5), instances=5)
+        assert res.passed, res.detail
+        assert len(seen) == res.diagnostics["points_tested"] > 0
+        assert all(set(counts.values()) == {1} for counts in seen), seen
+        assert blas_thread_counts() == before
+
+
+@pytest.mark.parametrize("seed", [1, 5, 42])
+def test_window_spectrum_reference_matches_heevd(seed):
+    # the oracle's reference (the eigh backend's per-block, banded or dense
+    # spectrum) excludes and counts exactly as dense heevd at every point
+    # the oracle draws
+    rng = np.random.default_rng(seed)
+    solvers = set()
+    for _ in range(60):
+        _, win, M = random_stencil_window(rng, max_dim=400)
+        spec = spectral_density(M, win)
+        solvers.add(spec.solver)
+        evals = spec.eigenvalues
+        dense = np.sort(scipy.linalg.eigvalsh(M, driver="evd", check_finite=False))
+        norm = max(gershgorin_bound(M), 1e-12)
+        for lam in oracle_points(rng, evals, norm):
+            excluded = np.abs(evals - lam).min() <= 1e-9 * norm
+            assert excluded == (np.abs(dense - lam).min() <= 1e-9 * norm)
+            if not excluded:
+                assert np.count_nonzero(evals <= lam) == np.count_nonzero(dense <= lam)
+    assert "blocks" in solvers and "dense" in solvers

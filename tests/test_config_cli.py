@@ -401,6 +401,15 @@ class TestRunVerify:
         assert set(report) == {"passed", "num_checks", "failures", "checks"}
         assert all(set(c) == {"name", "model", "passed", "metric", "detail"} for c in report["checks"])
 
+    def test_inertia_oracle_diagnostics(self):
+        cfg = parse_config("label: v\nverify: {inertia_instances: 4, window_sizes: [3]}\n")
+        _, info = run_verify(cfg)
+        # one entry, tagged with the check's name; its content is tested
+        # with the check in test_checks.py
+        (diag,) = info["diagnostics"]
+        assert diag["check"] == "inertia-oracle"
+        assert sum(diag["solvers"].values()) == 4
+
     def test_corrupted_weight_names_the_failure(self):
         text = """
 label: corrupt

@@ -11,6 +11,7 @@ from magspec.floquet import (
     BandEdgeError,
     OracleUnavailableError,
     _distinct_fiber_eigs,
+    _distinct_rows,
     _fiber_eigs,
     _fibers,
     band_edges,
@@ -295,6 +296,21 @@ class TestBandEdgeBitIdentity:
         rng = np.random.default_rng(3)
         kpts = rng.uniform(0.0, 2 * np.pi, size=(6, 2))[rng.integers(0, 6, size=40)]
         assert same_bits(_distinct_fiber_eigs(cell, kpts), _fiber_eigs(cell, kpts))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_distinct_rows_match_unique(self, d):
+        # the lexsort grouping returns np.unique's rows and inverse, on
+        # point sets with duplicates and both signed zeros
+        rng = np.random.default_rng(d)
+        values = np.array([0.0, -0.0, 0.25, -0.25, np.pi, 2 * np.pi, 1e-300])
+        for size in (0, 1, 7, 60, 400):
+            kpts = rng.choice(values, size=(size, d))
+            keys = np.ascontiguousarray(kpts).view(np.int64)
+            distinct, inverse = _distinct_rows(keys)
+            ref_distinct, ref_inverse = np.unique(keys, axis=0, return_inverse=True)
+            assert np.array_equal(distinct, ref_distinct)
+            assert np.array_equal(inverse, ref_inverse.reshape(-1))
+            assert np.array_equal(distinct[inverse], keys)
 
 
 class TestRefinementWork:
