@@ -7,6 +7,7 @@ invariant that broke.  The acceptance suite runs the same code paths.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .floquet import (
 )
 from .lattice import (
     PeriodicGraph,
+    Shift,
     Vertex,
     periodic_graph,
     simplicial_ball,
@@ -36,6 +38,7 @@ from .lattice import (
     triangle_cells,
 )
 from .operators import (
+    Cocycle,
     LocalOperator,
     WeightFunction,
     check_conjugation_symmetry,
@@ -63,6 +66,8 @@ from .spectra import (
 )
 
 COCYCLE_RADIUS = 6
+MOMENT_N_MAX = 8  # walk moments compared, n = 0..MOMENT_N_MAX
+MOMENT_GRID_N = 128  # fiber grid points per axis for the moments
 
 
 @dataclass
@@ -97,260 +102,226 @@ class ModelUnderTest:
     window_sizes: tuple[int, ...] = (4, 6)
     interior_radius: Optional[int] = None
 
+    @functools.cached_property
+    def cocycles(self) -> dict[Shift, Cocycle]:
+        """One cocycle per generator, solved once for both the residual
+        and the commutator check, on the box of radius COCYCLE_RADIUS +
+        propagation that the commutator's test vectors need."""
+        return validate_weights(self.graph, self.weights, COCYCLE_RADIUS + self.operator.propagation)
 
-def _guard(name: str, model: str, fn: Callable[[], CheckResult]) -> CheckResult:
-    try:
-        return fn()
-    except Exception as exc:  # surfaces as a named failure, not a crash
-        return CheckResult(name, False, float("nan"), f"{type(exc).__name__}: {exc}", model)
+
+def _model_check(*names: str):
+    """Declare a per-model check by its report names.  The body returns
+    one (passed, metric, detail) per name, a bare triple for a single
+    name; the check returns one CheckResult per name (a bare one for a
+    single name), labelled with the model, as the body's annotation
+    states.  A body that raises fails every name with the exception as
+    detail: a broken model surfaces as named failures, not a crash."""
+    def declare(body):
+        @functools.wraps(body)
+        def check(m: ModelUnderTest, *args):
+            try:
+                outcomes = body(m, *args)
+            except Exception as exc:
+                outcomes = [(False, float("nan"), f"{type(exc).__name__}: {exc}")] * len(names)
+            else:
+                outcomes = outcomes if len(names) > 1 else [outcomes]
+            results = [CheckResult(name, *out, m.label) for name, out in zip(names, outcomes)]
+            return results if len(names) > 1 else results[0]
+        return check
+    return declare
 
 
+@_model_check("sigma-conjugation")
 def check_sigma_conjugation(m: ModelUnderTest) -> CheckResult:
-    def run() -> CheckResult:
-        resid = check_conjugation_symmetry(m.graph, m.weights, 3)
-        return CheckResult(
-            "sigma-conjugation", resid <= 1e-12, resid,
-            f"max |sigma(rev e) - conj sigma(e)| = {resid:.3e}", m.label,
-        )
-    return _guard("sigma-conjugation", m.label, run)
+    resid = check_conjugation_symmetry(m.graph, m.weights, 3)
+    return resid <= 1e-12, resid, f"max |sigma(rev e) - conj sigma(e)| = {resid:.3e}"
 
 
+@_model_check("cocycle-residual")
 def check_cocycle_residual(m: ModelUnderTest) -> CheckResult:
-    def run() -> CheckResult:
-        validate_weights(m.graph, m.weights, COCYCLE_RADIUS)
-        return CheckResult(
-            "cocycle-residual", True, 0.0,
-            "coboundary equation solved for every generator at 1e-12", m.label,
-        )
-    return _guard("cocycle-residual", m.label, run)
+    m.cocycles  # the solve raises on a cycle with holonomy mismatch
+    return True, 0.0, "coboundary equation solved for every generator at 1e-12"
 
 
+@_model_check("commutator-residual")
 def check_commutator(m: ModelUnderTest) -> CheckResult:
-    def run() -> CheckResult:
-        cocycles = validate_weights(m.graph, m.weights, COCYCLE_RADIUS + m.operator.propagation)
-        window = next(iter(cocycles.values())).window
-        # delta at each orbit representative, then one mix of them all
-        orbits = np.arange(m.graph.num_orbits)
-        origin = window.positions(orbits, np.zeros((orbits.size, m.graph.dimension), dtype=np.int64))
-        tests = np.zeros((orbits.size + 1, len(window)), dtype=complex)
-        tests[orbits, origin] = 1.0
-        tests[-1, origin] = 0.5 + 0.25j * (orbits + 1)
-        scale = max(1.0, m.operator.norm_bound)
-        worst = max(
-            translation_commutator(m.operator, c, tests) for c in cocycles.values()
-        ) / scale
-        return CheckResult(
-            "commutator-residual", worst <= 1e-12, worst,
-            f"max ||A T f - T A f|| / ||A|| = {worst:.3e}", m.label,
-        )
-    return _guard("commutator-residual", m.label, run)
+    window = next(iter(m.cocycles.values())).window
+    # delta at each orbit representative, then one mix of them all
+    orbits = np.arange(m.graph.num_orbits)
+    origin = window.positions(orbits, np.zeros((orbits.size, m.graph.dimension), dtype=np.int64))
+    tests = np.zeros((orbits.size + 1, len(window)), dtype=complex)
+    tests[orbits, origin] = 1.0
+    tests[-1, origin] = 0.5 + 0.25j * (orbits + 1)
+    scale = max(1.0, m.operator.norm_bound)
+    worst = max(
+        translation_commutator(m.operator, c, tests) for c in m.cocycles.values()
+    ) / scale
+    return worst <= 1e-12, worst, f"max ||A T f - T A f|| / ||A|| = {worst:.3e}"
 
 
+@_model_check("self-adjointness")
 def check_self_adjoint(m: ModelUnderTest, rng: np.random.Generator) -> CheckResult:
-    def run() -> CheckResult:
-        support = sorted(simplicial_ball(m.graph, Vertex(0, (0,) * m.graph.dimension), 2))
-        # f and g live on the ball, so the compression to a window over its
-        # translates gives <Af, g> exactly
-        window = window_subgraph(m.graph, [v.shift for v in support])
-        pos = window.positions(np.array([v.orbit for v in support]), np.array([v.shift for v in support]))
-        coo = window_coo(m.operator, window)
-        worst = 0.0
-        for _ in range(5):
-            # one complex normal per ball vertex in sorted-Vertex order, f then g
-            f, g = np.zeros((2, len(window)), dtype=complex)
-            f[pos] = rng.normal(size=(len(support), 2)).view(complex)[:, 0]
-            g[pos] = rng.normal(size=(len(support), 2)).view(complex)[:, 0]
-            lhs = np.vdot(g, window_matvec(coo, f))
-            rhs = np.vdot(window_matvec(coo, g), f)
-            norm = max(1.0, abs(lhs), abs(rhs))
-            worst = max(worst, abs(lhs - rhs) / norm)
-        return CheckResult(
-            "self-adjointness", worst <= 1e-12, worst,
-            f"max relative <Af,g> - <f,Ag> = {worst:.3e}", m.label,
-        )
-    return _guard("self-adjointness", m.label, run)
+    support = sorted(simplicial_ball(m.graph, Vertex(0, (0,) * m.graph.dimension), 2))
+    # f and g live on the ball, so the compression to a window over its
+    # translates gives <Af, g> exactly
+    window = window_subgraph(m.graph, [v.shift for v in support])
+    pos = window.positions(np.array([v.orbit for v in support]), np.array([v.shift for v in support]))
+    coo = window_coo(m.operator, window)
+    worst = 0.0
+    for _ in range(5):
+        # one complex normal per ball vertex in sorted-Vertex order, f then g
+        f, g = np.zeros((2, len(window)), dtype=complex)
+        f[pos] = rng.normal(size=(len(support), 2)).view(complex)[:, 0]
+        g[pos] = rng.normal(size=(len(support), 2)).view(complex)[:, 0]
+        lhs = np.vdot(g, window_matvec(coo, f))
+        rhs = np.vdot(window_matvec(coo, g), f)
+        norm = max(1.0, abs(lhs), abs(rhs))
+        worst = max(worst, abs(lhs - rhs) / norm)
+    return worst <= 1e-12, worst, f"max relative <Af,g> - <f,Ag> = {worst:.3e}"
 
 
+@_model_check("propagation-support")
 def check_propagation_support(m: ModelUnderTest) -> CheckResult:
-    def run() -> CheckResult:
-        zero = (0,) * m.graph.dimension
-        balls = [simplicial_ball(m.graph, Vertex(orb, zero), m.operator.propagation)
-                 for orb in range(m.graph.num_orbits)]
-        to_orbit, to_shift, src, vals = m.operator.triplets(np.arange(len(balls)), np.array([zero] * len(balls)))
-        ok = all(
-            Vertex(b, tuple(x)) in balls[j]
-            for b, x, j, c in zip(to_orbit.tolist(), to_shift.tolist(), src.tolist(), vals.tolist())
-            if c != 0
-        )
-        return CheckResult(
-            "propagation-support", ok, 0.0 if ok else 1.0,
-            f"supp(A delta_v) inside the {m.operator.propagation}-ball, exact", m.label,
-        )
-    return _guard("propagation-support", m.label, run)
+    zero = (0,) * m.graph.dimension
+    balls = [simplicial_ball(m.graph, Vertex(orb, zero), m.operator.propagation)
+             for orb in range(m.graph.num_orbits)]
+    to_orbit, to_shift, src, vals = m.operator.triplets(np.arange(len(balls)), np.array([zero] * len(balls)))
+    ok = all(
+        Vertex(b, tuple(x)) in balls[j]
+        for b, x, j, c in zip(to_orbit.tolist(), to_shift.tolist(), src.tolist(), vals.tolist())
+        if c != 0
+    )
+    return ok, 0.0 if ok else 1.0, f"supp(A delta_v) inside the {m.operator.propagation}-ball, exact"
 
 
+@_model_check("gauge-invariance")
 def check_gauge_invariance(m: ModelUnderTest, rng: np.random.Generator) -> CheckResult:
-    def run() -> CheckResult:
-        mside = m.window_sizes[-1]
-        win = window_subgraph(m.graph, folner_box(m.graph.dimension, mside))
-        # random phases on the window, then 1 at position -1 (off the window)
-        phases = np.array([unit_phase(rng.random()) for _ in range(len(win))] + [1.0 + 0.0j])
-        gauged = gauge_transformed(m.weights, lambda orbit, s: phases[win.positions(orbit, s)])
-        _, dml = harper_dml(m.graph, m.weights)
-        _, dml_g = harper_dml(m.graph, gauged)
-        e1 = np.linalg.eigvalsh(assemble_dirichlet(dml, win))
-        e2 = np.linalg.eigvalsh(assemble_dirichlet(dml_g, win))
-        worst = float(np.abs(e1 - e2).max())
-        return CheckResult(
-            "gauge-invariance", worst <= 1e-10, worst,
-            f"max eigenvalue shift under a random gauge = {worst:.3e}", m.label,
-        )
-    return _guard("gauge-invariance", m.label, run)
+    mside = m.window_sizes[-1]
+    win = window_subgraph(m.graph, folner_box(m.graph.dimension, mside))
+    # random phases on the window, then 1 at position -1 (off the window)
+    phases = np.array([unit_phase(rng.random()) for _ in range(len(win))] + [1.0 + 0.0j])
+    gauged = gauge_transformed(m.weights, lambda orbit, s: phases[win.positions(orbit, s)])
+    _, dml = harper_dml(m.graph, m.weights)
+    _, dml_g = harper_dml(m.graph, gauged)
+    e1 = np.linalg.eigvalsh(assemble_dirichlet(dml, win))
+    e2 = np.linalg.eigvalsh(assemble_dirichlet(dml_g, win))
+    worst = float(np.abs(e1 - e2).max())
+    return worst <= 1e-10, worst, f"max eigenvalue shift under a random gauge = {worst:.3e}"
 
 
+@_model_check("translation-invariance")
 def check_translation_invariance(m: ModelUnderTest) -> CheckResult:
-    def run() -> CheckResult:
-        mside = m.window_sizes[-1]
-        box = folner_box(m.graph.dimension, mside)
-        gamma = (3,) + (2,) * (m.graph.dimension - 1)
-        win = window_subgraph(m.graph, box)
-        win2 = window_subgraph(m.graph, translated(box, gamma))
-        e1 = np.linalg.eigvalsh(assemble_dirichlet(m.operator, win))
-        e2 = np.linalg.eigvalsh(assemble_dirichlet(m.operator, win2))
-        worst = float(np.abs(e1 - e2).max())
-        return CheckResult(
-            "translation-invariance", worst <= 1e-10, worst,
-            f"max eigenvalue shift between windows over L and gamma+L = {worst:.3e}",
-            m.label,
-        )
-    return _guard("translation-invariance", m.label, run)
+    mside = m.window_sizes[-1]
+    box = folner_box(m.graph.dimension, mside)
+    gamma = (3,) + (2,) * (m.graph.dimension - 1)
+    win = window_subgraph(m.graph, box)
+    win2 = window_subgraph(m.graph, translated(box, gamma))
+    e1 = np.linalg.eigvalsh(assemble_dirichlet(m.operator, win))
+    e2 = np.linalg.eigvalsh(assemble_dirichlet(m.operator, win2))
+    worst = float(np.abs(e1 - e2).max())
+    return (
+        worst <= 1e-10, worst,
+        f"max eigenvalue shift between windows over L and gamma+L = {worst:.3e}",
+    )
 
 
+@_model_check("dirichlet-neumann-order")
 def check_dirichlet_neumann(m: ModelUnderTest) -> CheckResult:
-    def run() -> CheckResult:
-        worst = 0.0
-        for mside in m.window_sizes:
-            win = window_subgraph(m.graph, folner_box(m.graph.dimension, mside))
-            _, dml = harper_dml(m.graph, m.weights)
-            Md = assemble_dirichlet(dml, win)
-            Mn = assemble_neumann(m.graph, m.weights, win)
-            diff = Md - Mn
-            off = float(np.abs(diff - np.diag(np.diag(diff))).max())
-            diag = np.real(np.diag(diff))
-            if off > 1e-12 or diag.min() < -1e-12:
-                return CheckResult(
-                    "dirichlet-neumann-order", False, max(off, -diag.min()),
-                    "Dirichlet minus Neumann is not a nonnegative diagonal", m.label,
-                )
-            interior_rows = interior_vertices(m.graph, win, 1).interior_positions
-            if interior_rows.size and float(np.abs(diag[interior_rows]).max()) > 1e-12:
-                return CheckResult(
-                    "dirichlet-neumann-order", False, float(np.abs(diag[interior_rows]).max()),
-                    "Dirichlet/Neumann difference not supported on the boundary", m.label,
-                )
-            ed = np.sort(np.linalg.eigvalsh(Md))
-            en = np.sort(np.linalg.eigvalsh(Mn))
-            # eigenvalue-wise domination gives F_Neu >= F_Dir at every lambda
-            worst = max(worst, float((en - ed).max()))
-        return CheckResult(
-            "dirichlet-neumann-order", worst <= 1e-12, worst,
-            f"max_i eig_i(Neumann) - eig_i(Dirichlet) = {worst:.3e} (<= 0 required)",
-            m.label,
-        )
-    return _guard("dirichlet-neumann-order", m.label, run)
+    _, dml = harper_dml(m.graph, m.weights)
+    worst = 0.0
+    for mside in m.window_sizes:
+        win = window_subgraph(m.graph, folner_box(m.graph.dimension, mside))
+        Md = assemble_dirichlet(dml, win)
+        Mn = assemble_neumann(m.graph, m.weights, win)
+        diff = Md - Mn
+        off = float(np.abs(diff - np.diag(np.diag(diff))).max())
+        diag = np.real(np.diag(diff))
+        if off > 1e-12 or diag.min() < -1e-12:
+            return False, max(off, -diag.min()), "Dirichlet minus Neumann is not a nonnegative diagonal"
+        interior_rows = interior_vertices(m.graph, win, 1).interior_positions
+        if interior_rows.size and float(np.abs(diag[interior_rows]).max()) > 1e-12:
+            return (
+                False, float(np.abs(diag[interior_rows]).max()),
+                "Dirichlet/Neumann difference not supported on the boundary",
+            )
+        ed = np.sort(np.linalg.eigvalsh(Md))
+        en = np.sort(np.linalg.eigvalsh(Mn))
+        # eigenvalue-wise domination gives F_Neu >= F_Dir at every lambda
+        worst = max(worst, float((en - ed).max()))
+    return (
+        worst <= 1e-12, worst,
+        f"max_i eig_i(Neumann) - eig_i(Dirichlet) = {worst:.3e} (<= 0 required)",
+    )
 
 
+@_model_check("kernel-inclusion", "rank-nullity")
 def check_kernel_inclusion_and_rank(m: ModelUnderTest) -> list[CheckResult]:
     """Integer-level D' <= D on window restrictions plus exact rank-nullity."""
-    def run_pair() -> list[CheckResult]:
-        radius = m.interior_radius if m.interior_radius is not None else m.operator.propagation
-        incl_ok, rank_ok = True, True
-        incl_detail, rank_detail = [], []
-        for mside in m.window_sizes:
-            win = window_subgraph(m.graph, folner_box(m.graph.dimension, mside))
-            split = interior_vertices(m.graph, win, radius)
-            M = assemble_dirichlet(m.operator, win)
-            evals = np.sort(np.linalg.eigvalsh(M)) if M.size else np.zeros(0)
-            scale = max(1.0, gershgorin_bound(M))
-            probes = [0.0]
-            if evals.size:
-                probes.append(float(evals[len(evals) // 2]))
-            for lam in probes:
-                R = interior_restriction(m.operator, win, split, lam)
-                kdim = rect_kernel_dim(R, 1e-8)
-                mult = int(np.count_nonzero(np.abs(evals - lam) <= 1e-8 * scale))
-                if kdim > mult:
-                    incl_ok = False
-                    incl_detail.append(f"m={mside} lam={lam}: D'={kdim} > D={mult}")
-                rank = int(np.linalg.matrix_rank(R, tol=1e-8 * max(scale, 1.0)))
-                if kdim + rank != R.shape[1]:
-                    rank_ok = False
-                    rank_detail.append(
-                        f"m={mside} lam={lam}: kernel {kdim} + rank {rank} != {R.shape[1]}"
-                    )
-        return [
-            CheckResult(
-                "kernel-inclusion", incl_ok, 0.0 if incl_ok else 1.0,
-                "; ".join(incl_detail) or "dim ker(A' - lam i') <= dim ker(A_m - lam) on all probes",
-                m.label,
-            ),
-            CheckResult(
-                "rank-nullity", rank_ok, 0.0 if rank_ok else 1.0,
-                "; ".join(rank_detail) or "kernel + rank = #interior columns, exact",
-                m.label,
-            ),
-        ]
-
-    try:
-        return run_pair()
-    except Exception as exc:
-        msg = f"{type(exc).__name__}: {exc}"
-        return [
-            CheckResult("kernel-inclusion", False, float("nan"), msg, m.label),
-            CheckResult("rank-nullity", False, float("nan"), msg, m.label),
-        ]
+    radius = m.interior_radius if m.interior_radius is not None else m.operator.propagation
+    incl_detail, rank_detail = [], []
+    for mside in m.window_sizes:
+        win = window_subgraph(m.graph, folner_box(m.graph.dimension, mside))
+        split = interior_vertices(m.graph, win, radius)
+        M = assemble_dirichlet(m.operator, win)
+        evals = np.sort(np.linalg.eigvalsh(M)) if M.size else np.zeros(0)
+        scale = max(1.0, gershgorin_bound(M))
+        probes = [0.0]
+        if evals.size:
+            probes.append(float(evals[len(evals) // 2]))
+        for lam in probes:
+            R = interior_restriction(m.operator, win, split, lam)
+            kdim = rect_kernel_dim(R, 1e-8)
+            mult = int(np.count_nonzero(np.abs(evals - lam) <= 1e-8 * scale))
+            if kdim > mult:
+                incl_detail.append(f"m={mside} lam={lam}: D'={kdim} > D={mult}")
+            rank = int(np.linalg.matrix_rank(R, tol=1e-8 * max(scale, 1.0)))
+            if kdim + rank != R.shape[1]:
+                rank_detail.append(
+                    f"m={mside} lam={lam}: kernel {kdim} + rank {rank} != {R.shape[1]}"
+                )
+    return [
+        (
+            not incl_detail, float(bool(incl_detail)),
+            "; ".join(incl_detail) or "dim ker(A' - lam i') <= dim ker(A_m - lam) on all probes",
+        ),
+        (
+            not rank_detail, float(bool(rank_detail)),
+            "; ".join(rank_detail) or "kernel + rank = #interior columns, exact",
+        ),
+    ]
 
 
+@_model_check("interior-radius")
 def check_interior_radius(m: ModelUnderTest) -> CheckResult:
-    def run() -> CheckResult:
-        radius = m.interior_radius if m.interior_radius is not None else m.operator.propagation
-        ok = radius >= m.operator.propagation
-        return CheckResult(
-            "interior-radius", ok, float(radius),
-            f"interior radius {radius} vs propagation bound {m.operator.propagation}",
-            m.label,
-        )
-    return _guard("interior-radius", m.label, run)
+    radius = m.interior_radius if m.interior_radius is not None else m.operator.propagation
+    return (
+        radius >= m.operator.propagation, float(radius),
+        f"interior radius {radius} vs propagation bound {m.operator.propagation}",
+    )
 
 
-def check_moments(m: ModelUnderTest, n_max: int = 8, grid_n: int = 128) -> CheckResult:
-    def run() -> CheckResult:
-        try:
-            cell = magnetic_cell(m.graph, m.operator, m.weights.flux)
-        except OracleUnavailableError as exc:
-            return CheckResult(
-                "moment-crosscheck", True, 0.0, f"skipped: {exc}", m.label
-            )
-        worst = moment_crosscheck(m.operator, cell, n_max, grid_n)
-        return CheckResult(
-            "moment-crosscheck", worst < 1e-6, worst,
-            f"max |walk trace - fiber moment| over n <= {n_max} at N={grid_n}: {worst:.3e}",
-            m.label,
-        )
-    return _guard("moment-crosscheck", m.label, run)
+@_model_check("moment-crosscheck")
+def check_moments(m: ModelUnderTest) -> CheckResult:
+    try:
+        cell = magnetic_cell(m.graph, m.operator, m.weights.flux)
+    except OracleUnavailableError as exc:
+        return True, 0.0, f"skipped: {exc}"
+    worst = moment_crosscheck(m.operator, cell, MOMENT_N_MAX, MOMENT_GRID_N)
+    return (
+        worst < 1e-6, worst,
+        f"max |walk trace - fiber moment| over n <= {MOMENT_N_MAX} at N={MOMENT_GRID_N}: {worst:.3e}",
+    )
 
 
+@_model_check("trace-normalization")
 def check_trace_basics(m: ModelUnderTest) -> CheckResult:
-    def run() -> CheckResult:
-        t0 = gamma_trace_power(m.operator, 0)
-        t2 = gamma_trace_power(m.operator, 2)
-        ok = t0 == float(m.graph.num_orbits) and t2 >= -1e-12
-        return CheckResult(
-            "trace-normalization", ok, t0,
-            f"tr(A^0) = {t0} (expect {m.graph.num_orbits}); tr(A^2) = {t2:.6g} >= 0",
-            m.label,
-        )
-    return _guard("trace-normalization", m.label, run)
+    t0 = gamma_trace_power(m.operator, 0)
+    t2 = gamma_trace_power(m.operator, 2)
+    return (
+        t0 == float(m.graph.num_orbits) and t2 >= -1e-12, t0,
+        f"tr(A^0) = {t0} (expect {m.graph.num_orbits}); tr(A^2) = {t2:.6g} >= 0",
+    )
 
 
 # global checks (model-independent)
@@ -415,7 +386,7 @@ def check_inertia_oracle(
     random Hermitian stencil restrictions, exactly, away from eigenvalues:
     points within 1e-9 of the norm bound of an eigenvalue are excluded.
 
-    The reference spectrum is the one ``count_leq(method="eigh")`` counts
+    The reference spectrum is the one ``count_leq`` counts
     on (``spectral_density``: per connected block, in band storage when the
     band is narrow, dense otherwise), so the check reads "inertia backend
     == eigh backend".  The loop runs inside ``one_blas_thread``: its
@@ -566,23 +537,18 @@ def check_dim_properties(rng: np.random.Generator) -> list[CheckResult]:
     return results
 
 
+@_model_check("window-norm-bound")
 def check_window_norm_bound(m: ModelUnderTest) -> CheckResult:
-    def run() -> CheckResult:
-        mside = m.window_sizes[-1]
-        win = window_subgraph(m.graph, folner_box(m.graph.dimension, mside))
-        spec = spectral_density(assemble_dirichlet(m.operator, win), win)
-        bound = m.operator.norm_bound + 1e-9
-        ok = bool(
-            spec.eigenvalues.size == 0
-            or (spec.eigenvalues.min() >= -bound and spec.eigenvalues.max() <= bound)
-        )
-        mx = float(np.abs(spec.eigenvalues).max()) if spec.eigenvalues.size else 0.0
-        return CheckResult(
-            "window-norm-bound", ok, mx,
-            f"max |eig| = {mx:.6g} within the stencil bound {m.operator.norm_bound:.6g}",
-            m.label,
-        )
-    return _guard("window-norm-bound", m.label, run)
+    mside = m.window_sizes[-1]
+    win = window_subgraph(m.graph, folner_box(m.graph.dimension, mside))
+    spec = spectral_density(assemble_dirichlet(m.operator, win), win)
+    bound = m.operator.norm_bound + 1e-9
+    ok = bool(
+        spec.eigenvalues.size == 0
+        or (spec.eigenvalues.min() >= -bound and spec.eigenvalues.max() <= bound)
+    )
+    mx = float(np.abs(spec.eigenvalues).max()) if spec.eigenvalues.size else 0.0
+    return ok, mx, f"max |eig| = {mx:.6g} within the stencil bound {m.operator.norm_bound:.6g}"
 
 
 def _run_timed(calls: list[Callable], timings: Optional[dict]) -> list[CheckResult]:

@@ -46,7 +46,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("config", type=Path, help="YAML experiment config")
         p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="accepted and ignored: runs are serial")
+        p.add_argument("--workers", type=int, default=1, help="accepted and forwarded nowhere: runs are serial")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
@@ -66,25 +66,25 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "converge":
-            rows, info = run_converge(cfg, args.workers)
+            rows, info = run_converge(cfg)
             csv_path = out / "converge.csv"
             write_csv(csv_path, RESULT_COLUMNS, [r.as_record() for r in rows])
             outputs = [csv_path.name]
             print(f"wrote {csv_path} ({len(rows)} rows)")
         elif args.command == "jumps":
-            rows, info = run_jumps(cfg, args.workers)
+            rows, info = run_jumps(cfg)
             csv_path = out / "jumps.csv"
             write_csv(csv_path, RESULT_COLUMNS, [r.as_record() for r in rows])
             outputs = [csv_path.name]
             print(f"wrote {csv_path} ({len(rows)} rows)")
         elif args.command == "butterfly":
-            records, info = run_butterfly(cfg, args.workers)
+            records, info = run_butterfly(cfg)
             csv_path = out / "butterfly.csv"
             write_csv(csv_path, BUTTERFLY_COLUMNS, records)
             outputs = [csv_path.name]
             print(f"wrote {csv_path} ({len(records)} rows)")
         elif args.command == "verify":
-            results, info = run_verify(cfg, args.workers)
+            results, info = run_verify(cfg)
             report = verify_report(results)
             report_path = out / "verify_report.json"
             report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -321,8 +321,6 @@ class BuiltModel:
     spec: ModelSpec
     graph: PeriodicGraph
     weights: WeightFunction
-    harper: Optional[LocalOperator]
-    dml: Optional[LocalOperator]
     operator: LocalOperator
 
 
@@ -349,7 +347,6 @@ def build_weights(graph: PeriodicGraph, spec: WeightSpec) -> WeightFunction:
 def build_model(spec: ModelSpec) -> BuiltModel:
     graph = build_graph(spec.graph)
     weights = build_weights(graph, spec.weights)
-    harper = dml = None
     if spec.operator in ("harper", "dml"):
         harper, dml = harper_dml(graph, weights)
         op = harper if spec.operator == "harper" else dml
@@ -361,7 +358,7 @@ def build_model(spec: ModelSpec) -> BuiltModel:
         op = zero_operator(graph)
     else:
         raise ConfigError(f"unknown operator {spec.operator!r}")
-    return BuiltModel(spec, graph, weights, harper, dml, op)
+    return BuiltModel(spec, graph, weights, op)
 
 
 def config_digest(text: str) -> str:

@@ -29,29 +29,24 @@ def folner_box(dimension: int, m: int) -> list[Shift]:
     return sorted(itertools.product(range(m), repeat=dimension))
 
 
-def boundary_collar(elements: Iterable[Shift], delta: int) -> set[Shift]:
-    """Two-sided collar: group elements within delta of the set and of its
-    complement, in the l1 word metric."""
+def isoperimetric_ratio(elements: Iterable[Shift], delta: int) -> Fraction:
+    """#(delta-collar) / #(set), exact rational.  The two-sided collar, the
+    group elements within delta of the set and of its complement in the l1
+    word metric, is the set's delta-dilation minus its delta-erosion; the
+    ball holds 0, so the erosion lies inside the dilation."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    elems = {tuple(g) for g in elements}
-    if not elems:
-        return set()
-    dimension = len(next(iter(elems)))
-    ball = word_ball(dimension, delta)
-    candidates = {add(g, b) for g in elems for b in ball}
-    out = set()
-    for g in candidates:
-        near = [add(g, b) for b in ball]
-        if any(p in elems for p in near) and any(p not in elems for p in near):
-            out.add(g)
-    return out
-
-
-def isoperimetric_ratio(elements: Iterable[Shift], delta: int) -> Fraction:
-    """#(delta-collar) / #(set), exact rational."""
-    elems = [tuple(g) for g in elements]
-    return Fraction(len(boundary_collar(elems, delta)), len(set(elems)))
+    elems = np.unique(np.array([tuple(g) for g in elements], dtype=np.int64), axis=0)
+    if not elems.size:
+        raise ValueError("the set must be nonempty")
+    near = elems[:, None, :] + np.array(word_ball(elems.shape[1], delta), dtype=np.int64)
+    lo = near.min(axis=(0, 1))
+    span = tuple(int(x) for x in near.max(axis=(0, 1)) - lo + 1)
+    keys = np.ravel_multi_index(tuple(np.moveaxis(near - lo, -1, 0)), span)
+    inside = np.isin(keys, np.ravel_multi_index(tuple((elems - lo).T), span))
+    dilation = np.unique(keys).size
+    erosion = np.count_nonzero(inside.all(axis=1))
+    return Fraction(dilation - erosion, len(elems))
 
 
 @dataclass(eq=False)

@@ -143,11 +143,10 @@ def write_manifest(path, *, config_text: str, seed: int, info: dict, outputs: li
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def ordered_parallel(fn: Callable, items: Sequence, workers: int) -> list:
-    """Map in input order, serially; ``workers`` is accepted and ignored.
-    On a two-core machine a thread pool made the dense LAPACK calls compete
-    with OpenBLAS's own threads: same rows, more CPU time and memory, no
-    shorter run."""
+def ordered_parallel(fn: Callable, items: Sequence) -> list:
+    """The drivers' map, in input order and serial.  On a two-core machine
+    a thread pool made the dense LAPACK calls compete with OpenBLAS's own
+    threads: same rows, more CPU time and memory, no shorter run."""
     return [fn(x) for x in items]
 
 
@@ -209,15 +208,13 @@ def _window_spectrum(model: BuiltModel, m: int, boundary: str) -> tuple[WindowSp
     win = window_subgraph(model.graph, folner_box(model.graph.dimension, m))
     if boundary == "dirichlet":
         M = assemble_dirichlet(model.operator, win)
-    elif boundary == "neumann":
+    else:  # "neumann", the only other boundary parse_config admits
         if model.spec.operator != "dml":
             raise ConfigError(
                 "neumann boundary is defined for the Laplacian only; "
                 f"got operator {model.spec.operator!r}"
             )
         M = assemble_neumann(model.graph, model.weights, win)
-    else:
-        raise ConfigError(f"unknown boundary {boundary!r}")
     spec = spectral_density(M, win)
     return spec, _diagnostics(m, boundary, M, spec)
 
@@ -229,7 +226,7 @@ def _boundaries(cfg: ExperimentConfig) -> list[str]:
 BAND_EDGE_EXCLUSION = 1e-3  # counting points closer than this are flagged
 
 
-def run_converge(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[ResultRow], dict]:
+def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     """Counting-function table F_m(lambda) per window, with quadrature
     ground truth and error column when the oracle applies.  Rows sorted by
     (lambda, m, boundary).  Counting points inside the default band-edge
@@ -270,10 +267,10 @@ def run_converge(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[ResultRo
             except BandEdgeError:
                 return None
 
-        oracle_values = dict(zip(lams, ordered_parallel(oracle_at, lams, workers)))
+        oracle_values = dict(zip(lams, ordered_parallel(oracle_at, lams)))
 
     tasks = [(m, bc) for m in cfg.windows for bc in _boundaries(cfg)]
-    results = ordered_parallel(lambda t: _window_spectrum(model, t[0], t[1]), tasks, workers)
+    results = ordered_parallel(lambda t: _window_spectrum(model, t[0], t[1]), tasks)
     spectra = {t: spec for t, (spec, _) in zip(tasks, results)}
     rows = []
     for lam in lams:
@@ -289,7 +286,7 @@ def run_converge(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[ResultRo
     }
 
 
-def run_jumps(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[ResultRow], dict]:
+def run_jumps(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     """Jump table: window jumps D_m, interior jumps D'_m, and exact jumps
     where the model admits them.  The two kernel inequalities
     D'_m <= D_m and D'_m <= D are enforced rowwise at integer level."""
@@ -297,7 +294,6 @@ def run_jumps(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[ResultRow],
         raise ConfigError("jumps needs a model section")
     t0 = time.perf_counter()
     model = build_model(cfg.model)
-    cell = None
     try:
         cell = _oracle_cell(model)
     except OracleUnavailableError:
@@ -359,7 +355,7 @@ def run_jumps(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[ResultRow],
             )
         return out, _diagnostics(m, "dirichlet", M, spec)
 
-    per_window = ordered_parallel(one_window, list(cfg.windows), workers)
+    per_window = ordered_parallel(one_window, list(cfg.windows))
     rows = []
     for lam_i, lam in enumerate(lams):
         for res, _ in per_window:
@@ -379,7 +375,7 @@ def hofstadter_flux_list(q_max: int) -> list[Fraction]:
     return sorted(fluxes)
 
 
-def run_butterfly(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[tuple], dict]:
+def run_butterfly(cfg: ExperimentConfig) -> tuple[list[tuple], dict]:
     """Band intervals of the square-lattice family per rational flux.
     Asserts the alpha -> 1 - alpha reflection symmetry of the band data
     (about the valence for the Laplacian, about zero for the hopping
@@ -407,7 +403,7 @@ def run_butterfly(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[tuple],
         }
         return bands, diag
 
-    per_flux = ordered_parallel(bands_at, fluxes, workers)
+    per_flux = ordered_parallel(bands_at, fluxes)
     all_bands = {flux: bands for flux, (bands, _) in zip(fluxes, per_flux)}
     for flux in fluxes:
         mirror = 1 - flux
@@ -457,7 +453,7 @@ models:
 """
 
 
-def run_verify(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[CheckResult], dict]:
+def run_verify(cfg: ExperimentConfig) -> tuple[list[CheckResult], dict]:
     """Run every named invariant check over the configured models plus the
     model-independent suites.  Returns the full result list; the caller
     decides the exit code from the pass flags.  The manifest's

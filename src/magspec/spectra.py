@@ -15,12 +15,12 @@ law; the triangular factor is never formed.  The backends agree away from
 eigenvalues; they differ when the counting point essentially hits one.
 The inertia backend then brackets it with a small shift and returns the
 upper count, matching the right-continuity of the eigenvalue counting
-function.  The diagonalization paths (``count_leq(method="eigh")`` and
+function.  The diagonalization paths (``count_leq`` and
 ``WindowSpectrum``) keep the plain count of computed eigenvalues <= lam,
 which there depends on rounding, and raise
 ``CountingPointOnEigenvalueWarning`` instead.
 
-Window spectra (``spectral_density`` and ``count_leq(method="eigh")``)
+Window spectra (``spectral_density`` and ``count_leq``)
 and interior kernels (``rect_kernel_dim``) are computed one connected
 block of the matrix's nonzero pattern at a time: a block-diagonal model
 such as the triangle cells costs O(n) instead of a dense O(n^3) call.  A
@@ -232,22 +232,16 @@ def gershgorin_bound(M: np.ndarray) -> float:
     return float(np.abs(M).sum(axis=1).max())
 
 
-def count_leq(M: np.ndarray, lam: float, method: str = "eigh") -> int:
-    """Number of eigenvalues <= lam, counting multiplicity.
-
-    method 'eigh' diagonalizes as spectral_density does (per connected
-    block, in band storage when the band is narrow) and warns when lam is
-    within the bracketing shift of an eigenvalue; 'inertia' factors
-    M - lam I and counts negative inertia plus nullity, bracketing exact
-    singularities.
+def count_leq(M: np.ndarray, lam: float) -> int:
+    """Number of eigenvalues <= lam, counting multiplicity, by
+    diagonalization as spectral_density does (per connected block, in band
+    storage when the band is narrow); warns when lam is within the
+    bracketing shift of an eigenvalue.  ``inertia_count_leq`` is the
+    factorization backend.
     """
-    if method == "eigh":
-        evals = _block_spectrum(M)[0]
-        _warn_if_on_eigenvalue(evals, lam)
-        return int(np.searchsorted(evals, lam, side="right"))
-    if method == "inertia":
-        return inertia_count_leq(M, lam)
-    raise ValueError(f"unknown counting method {method!r}")
+    evals = _block_spectrum(M)[0]
+    _warn_if_on_eigenvalue(evals, lam)
+    return int(np.searchsorted(evals, lam, side="right"))
 
 
 def _inertia(M: np.ndarray, lam: float, zero_tol: float) -> tuple[int, int, int]:

@@ -1,10 +1,10 @@
 """Shared test helpers: hypothesis strategies for random small periodic
-graphs and shifts, the vertex list of a window, and the two-orbit
-decorated square lattice."""
+graphs and shifts, the vertex list of a window, the set-based collar
+reference and the two-orbit decorated square lattice."""
 
 import hypothesis.strategies as st
 
-from magspec.lattice import periodic_graph
+from magspec.lattice import add, periodic_graph, word_ball
 from magspec.operators import WeightFunction, harper_dml, landau_phase
 
 
@@ -47,6 +47,20 @@ def vertices(window):
     """The window's vertices as Vertex pairs, in window order, read off its
     arrays: the vertex-by-vertex references compare against these."""
     return [window.vertex(j) for j in range(len(window))]
+
+
+def boundary_collar(elements, delta):
+    """Two-sided collar, element by element: the group elements within
+    delta of the set and of its complement, in the l1 word metric.  The
+    reference that the array collar of ``isoperimetric_ratio`` is checked
+    against."""
+    elems = {tuple(g) for g in elements}
+    ball = word_ball(len(next(iter(elems))), delta)
+    candidates = {add(g, b) for g in elems for b in ball}
+    return {
+        g for g in candidates
+        if any(add(g, b) in elems for b in ball) and any(add(g, b) not in elems for b in ball)
+    }
 
 
 def decorated_lattice(flux):

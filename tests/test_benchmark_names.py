@@ -1,9 +1,13 @@
-"""The names the benchmark's tracer wraps must exist in the package.
+"""The names the benchmark's tracer wraps must exist in the package, and
+the command line must accept what the benchmark passes.
 
 ``perfbench/tracer.py`` looks up every traced function by name when it is
 installed, so a renamed or deleted one breaks ``perfbench/run.py --trace
-1`` while the rest of this suite stays green.  This loads the tracer by
-path (``perfbench/`` is not on the test path) and resolves its names."""
+1`` while the rest of this suite stays green.  Likewise ``perfbench/run.py``
+starts every workload as ``command config --out DIR --workers N --seed S``,
+so a dropped option breaks every benchmark run.  This loads the tracer and
+the workload table by path (``perfbench/`` is not on the test path) and
+checks both against the package."""
 
 import importlib
 import importlib.util
@@ -14,21 +18,24 @@ from pathlib import Path
 
 import pytest
 
+from magspec.cli import _parser
 from magspec.exhaustion import folner_box, window_subgraph
 from magspec.lattice import triangle_cells
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # registered first: dataclasses resolve their annotations through it
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-TRACER = load_tracer()
+TRACER = load_perfbench("tracer")
+WORKLOADS = load_perfbench("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize("layer", sorted(TRACER.LAYERS))
@@ -62,3 +69,17 @@ def test_window_vertex_count_hook():
     # the tracer's window_subgraph hook counts vertices as len(win.verts)
     win = window_subgraph(triangle_cells(), folner_box(1, 4))
     assert len(win.verts) == len(win) == 12
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_cli_accepts_benchmark_argv(name, tmp_path):
+    # the argv perfbench/run.py builds for each workload's child
+    workload = WORKLOADS[name]
+    argv = [
+        workload.command, str(tmp_path / "config.json"), "--out", str(tmp_path / "out"),
+        "--workers", str(workload.workers), "--seed", "1",
+    ]
+    args = _parser().parse_args(argv)
+    assert (args.command, args.out, args.workers, args.seed) == (
+        workload.command, tmp_path / "out", workload.workers, 1,
+    )

@@ -14,7 +14,9 @@ from magspec.checks import (
     check_folner_ratio,
     check_inertia_oracle,
     check_interior_radius,
+    check_kernel_inclusion_and_rank,
     check_sigma_conjugation,
+    check_translation_invariance,
     model_suite,
     oracle_points,
     random_stencil_window,
@@ -71,6 +73,49 @@ class TestModelSuite:
         m.interior_radius = 0
         res = check_interior_radius(m)
         assert not res.passed
+
+    def test_cocycles_solved_once_per_model(self, monkeypatch):
+        import magspec.checks as checks
+
+        solves = []
+        solve = checks.validate_weights
+
+        def counting(graph, weights, radius):
+            solves.append(radius)
+            return solve(graph, weights, radius)
+
+        monkeypatch.setattr(checks, "validate_weights", counting)
+        g = triangle_cells()
+        w = uniform_weights(g)
+        tri = ModelUnderTest("tri", g, w, harper_dml(g, w)[1], window_sizes=(2,))
+        models = [healthy_model(), tri]
+        for m in models:
+            results = model_suite(m, np.random.default_rng(0))
+            assert all(r.passed for r in results if r.name in ("cocycle-residual", "commutator-residual"))
+        assert solves == [checks.COCYCLE_RADIUS + m.operator.propagation for m in models]
+
+
+class TestRaisingCheck:
+    """A per-model check whose body raises fails every name it declares,
+    with the model label and the exception as detail."""
+
+    def test_two_names_fail_together(self):
+        m = healthy_model("no-window")
+        m.window_sizes = (0,)
+        results = check_kernel_inclusion_and_rank(m)
+        assert [r.name for r in results] == ["kernel-inclusion", "rank-nullity"]
+        for r in results:
+            assert not r.passed and np.isnan(r.metric)
+            assert r.model == "no-window"
+            assert r.detail == "ValueError: box index must be >= 1"
+
+    def test_one_name_fails(self):
+        m = healthy_model("no-window")
+        m.window_sizes = (0,)
+        res = check_translation_invariance(m)
+        assert (res.name, res.passed, res.model) == ("translation-invariance", False, "no-window")
+        assert np.isnan(res.metric)
+        assert res.detail == "ValueError: box index must be >= 1"
 
 
 class TestGlobalChecks:

@@ -272,12 +272,6 @@ oracle: {grid_n: 16}
             assert 0.0 <= r.f_m <= 1.0
             assert r.abs_err is not None and r.abs_err >= 0.0
 
-    def test_workers_do_not_change_rows(self):
-        cfg = parse_config(SQUARE_YAML)
-        rows1, _ = run_converge(cfg, workers=1)
-        rows2, _ = run_converge(cfg, workers=4)
-        assert [r.as_record() for r in rows1] == [r.as_record() for r in rows2]
-
     def test_diagnostics_one_entry_per_window(self):
         _, info = run_converge(parse_config(SQUARE_YAML))
         assert [(d["m"], d["boundary"]) for d in info["diagnostics"]] == [

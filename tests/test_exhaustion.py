@@ -17,7 +17,7 @@ from magspec.exhaustion import (
 )
 from magspec.lattice import Vertex, line_graph, square_lattice, triangle_cells
 
-from strategies import vertices
+from strategies import boundary_collar, shifts, vertices
 
 
 class TestFolnerBox:
@@ -59,6 +59,18 @@ class TestIsoperimetricRatio:
     def test_delta_guard(self):
         with pytest.raises(ValueError):
             isoperimetric_ratio(folner_box(1, 4), 0)
+
+    @given(st.data(), st.integers(1, 3), st.integers(1, 3))
+    def test_matches_set_collar(self, data, d, delta):
+        # a translated box with holes punched in it, plus stray points
+        m = data.draw(st.integers(1, 6))
+        corner = data.draw(shifts(d))
+        box = translated(folner_box(d, m), corner)
+        holes = data.draw(st.sets(st.sampled_from(box), max_size=len(box) - 1))
+        stray = data.draw(st.lists(shifts(d, -8, 8), max_size=5))
+        elems = [g for g in box if g not in holes] + stray
+        expected = Fraction(len(boundary_collar(elems, delta)), len(set(elems)))
+        assert isoperimetric_ratio(elems, delta) == expected
 
 
 class TestWindowSubgraph:

@@ -228,7 +228,7 @@ class TestCountLeq:
             lam = float(rng.uniform(evals[0] - 1, evals[-1] + 1))
             if np.abs(evals - lam).min() <= 1e-9 * gershgorin_bound(A):
                 continue
-            assert count_leq(A, lam, method="eigh") == inertia_count_leq(A, lam)
+            assert count_leq(A, lam) == inertia_count_leq(A, lam)
 
     def test_inertia_bracket_at_eigenvalue(self):
         # counting exactly on an eigenvalue brackets it and keeps the
@@ -242,10 +242,6 @@ class TestCountLeq:
         assert inertia_count_leq(Z, 0.0) == 4
         assert inertia_count_leq(Z, -0.1) == 0
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            count_leq(PATH3, 0.0, method="bogus")
-
     def test_inertia_matches_closed_form_at_dimension_2050(self):
         # the full-valence tridiagonal window of the line has eigenvalues
         # 2 - 2cos(k pi/(n+1))
@@ -256,7 +252,7 @@ class TestCountLeq:
         n = 2050
         grid = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
         for lam in (0.5, 2.0):
-            assert count_leq(M, lam, method="inertia") == int(np.count_nonzero(grid <= lam))
+            assert inertia_count_leq(M, lam) == int(np.count_nonzero(grid <= lam))
 
 
 def pivot_sizes(M, lam):
@@ -404,7 +400,7 @@ def line9_counter(path):
     _, D, w = line_window(9)
     M = assemble_dirichlet(D, w)
     if path == "count_leq":
-        return M, lambda lam: count_leq(M, lam, method="eigh")
+        return M, lambda lam: count_leq(M, lam)
     return M, spectral_density(M, w).count_leq
 
 
