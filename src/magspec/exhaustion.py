@@ -53,18 +53,20 @@ def isoperimetric_ratio(elements: Iterable[Shift], delta: int) -> Fraction:
 class Window:
     """Finite window of a periodic graph over a Folner set of translates.
 
-    ``elements`` are the translates, sorted and distinct.  Vertex j of the
-    window is (``orbits[j]``, ``shifts[j]``); vertices are sorted by
-    (shift, orbit).  ``positions`` inverts that order.  Immutable after
-    construction.
+    ``elements`` are the translates, sorted and distinct, as the rows of
+    an int64 array of shape (k, d) (any array-like of shifts is converted
+    on construction).  Vertex j of the window is (``orbits[j]``,
+    ``shifts[j]``); vertices are sorted by (shift, orbit).  ``positions``
+    inverts that order.  Immutable after construction.
     """
 
     graph: PeriodicGraph
-    elements: tuple[Shift, ...]
+    elements: np.ndarray
 
     def __post_init__(self) -> None:
         norb = self.graph.num_orbits
-        box = np.array(self.elements, dtype=np.int64).reshape(-1, self.graph.dimension)
+        box = np.asarray(self.elements, dtype=np.int64).reshape(-1, self.graph.dimension)
+        self.elements = box
         self.orbits = np.tile(np.arange(norb), len(box))
         self.shifts = np.repeat(box, norb, axis=0)
         self._lo = box.min(axis=0)
@@ -111,14 +113,31 @@ class Window:
         return tails[order], heads[order], templates[order]
 
 
+def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2D integer array in lexicographic order, and
+    for each row the index of its distinct row: what ``np.unique(keys,
+    axis=0, return_inverse=True)`` returns, from a lexsort over the
+    columns (first column most significant) and a row-change mask instead
+    of an argsort over void-typed rows."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
+
+
 def window_subgraph(graph: PeriodicGraph, elements: Iterable[Shift]) -> Window:
-    """Largest subgraph of the periodic graph over the given translates."""
-    elems = tuple(sorted({tuple(int(x) for x in g) for g in elements}))
-    if not elems:
+    """Largest subgraph of the periodic graph over the given translates,
+    which are deduplicated and sorted as rows of an integer array
+    (lexicographic row order is sorted-tuple order)."""
+    translates = [tuple(g) for g in elements]
+    if not translates:
         raise ValueError("window needs at least one translate")
-    if any(len(g) != graph.dimension for g in elems):
+    if any(len(g) != graph.dimension for g in translates):
         raise ValueError("translate dimension mismatch")
-    return Window(graph, elems)
+    return Window(graph, distinct_rows(np.array(translates, dtype=np.int64))[0])
 
 
 @dataclass(eq=False)

@@ -8,11 +8,14 @@ digits and assembled in a fixed key order, so identical config + seed
 reproduces byte-identical CSV; wall-clock timings go to the run manifest
 instead (they cannot be deterministic), together with per-window
 diagnostics (dimension, nonzeros, connected blocks, half-bandwidth and
-eigenvalue solver of each window matrix), per-flux butterfly diagnostics
-(fiber dimension and the fibers diagonalized on the grid and in the band
-edge refinement) or the inertia oracle's run facts for verify.  Every
-driver returns its rows plus a dict of the manifest sections the run
-adds: ``timings_s`` and ``diagnostics``.
+eigenvalue solver of each window matrix; for converge also the distance
+from each counting point to the window's nearest eigenvalue), per-flux
+butterfly diagnostics (fiber dimension and the fibers diagonalized on the
+grid and in the band edge refinement) or the inertia oracle's run facts
+for verify.  Every driver returns its rows plus a dict of the manifest
+sections the run adds: ``timings_s`` and ``diagnostics``, and for
+converge ``oracle``, the quadrature value and error bound per counting
+point.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .exhaustion import folner_box, interior_vertices, window_subgraph
 from .floquet import (
     Band,
     BandEdgeError,
+    IdsEstimate,
     MagneticCell,
     OracleUnavailableError,
     band_edge_distance,
@@ -53,11 +57,13 @@ from .floquet import (
 from .operators import harper_dml, hofstadter_weights
 from .lattice import square_lattice
 from .spectra import (
+    WindowMatrix,
     WindowSpectrum,
     assemble_dirichlet,
-    assemble_neumann,
+    dirichlet_matrix,
     gershgorin_bound,
     interior_restriction,
+    neumann_matrix,
     rect_kernel_dim,
     spectral_density,
 )
@@ -192,12 +198,12 @@ def _oracle_cell(model: BuiltModel) -> MagneticCell:
     return magnetic_cell(model.graph, model.operator, model.weights.flux)
 
 
-def _diagnostics(m: int, boundary: str, M: np.ndarray, spec: WindowSpectrum) -> dict:
+def _diagnostics(m: int, boundary: str, A: WindowMatrix, spec: WindowSpectrum) -> dict:
     return {
         "m": m,
         "boundary": boundary,
-        "dim": M.shape[0],
-        "nnz": int(np.count_nonzero(M)),
+        "dim": A.dim,
+        "nnz": A.nnz,
         "blocks": spec.blocks,
         "bandwidth": spec.bandwidth,
         "solver": spec.solver,
@@ -207,16 +213,16 @@ def _diagnostics(m: int, boundary: str, M: np.ndarray, spec: WindowSpectrum) -> 
 def _window_spectrum(model: BuiltModel, m: int, boundary: str) -> tuple[WindowSpectrum, dict]:
     win = window_subgraph(model.graph, folner_box(model.graph.dimension, m))
     if boundary == "dirichlet":
-        M = assemble_dirichlet(model.operator, win)
+        A = dirichlet_matrix(model.operator, win)
     else:  # "neumann", the only other boundary parse_config admits
         if model.spec.operator != "dml":
             raise ConfigError(
                 "neumann boundary is defined for the Laplacian only; "
                 f"got operator {model.spec.operator!r}"
             )
-        M = assemble_neumann(model.graph, model.weights, win)
-    spec = spectral_density(M, win)
-    return spec, _diagnostics(m, boundary, M, spec)
+        A = neumann_matrix(model.graph, model.weights, win)
+    spec = spectral_density(A, win)
+    return spec, _diagnostics(m, boundary, A, spec)
 
 
 def _boundaries(cfg: ExperimentConfig) -> list[str]:
@@ -238,7 +244,7 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     model = build_model(cfg.model)
 
     cell = None
-    oracle_values: dict[float, Optional[float]] = {}
+    estimates: dict[float, Optional[IdsEstimate]] = {}
     if cfg.oracle.compare:
         try:
             cell = _oracle_cell(model)
@@ -255,7 +261,7 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
             band_edges(cell), cfg.lambdas.count, cfg.lambdas.margin
         )
     if cell is not None:
-        def oracle_at(lam: float) -> Optional[float]:
+        def oracle_at(lam: float) -> Optional[IdsEstimate]:
             try:
                 if not cfg.oracle.allow_band_edge:
                     if band_edge_distance(cell, lam) < BAND_EDGE_EXCLUSION:
@@ -263,11 +269,11 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
                 return ids_oracle(
                     cell, lam, cfg.oracle.grid_n,
                     allow_band_edge=cfg.oracle.allow_band_edge,
-                ).value
+                )
             except BandEdgeError:
                 return None
 
-        oracle_values = dict(zip(lams, ordered_parallel(oracle_at, lams)))
+        estimates = dict(zip(lams, ordered_parallel(oracle_at, lams)))
 
     tasks = [(m, bc) for m in cfg.windows for bc in _boundaries(cfg)]
     results = ordered_parallel(lambda t: _window_spectrum(model, t[0], t[1]), tasks)
@@ -277,12 +283,20 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
         for m in cfg.windows:
             for bc in _boundaries(cfg):
                 f_m = spectra[(m, bc)].ids(lam)
-                f_star = oracle_values.get(lam)
+                est = estimates.get(lam)
+                f_star = None if est is None else est.value
                 err = None if f_star is None else abs(f_m - f_star)
                 rows.append(ResultRow(cfg.label, bc, m, lam, f_m, f_star, err))
+    for spec, diag in results:
+        diag["eigenvalue_distance"] = [spec.distance(lam) for lam in lams]
     return rows, {
         "timings_s": {"total": time.perf_counter() - t0},
         "diagnostics": [diag for _, diag in results],
+        "oracle": [
+            {"lambda": lam, "value": None, "error_bound": None} if est is None
+            else {"lambda": lam, "value": est.value, "error_bound": est.error_bound}
+            for lam, est in estimates.items()
+        ],
     }
 
 
@@ -323,7 +337,8 @@ def run_jumps(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     def one_window(m: int):
         win = window_subgraph(model.graph, folner_box(model.graph.dimension, m))
         M = assemble_dirichlet(model.operator, win)
-        spec = spectral_density(M, win)
+        A = WindowMatrix.from_dense(M)
+        spec = spectral_density(A, win)
         split = interior_vertices(model.graph, win, radius)
         tol = cfg.jump_tol_scale * max(gershgorin_bound(M), 1e-4)
         out = []
@@ -353,7 +368,7 @@ def run_jumps(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
                     d_oracle=None if d_oracle is None else float(d_oracle),
                 )
             )
-        return out, _diagnostics(m, "dirichlet", M, spec)
+        return out, _diagnostics(m, "dirichlet", A, spec)
 
     per_window = ordered_parallel(one_window, list(cfg.windows))
     rows = []

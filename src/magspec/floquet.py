@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exhaustion import window_subgraph
+from .exhaustion import distinct_rows, window_subgraph
 from .lattice import PeriodicGraph, Shift
 from .operators import LocalOperator, gamma_trace_power
 from .spectra import assemble_dirichlet, gershgorin_bound
@@ -25,6 +25,10 @@ from .spectra import assemble_dirichlet, gershgorin_bound
 PERIODICITY_TOL = 1e-13
 BAND_EDGE_MARGIN = 1e-6
 FLAT_BAND_TOL = 1e-10
+# Complex entries per stack of fibers diagonalized at once: 4 MiB, plus
+# eigvalsh's copy.  The grid chunks used to be 16 times larger, which for
+# 3 x 3 fibers held a whole 512^2 grid (64 MiB) at once and ran no faster.
+FIBER_CHUNK_ENTRIES = 1 << 18
 
 
 class OracleUnavailableError(RuntimeError):
@@ -120,11 +124,13 @@ def _fibers(cell: MagneticCell, kpts: np.ndarray) -> np.ndarray:
 
 def _fiber_eigs(cell: MagneticCell, kpts: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the fibers at each momentum, shape
-    (len(kpts), dim); fibers are built and diagonalized in bounded chunks
-    so large stacks stay within memory.  Adds len(kpts) to the cell's
+    (len(kpts), dim); fibers are built and diagonalized in chunks of at
+    most FIBER_CHUNK_ENTRIES matrix entries (one fiber when a single fiber
+    is larger).  ``eigvalsh`` treats each matrix of a stack on its own, so
+    the chunking does not change a bit.  Adds len(kpts) to the cell's
     ``fibers_diagonalized``."""
     eigs = np.empty((kpts.shape[0], cell.dim), dtype=float)
-    chunk = max(1, (1 << 22) // max(1, cell.dim * cell.dim))
+    chunk = max(1, FIBER_CHUNK_ENTRIES // max(1, cell.dim * cell.dim))
     for start in range(0, kpts.shape[0], chunk):
         eigs[start : start + chunk] = np.linalg.eigvalsh(_fibers(cell, kpts[start : start + chunk]))
     cell.fibers_diagonalized += kpts.shape[0]
@@ -137,23 +143,8 @@ def _distinct_fiber_eigs(cell: MagneticCell, kpts: np.ndarray) -> np.ndarray:
     and -0.0 stay apart; ``eigvalsh`` treats each matrix of a stack on its
     own, so every eigenvalue has the bits of a direct call."""
     keys = np.ascontiguousarray(kpts, dtype=float).view(np.int64)
-    distinct, inverse = _distinct_rows(keys)
+    distinct, inverse = distinct_rows(keys)
     return _fiber_eigs(cell, distinct.view(float))[inverse]
-
-
-def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2D integer array in lexicographic order, and
-    for each row the index of its distinct row: what ``np.unique(keys,
-    axis=0, return_inverse=True)`` returns, from a lexsort over the
-    columns (first column most significant) and a row-change mask instead
-    of an argsort over void-typed rows."""
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    starts = np.ones(len(keys), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return ordered[starts], inverse
 
 
 def bloch_fiber(cell: MagneticCell, k) -> np.ndarray:

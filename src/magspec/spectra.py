@@ -1,11 +1,17 @@
-"""Dense window restrictions and eigenvalue counting.
+"""Window matrices and eigenvalue counting.
 
 Every window matrix is read off the operator's stencil by one routine,
 ``operators.window_coo`` (``LocalOperator.triplets`` at the window's
-vertices, with rows found by ``Window.positions``).  The
-Neumann Laplacian is the Dirichlet compression of the magnetic Laplacian
-minus a diagonal, so their difference is a nonnegative diagonal on the
-boundary collar by construction.
+vertices, with rows found by ``Window.positions``), and held as its
+nonzero entries (``WindowMatrix``: sorted COO triplets, each position
+once).  ``dirichlet_matrix`` and ``neumann_matrix`` build those, and
+``WindowMatrix.dense`` is the one place a window matrix becomes an n x n
+array, capped at MAX_DENSE_DIM: ``assemble_dirichlet`` and
+``assemble_neumann`` (the dense matrices the checks and tests read) and
+the dense and blocks solvers call it.  The Neumann Laplacian is the
+Dirichlet compression of the magnetic Laplacian minus a diagonal, so
+their difference is a nonnegative diagonal on the boundary collar by
+construction.
 
 Two counting backends count eigenvalues <= lam: full diagonalization (the
 default) and LDL-inertia counting.  The inertia backend calls LAPACK
@@ -27,8 +33,9 @@ such as the triangle cells costs O(n) instead of a dense O(n^3) call.  A
 connected matrix whose nonzeros lie within a narrow band (half-bandwidth
 b with BAND_RATIO * b <= n, as a box window in its natural vertex order
 has) is diagonalized in LAPACK band storage by ``hbevd``, at O(n^2 b)
-instead of O(n^3); a connected matrix with a wide band takes the plain
-dense call.
+instead of O(n^3), from (b + 1) n entries written straight from the
+nonzeros: no n x n array and no dimension cap.  A connected matrix with a
+wide band takes the plain dense call.
 
 Jumps and kernel dimensions are floating-point notions here, so both are
 defined through clusters with a validated gap, judged over the union of
@@ -46,7 +53,7 @@ import ctypes
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
@@ -173,54 +180,114 @@ def _check_dim(n: int) -> None:
         )
 
 
-def assemble_dirichlet(op: LocalOperator, window: Window) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class WindowMatrix:
+    """A Hermitian matrix of dimension ``dim`` held as its nonzero entries:
+    ``rows``, ``cols`` and ``vals`` sorted by (row, column), each position
+    once, which is what ``np.nonzero`` reads off the dense matrix.
+    ``dense()`` builds the dense matrix; one read off a dense matrix keeps
+    it instead of building a copy."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    dim: int
+    _dense: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_dense(cls, M: np.ndarray) -> "WindowMatrix":
+        rows, cols = np.nonzero(M)
+        return cls(rows, cols, M[rows, cols], M.shape[0], M)
+
+    @classmethod
+    def from_triplets(
+        cls, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int
+    ) -> "WindowMatrix":
+        """The sum of COO triplets, a position given more than once added
+        up in input order (the additions ``np.add.at`` makes on a dense
+        zero matrix, so every entry has the same bits), entries that sum
+        to zero dropped."""
+        keys, inverse = np.unique(rows.astype(np.int64) * dim + cols, return_inverse=True)
+        summed = np.zeros(keys.size, dtype=complex)
+        np.add.at(summed, inverse, vals)
+        keep = summed != 0
+        keys = keys[keep]
+        return cls(keys // dim, keys % dim, summed[keep], dim)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.vals.size)
+
+    def dense(self) -> np.ndarray:
+        """The dense matrix; building one is capped at MAX_DENSE_DIM."""
+        if self._dense is not None:
+            return self._dense
+        _check_dim(self.dim)
+        M = np.zeros((self.dim, self.dim), dtype=complex)
+        M[self.rows, self.cols] = self.vals
+        return M
+
+
+def dirichlet_matrix(op: LocalOperator, window: Window) -> WindowMatrix:
     """Compression of the operator to functions supported on the window:
-    entry (u, v) = <A delta_v, delta_u> for window vertices u, v, read off
-    the stencil exactly.  Hermitian by construction (asserted)."""
-    return _compression(op, window)
-
-
-def _compression(op: LocalOperator, window: Window) -> np.ndarray:
-    # body of assemble_dirichlet; assemble_neumann calls it too, so each
-    # window matrix passes through exactly one (traceable) assemble_* call
-    n = len(window)
-    _check_dim(n)
+    entry (u, v) = <A delta_v, delta_u> for window vertices u, v, summed
+    from the stencil's ``window_coo`` triplets with the targets off the
+    window dropped.  Hermitian by construction (asserted)."""
     rows, cols, vals = window_coo(op, window)
-    inside = rows >= 0  # drop targets off the window
-    rows, cols = rows[inside], cols[inside]
-    M = np.zeros((n, n), dtype=complex)
-    np.add.at(M, (rows, cols), vals[inside])
-    _assert_hermitian(M, rows, cols)
-    return M
+    inside = rows >= 0
+    A = WindowMatrix.from_triplets(rows[inside], cols[inside], vals[inside], len(window))
+    _assert_hermitian(A)
+    return A
+
+
+def neumann_matrix(graph, weights: WeightFunction, window: Window) -> WindowMatrix:
+    """Magnetic Laplacian of the induced finite subgraph: the Dirichlet
+    compression of the Laplacian with each diagonal entry lowered by the
+    vertex's valence minus its number of inner edges, so the diagonal
+    counts the valence inside the window.  The lowering is added after
+    the compression's own entries, as a subtraction from the dense
+    diagonal would be.  Only defined for Laplacian-type operators, which
+    is why this takes the graph and weights directly."""
+    A = dirichlet_matrix(harper_dml(graph, weights)[1], window)
+    tails, heads, _ = window.edge_ends()
+    inner = np.bincount(np.concatenate([tails, heads]), minlength=len(window))
+    valence = np.array([graph.valence(orb) for orb in range(graph.num_orbits)])
+    drop = valence[window.orbits] - inner
+    lowered = np.flatnonzero(drop)
+    return WindowMatrix.from_triplets(
+        np.concatenate([A.rows, lowered]),
+        np.concatenate([A.cols, lowered]),
+        np.concatenate([A.vals, -drop[lowered]]),
+        A.dim,
+    )
+
+
+def assemble_dirichlet(op: LocalOperator, window: Window) -> np.ndarray:
+    """``dirichlet_matrix`` as a dense matrix (capped at MAX_DENSE_DIM)."""
+    return dirichlet_matrix(op, window).dense()
 
 
 def assemble_neumann(
     graph, weights: WeightFunction, window: Window
 ) -> np.ndarray:
-    """Magnetic Laplacian of the induced finite subgraph: the Dirichlet
-    compression of the Laplacian with each diagonal entry lowered by the
-    vertex's valence minus its number of inner edges, so the diagonal
-    counts the valence inside the window.  Only defined for Laplacian-type
-    operators, which is why this takes the graph and weights directly."""
-    M = _compression(harper_dml(graph, weights)[1], window)
-    tails, heads, _ = window.edge_ends()
-    inner = np.bincount(np.concatenate([tails, heads]), minlength=len(window))
-    valence = np.array([graph.valence(orb) for orb in range(graph.num_orbits)])
-    M[np.diag_indices_from(M)] -= valence[window.orbits] - inner
-    return M
+    """``neumann_matrix`` as a dense matrix (capped at MAX_DENSE_DIM)."""
+    return neumann_matrix(graph, weights, window).dense()
 
 
-def _assert_hermitian(
-    M: np.ndarray, rows: np.ndarray, cols: np.ndarray, tol: float = 1e-12
-) -> None:
-    """Largest |M - M^*| entry against tol times the largest |M| entry (at
-    least 1), over the written entries (rows, cols): every other entry of
-    M - M^* is zero or mirrors a written one, so no n x n temporary."""
-    if rows.size == 0:
+def _assert_hermitian(A: WindowMatrix, tol: float = 1e-12) -> None:
+    """Largest |A - A^*| entry against tol times the largest |A| entry (at
+    least 1).  An entry of A - A^* is zero unless it or its mirror is a
+    stored entry, and both have the same size, so the stored entries and
+    their mirrors (found by binary search on the sorted positions) decide
+    it without an n x n temporary."""
+    if A.nnz == 0:
         return
-    written = M[rows, cols]
-    scale = max(1.0, float(np.abs(written).max()))
-    resid = float(np.abs(written - M[cols, rows].conj()).max())
+    keys = A.rows.astype(np.int64) * A.dim + A.cols
+    mirror = A.cols.astype(np.int64) * A.dim + A.rows
+    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+    mirrored = np.where(keys[at] == mirror, A.vals[at], 0)
+    scale = max(1.0, float(np.abs(A.vals).max()))
+    resid = float(np.abs(A.vals - mirrored.conj()).max())
     if resid > tol * scale:
         raise AssertionError(f"restriction matrix is not Hermitian: residual {resid:.3e}")
 
@@ -346,39 +413,43 @@ def _blocks_by_shape(*labelings: np.ndarray, count: int):
         ]
 
 
-def _band_eigvals(M: np.ndarray, b: int) -> np.ndarray:
+def _band_eigvals(A: WindowMatrix, b: int) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix of half-bandwidth b, from its b + 1
-    lower diagonals in LAPACK lower band storage: ab[k, j] = M[j + k, j]."""
-    n = M.shape[0]
-    ab = np.zeros((b + 1, n), dtype=complex)
-    for k in range(b + 1):
-        ab[k, : n - k] = M.diagonal(-k)
+    lower diagonals in LAPACK lower band storage: ab[k, j] = A[j + k, j],
+    written from the stored entries on or below the diagonal."""
+    lower = A.rows >= A.cols
+    ab = np.zeros((b + 1, A.dim), dtype=complex, order="F")
+    ab[(A.rows - A.cols)[lower], A.cols[lower]] = A.vals[lower]
     evals, _, info = _HBEVD(ab, compute_v=0, lower=1, overwrite_ab=1)
     if info:
         raise np.linalg.LinAlgError(f"hbevd failed with info {info}")
     return evals
 
 
-def _block_spectrum(M: np.ndarray) -> tuple[np.ndarray, int, int, str]:
-    """Sorted eigenvalues of a Hermitian matrix, the number of connected
+def _block_spectrum(M: np.ndarray | WindowMatrix) -> tuple[np.ndarray, int, int, str]:
+    """Sorted eigenvalues of a Hermitian matrix, dense or a WindowMatrix
+    (a dense one is read through ``np.nonzero``), the number of connected
     blocks of its nonzero pattern, its half-bandwidth max |i - j| over the
     nonzeros (0 without off-diagonal nonzeros) and the solver used.  The
     spectrum is the union of the blocks' spectra; equal-size blocks are
     diagonalized in one stacked call ("blocks").  A connected matrix is
     diagonalized in band storage when BAND_RATIO * b <= n ("banded"), and
-    by the plain dense call otherwise ("dense")."""
-    n = M.shape[0]
+    by the plain dense call otherwise ("dense").  Only the dense and blocks
+    solvers build the dense matrix, so only they are capped at
+    MAX_DENSE_DIM."""
+    A = M if isinstance(M, WindowMatrix) else WindowMatrix.from_dense(M)
+    n = A.dim
     if n == 0:
         return np.zeros(0), 0, 0, "dense"
-    rows, cols = np.nonzero(M)
-    b = int(np.abs(rows - cols).max()) if rows.size else 0
-    count, labels = _components(rows, cols, n)
+    b = int(np.abs(A.rows - A.cols).max()) if A.nnz else 0
+    count, labels = _components(A.rows, A.cols, n)
     if count == 1:
         if 0 < BAND_RATIO * b <= n:
-            return np.sort(_band_eigvals(M, b)), 1, b, "banded"
-        return np.sort(np.linalg.eigvalsh(M)), 1, b, "dense"
+            return np.sort(_band_eigvals(A, b)), 1, b, "banded"
+        return np.sort(np.linalg.eigvalsh(A.dense())), 1, b, "dense"
+    dense = A.dense()
     parts = [
-        np.linalg.eigvalsh(M[idx[:, :, None], idx[:, None, :]]).ravel()
+        np.linalg.eigvalsh(dense[idx[:, :, None], idx[:, None, :]]).ravel()
         for _, (idx,) in _blocks_by_shape(labels, count=count)
     ]
     return np.sort(np.concatenate(parts)), count, b, "blocks"
@@ -420,6 +491,13 @@ class WindowSpectrum:
         _warn_if_on_eigenvalue(self.eigenvalues, lam)
         return int(np.searchsorted(self.eigenvalues, lam, side="right"))
 
+    def distance(self, lam: float) -> float:
+        """Distance from lam to the nearest eigenvalue, read off the sorted
+        spectrum (inf when it is empty)."""
+        i = int(np.searchsorted(self.eigenvalues, lam))
+        near = self.eigenvalues[max(i - 1, 0) : i + 1]
+        return float(np.abs(near - lam).min(initial=np.inf))
+
     def ids(self, lam: float) -> float:
         """F_m(lam) = #{eigenvalues <= lam} / #Lambda_m.  Not bracketed:
         when lam is within the bracketing shift of an eigenvalue the value
@@ -447,9 +525,10 @@ class WindowSpectrum:
         return self.jump_count(lam, tol) / self.normalization
 
 
-def spectral_density(M: np.ndarray, window: Window) -> WindowSpectrum:
-    """Diagonalize once, one connected block at a time, and wrap the
-    sorted spectrum with the window's Folner normalization."""
+def spectral_density(M: np.ndarray | WindowMatrix, window: Window) -> WindowSpectrum:
+    """Diagonalize a window matrix, dense or a WindowMatrix, once, one
+    connected block at a time, and wrap the sorted spectrum with the
+    window's Folner normalization."""
     evals, blocks, bandwidth, solver = _block_spectrum(M)
     return WindowSpectrum(evals, len(window.elements), blocks, bandwidth, solver)
 

@@ -1,11 +1,15 @@
 """Shared test helpers: hypothesis strategies for random small periodic
 graphs and shifts, the vertex list of a window, the set-based collar
-reference and the two-orbit decorated square lattice."""
+reference, the two-orbit decorated square lattice, and the dense window
+matrices and dense-copy band solver that the triplet band path is checked
+against."""
 
 import hypothesis.strategies as st
+import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 from magspec.lattice import add, periodic_graph, word_ball
-from magspec.operators import WeightFunction, harper_dml, landau_phase
+from magspec.operators import WeightFunction, harper_dml, landau_phase, window_coo
 
 
 @st.composite
@@ -83,3 +87,44 @@ def decorated_lattice(flux):
     weights = WeightFunction(graph, rules, flux=flux)
     harper, dml = harper_dml(graph, weights)
     return graph, weights, dml
+
+
+def dense_dirichlet(op, window):
+    """The Dirichlet window matrix scattered straight onto an n x n zero
+    matrix: ``np.add.at`` of the ``window_coo`` triplets whose target is
+    inside the window."""
+    n = len(window)
+    rows, cols, vals = window_coo(op, window)
+    inside = rows >= 0
+    M = np.zeros((n, n), dtype=complex)
+    np.add.at(M, (rows[inside], cols[inside]), vals[inside])
+    return M
+
+
+def dense_neumann(graph, weights, window):
+    """The Neumann window matrix on a dense array: the dense Dirichlet
+    Laplacian, then its diagonal lowered by valence minus inner edges."""
+    M = dense_dirichlet(harper_dml(graph, weights)[1], window)
+    tails, heads, _ = window.edge_ends()
+    inner = np.bincount(np.concatenate([tails, heads]), minlength=len(window))
+    valence = np.array([graph.valence(orb) for orb in range(graph.num_orbits)])
+    M[np.diag_indices_from(M)] -= valence[window.orbits] - inner
+    return M
+
+
+def dense_band_spectrum(M):
+    """The band solver reading a dense matrix: nnz and the half-bandwidth b
+    from its nonzeros, the b + 1 lower diagonals copied off M into LAPACK
+    band storage, and the sorted ``zhbevd`` eigenvalues.  Returns
+    (eigenvalues, nnz, b)."""
+    n = M.shape[0]
+    rows, cols = np.nonzero(M)
+    b = int(np.abs(rows - cols).max())
+    ab = np.zeros((b + 1, n), dtype=complex)
+    for k in range(b + 1):
+        ab[k, : n - k] = M.diagonal(-k)
+    evals, _, info = get_lapack_funcs("hbevd", dtype=np.complex128)(
+        ab, compute_v=0, lower=1, overwrite_ab=1
+    )
+    assert info == 0
+    return np.sort(evals), int(np.count_nonzero(M)), b

@@ -30,7 +30,9 @@ from magspec.experiments import (
     select_probe_lambdas,
     verify_report,
 )
+from magspec.exhaustion import folner_box, window_subgraph
 from magspec.floquet import Band
+from magspec.spectra import assemble_dirichlet, assemble_neumann
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -286,6 +288,49 @@ oracle: {grid_n: 16}
             # order; a band that wide is too wide for the band solver here
             assert d["bandwidth"] == d["m"] and d["solver"] == "dense"
         assert info["timings_s"]["total"] > 0
+
+    def test_manifest_records_oracle_bounds(self):
+        rows, info = run_converge(parse_config(SQUARE_YAML))
+        f_oracle = {r.lam: r.f_oracle for r in rows}
+        assert [o["lambda"] for o in info["oracle"]] == sorted(f_oracle)
+        for o in info["oracle"]:
+            assert o["value"] == f_oracle[o["lambda"]]
+            assert o["error_bound"] > 0
+
+    def test_points_near_a_band_edge_have_no_oracle_entry_values(self):
+        # the lowest band edge of the flux-1/2 Laplacian is 4 - 2 sqrt(2)
+        edge = 4 - 2 * 2**0.5
+        text = SQUARE_YAML.replace(
+            "lambdas: {kind: auto, count: 5, margin: 0.1}",
+            f"lambdas: {{kind: explicit, values: [{edge!r}, 2.5]}}",
+        )
+        rows, info = run_converge(parse_config(text))
+        near, far = info["oracle"]
+        assert near == {"lambda": edge, "value": None, "error_bound": None}
+        assert far["lambda"] == 2.5 and far["value"] is not None and far["error_bound"] > 0
+        assert {r.f_oracle for r in rows if r.lam == edge} == {None}
+
+    def test_no_oracle_entries_without_comparison(self):
+        text = SQUARE_YAML.replace(
+            "lambdas: {kind: auto, count: 5, margin: 0.1}",
+            "lambdas: {kind: explicit, values: [2.5]}",
+        ).replace("oracle: {grid_n: 32}", "oracle: {grid_n: 32, compare: false}")
+        _, info = run_converge(parse_config(text))
+        assert info["oracle"] == []
+        assert all(len(d["eigenvalue_distance"]) == 1 for d in info["diagnostics"])
+
+    def test_diagnostics_record_distance_to_nearest_eigenvalue(self):
+        rows, info = run_converge(parse_config(SQUARE_YAML))
+        lams = sorted({r.lam for r in rows})
+        model = build_model(parse_config(SQUARE_YAML).model)
+        for d in info["diagnostics"]:
+            win = window_subgraph(model.graph, folner_box(2, d["m"]))
+            if d["boundary"] == "dirichlet":
+                M = assemble_dirichlet(model.operator, win)
+            else:
+                M = assemble_neumann(model.graph, model.weights, win)
+            evals = np.linalg.eigvalsh(M)
+            assert d["eigenvalue_distance"] == [float(np.abs(evals - lam).min()) for lam in lams]
 
     def test_neumann_rejected_for_non_laplacian(self):
         text = SQUARE_YAML.replace("operator: dml", "operator: harper")

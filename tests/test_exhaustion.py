@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 
 from magspec.exhaustion import (
+    Window,
     folner_box,
     interior_vertices,
     isoperimetric_ratio,
@@ -15,7 +16,7 @@ from magspec.exhaustion import (
     window_boundary_ratio,
     window_subgraph,
 )
-from magspec.lattice import Vertex, line_graph, square_lattice, triangle_cells
+from magspec.lattice import Vertex, line_graph, periodic_graph, square_lattice, triangle_cells
 
 from strategies import boundary_collar, shifts, vertices
 
@@ -117,6 +118,51 @@ class TestWindowSubgraph:
             seen.add(key)
         # 2 m (m-1) undirected edges inside an m x m window
         assert len(seen) == 2 * 4 * 3
+
+
+def tuple_window(graph, elements):
+    """The window built from translates sorted and deduplicated as Python
+    tuples, the reference for the array build."""
+    return Window(graph, tuple(sorted({tuple(int(x) for x in g) for g in elements})))
+
+
+def assert_same_window(w, ref):
+    assert np.array_equal(w.elements, ref.elements)
+    assert w.elements.dtype == np.int64
+    assert np.array_equal(w.orbits, ref.orbits) and np.array_equal(w.shifts, ref.shifts)
+    # positions over the bounding box grown by one, so misses are probed too
+    lo, hi = ref.elements.min(axis=0) - 1, ref.elements.max(axis=0) + 2
+    probe = np.stack(np.meshgrid(*map(np.arange, lo, hi), indexing="ij"), -1).reshape(-1, len(lo))
+    for orb in range(w.graph.num_orbits):
+        assert np.array_equal(w.positions(orb, probe), ref.positions(orb, probe))
+
+
+class TestArrayTranslates:
+    """window_subgraph orders and deduplicates translates as an int64 array;
+    the window must equal the one built from sorted tuples."""
+
+    @pytest.mark.parametrize("d,m", [(1, 7), (2, 5), (3, 4)])
+    def test_boxes_match_tuple_build(self, d, m):
+        g = periodic_graph(d, 2, [(0, 1, (0,) * d), (1, 0, (1,) + (0,) * (d - 1))])
+        box = folner_box(d, m)
+        for elements in (box, box[::-1], box + box[:3]):
+            assert_same_window(window_subgraph(g, elements), tuple_window(g, box))
+
+    @given(st.data())
+    def test_translate_sets_with_duplicates(self, data):
+        d = data.draw(st.integers(1, 3))
+        elements = data.draw(st.lists(shifts(d), min_size=1, max_size=24))
+        extra = data.draw(st.lists(st.sampled_from(elements), max_size=8))
+        g = periodic_graph(d, 1, [(0, 0, (1,) + (0,) * (d - 1))])
+        mixed = elements + extra
+        assert_same_window(window_subgraph(g, mixed), tuple_window(g, mixed))
+
+    def test_rejects_empty_and_wrong_dimension(self):
+        g = square_lattice()
+        with pytest.raises(ValueError, match="at least one"):
+            window_subgraph(g, [])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            window_subgraph(g, [(0, 0), (1,)])
 
 
 class TestInteriorVertices:

@@ -6,12 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from magspec.exhaustion import distinct_rows
 from magspec.experiments import hofstadter_flux_list
 from magspec.floquet import (
+    FIBER_CHUNK_ENTRIES,
     BandEdgeError,
     OracleUnavailableError,
     _distinct_fiber_eigs,
-    _distinct_rows,
     _fiber_eigs,
     _fibers,
     band_edges,
@@ -297,6 +298,13 @@ class TestBandEdgeBitIdentity:
         kpts = rng.uniform(0.0, 2 * np.pi, size=(6, 2))[rng.integers(0, 6, size=40)]
         assert same_bits(_distinct_fiber_eigs(cell, kpts), _fiber_eigs(cell, kpts))
 
+    def test_chunk_boundaries_do_not_change_bits(self):
+        # 7 x 7 fibers: two full chunks and a partial one, against one stack
+        cell = square_cell(Fraction(2, 7))
+        chunk = FIBER_CHUNK_ENTRIES // (cell.dim * cell.dim)
+        kpts = np.random.default_rng(11).uniform(0.0, 2 * np.pi, size=(2 * chunk + 17, 2))
+        assert same_bits(_fiber_eigs(cell, kpts), np.linalg.eigvalsh(_fibers(cell, kpts)))
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_distinct_rows_match_unique(self, d):
         # the lexsort grouping returns np.unique's rows and inverse, on
@@ -306,7 +314,7 @@ class TestBandEdgeBitIdentity:
         for size in (0, 1, 7, 60, 400):
             kpts = rng.choice(values, size=(size, d))
             keys = np.ascontiguousarray(kpts).view(np.int64)
-            distinct, inverse = _distinct_rows(keys)
+            distinct, inverse = distinct_rows(keys)
             ref_distinct, ref_inverse = np.unique(keys, axis=0, return_inverse=True)
             assert np.array_equal(distinct, ref_distinct)
             assert np.array_equal(inverse, ref_inverse.reshape(-1))

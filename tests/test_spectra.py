@@ -1,6 +1,7 @@
 """Window restrictions, counting backends, jumps, interior restrictions
 and the window-normalized subspace dimension."""
 
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -10,8 +11,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given
 
+from magspec.config import build_model, parse_config
 from magspec.exhaustion import folner_box, interior_vertices, translated, window_subgraph
-from magspec.experiments import select_probe_lambdas
+from magspec.experiments import _window_spectrum, select_probe_lambdas
 from magspec.floquet import band_edges, magnetic_cell
 from magspec.lattice import Vertex, line_graph, periodic_graph, square_lattice, triangle_cells
 from magspec.operators import (
@@ -29,9 +31,12 @@ from magspec.operators import (
 )
 from magspec.spectra import (
     CountingPointOnEigenvalueWarning,
+    MAX_DENSE_DIM,
     ZERO_PIVOT_SCALE,
     UnresolvedClusterError,
+    WindowMatrix,
     WindowTooLargeError,
+    _assert_hermitian,
     _block_spectrum,
     _components,
     _inertia,
@@ -39,16 +44,23 @@ from magspec.spectra import (
     assemble_dirichlet,
     assemble_neumann,
     count_leq,
+    dirichlet_matrix,
     gershgorin_bound,
     inertia_bracket,
     inertia_count_leq,
     interior_restriction,
+    neumann_matrix,
     projection_window_dim,
     rect_kernel_dim,
     spectral_density,
 )
 
-from strategies import vertices
+from strategies import (
+    dense_band_spectrum,
+    dense_dirichlet,
+    dense_neumann,
+    vertices,
+)
 
 PATH3 = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], dtype=complex)
 
@@ -121,7 +133,8 @@ def reference_neumann(weights, window):
     index = index_of(window)
     M = np.zeros((n, n), dtype=complex)
     g = window.graph
-    for e in (g.template_edge(t, s) for s in window.elements for t in range(len(g.templates))):
+    shifts = map(tuple, window.elements.tolist())
+    for e in (g.template_edge(t, s) for s in shifts for t in range(len(g.templates))):
         if e.terminus not in index:
             continue
         i, j = index[e.origin], index[e.terminus]
@@ -741,6 +754,124 @@ class TestBlockPath:
         R = scrambled(rng, block_diagonal([q @ np.diag([2.0, 1.0]) @ q.T, q @ np.diag([1.0, 1.5e-7]) @ q.T]))
         with pytest.raises(UnresolvedClusterError):
             rect_kernel_dim(R.astype(complex), 1e-8)
+
+
+FLUXES = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7)]
+
+# (operator, flux, boundary, m): every flux and boundary at m = 32, and the
+# m = 48 windows of the converge benchmark
+BIT_IDENTITY_CASES = (
+    [("dml", flux, bc, 32) for flux in FLUXES for bc in ("dirichlet", "neumann")]
+    + [("harper", flux, "dirichlet", 32) for flux in FLUXES]
+    + [("dml", Fraction(1, 3), bc, 48) for bc in ("dirichlet", "neumann")]
+)
+
+CONVERGE_THIRD_YAML = """
+label: sq-third
+graph: {dimension: 2, orbits: 1, templates: [[0, 0, [1, 0]], [0, 0, [0, 1]]]}
+weights: {kind: hofstadter, flux: "1/3"}
+operator: dml
+boundary: both
+windows: [48]
+"""
+
+
+def assert_triplet_band_matches_dense_copy(A, M, w):
+    """The window matrix built from triplets equals the dense scatter, and
+    its band spectrum, nnz and half-bandwidth equal those the band solver
+    got by copying the diagonals off the dense matrix, bit for bit."""
+    assert np.array_equal(A.dense(), M)
+    evals, nnz, b = dense_band_spectrum(M)
+    spec = spectral_density(A, w)
+    assert (spec.solver, spec.bandwidth, A.nnz) == ("banded", b, nnz)
+    assert np.array_equal(spec.eigenvalues, evals)
+
+
+class TestTripletBandPath:
+    """Band windows are diagonalized from their COO triplets, without an
+    n x n array; the eigenvalues are those of the dense-copy band path."""
+
+    @pytest.mark.parametrize("operator,flux,boundary,m", BIT_IDENTITY_CASES)
+    def test_square_box_bit_identical_to_dense_copy(self, operator, flux, boundary, m):
+        g = square_lattice()
+        weights = hofstadter_weights(g, flux)
+        harper, dml = harper_dml(g, weights)
+        op = dml if operator == "dml" else harper
+        w = window_subgraph(g, folner_box(2, m))
+        if boundary == "dirichlet":
+            A, M = dirichlet_matrix(op, w), dense_dirichlet(op, w)
+        else:
+            A, M = neumann_matrix(g, weights, w), dense_neumann(g, weights, w)
+        assert_triplet_band_matches_dense_copy(A, M, w)
+
+    def test_two_orbit_box_bit_identical_to_dense_copy(self):
+        # the Neumann matrix is the Dirichlet one plus its lowered diagonal
+        g, weights = decorated_square_lattice()
+        w = window_subgraph(g, folner_box(2, 32))
+        A, M = neumann_matrix(g, weights, w), dense_neumann(g, weights, w)
+        assert_triplet_band_matches_dense_copy(A, M, w)
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    def test_converge_window_allocates_no_dense_matrix(self, boundary):
+        # a dense m = 48 window is n^2 * 16 bytes (85 MB); the band path
+        # must peak below a quarter of that
+        model = build_model(parse_config(CONVERGE_THIRD_YAML).model)
+        n = 48 * 48
+        tracemalloc.start()
+        try:
+            spec, diag = _window_spectrum(model, 48, boundary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag["solver"] == "banded" and diag["dim"] == n
+        assert peak < n * n * 16 / 4, peak
+
+    def test_line_window_past_the_dense_cap(self):
+        # n = 6000 > MAX_DENSE_DIM: the band path needs no dense matrix, and
+        # the Dirichlet path Laplacian has eigenvalues 2 - 2 cos(pi k / (n + 1))
+        n = 6000
+        assert n > MAX_DENSE_DIM
+        _, D, w = line_window(n)
+        spec = spectral_density(dirichlet_matrix(D, w), w)
+        assert (spec.solver, spec.bandwidth, spec.eigenvalues.size) == ("banded", 1, n)
+        exact = 2 - 2 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+        checked = 0
+        for lam in [-0.5, 0.001, 0.3, 1.0, 2.0, 2.7, 3.999, 4.5, *np.linspace(0.01, 3.99, 41)]:
+            if np.abs(exact - lam).min() <= 1e-9:
+                continue
+            assert spec.count_leq(lam) == int(np.count_nonzero(exact <= lam)), lam
+            checked += 1
+        assert checked >= 45
+
+    def test_dense_sink_keeps_the_cap(self):
+        _, D, w = line_window(MAX_DENSE_DIM + 1)
+        A = dirichlet_matrix(D, w)
+        with pytest.raises(WindowTooLargeError):
+            A.dense()
+
+    def test_dense_input_feeds_the_same_routine(self):
+        # a dense matrix is read through np.nonzero into the triplet routine
+        g = square_lattice()
+        _, dml = harper_dml(g, hofstadter_weights(g, Fraction(1, 3)))
+        w = window_subgraph(g, folner_box(2, 32))
+        A = dirichlet_matrix(dml, w)
+        M = assemble_dirichlet(dml, w)
+        from_dense = WindowMatrix.from_dense(M)
+        for got, want in zip((from_dense.rows, from_dense.cols, from_dense.vals), (A.rows, A.cols, A.vals)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(spectral_density(M, w).eigenvalues, spectral_density(A, w).eigenvalues)
+
+    def test_hermitian_check_sums_duplicates_first(self):
+        # (0, 1) is written twice, and only the sum mirrors (1, 0)
+        rows, cols = np.array([0, 1, 0, 1, 0]), np.array([1, 0, 1, 1, 0])
+        vals = np.array([1 + 1j, 2 - 2j, 1 + 1j, 3.0, 1.0])
+        A = WindowMatrix.from_triplets(rows, cols, vals, 2)
+        assert np.array_equal(A.dense(), [[1, 2 + 2j], [2 - 2j, 3]])
+        _assert_hermitian(A)
+        for keep in (slice(1, None), slice(0, 1)):  # a wrong mirror, no mirror
+            B = WindowMatrix.from_triplets(rows[keep], cols[keep], vals[keep], 2)
+            with pytest.raises(AssertionError, match="not Hermitian"):
+                _assert_hermitian(B)
 
 
 class TestProjectionWindowDim:
