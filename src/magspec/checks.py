@@ -56,6 +56,7 @@ from .spectra import (
     assemble_dirichlet,
     assemble_neumann,
     blas_thread_counts,
+    dirichlet_matrix,
     gershgorin_bound,
     inertia_count_leq,
     interior_restriction,
@@ -275,7 +276,7 @@ def check_kernel_inclusion_and_rank(m: ModelUnderTest) -> list[CheckResult]:
             mult = int(np.count_nonzero(np.abs(evals - lam) <= 1e-8 * scale))
             if kdim > mult:
                 incl_detail.append(f"m={mside} lam={lam}: D'={kdim} > D={mult}")
-            rank = int(np.linalg.matrix_rank(R, tol=1e-8 * max(scale, 1.0)))
+            rank = int(np.linalg.matrix_rank(R.dense(), tol=1e-8 * max(scale, 1.0)))
             if kdim + rank != R.shape[1]:
                 rank_detail.append(
                     f"m={mside} lam={lam}: kernel {kdim} + rank {rank} != {R.shape[1]}"
@@ -331,7 +332,7 @@ def random_stencil_window(rng: np.random.Generator, max_dim: int = 400):
     """Random Hermitian stencil restricted to a random box window.
 
     Used as the test population for the inertia/eigendecomposition
-    counting equivalence.  Returns (operator, window, matrix).
+    counting equivalence.  Returns (operator, window, dirichlet_matrix).
     """
     while True:
         dimension = int(rng.integers(1, 3))
@@ -364,8 +365,7 @@ def random_stencil_window(rng: np.random.Generator, max_dim: int = 400):
         win = window_subgraph(graph, folner_box(dimension, side))
         if len(win) > max_dim:
             continue
-        M = assemble_dirichlet(op, win)
-        return op, win, M
+        return op, win, dirichlet_matrix(op, win)
 
 
 def oracle_points(rng: np.random.Generator, evals: np.ndarray, norm: float) -> list[float]:
@@ -399,11 +399,12 @@ def check_inertia_oracle(
     solvers = dict.fromkeys(("blocks", "banded", "dense"), 0)
     with one_blas_thread():
         for _ in range(instances):
-            _, win, M = random_stencil_window(rng, max_dim)
-            spec = spectral_density(M, win)
+            _, win, A = random_stencil_window(rng, max_dim)
+            spec = spectral_density(A, win)
             evals = spec.eigenvalues
             solvers[spec.solver] += 1
-            largest = max(largest, M.shape[0])
+            largest = max(largest, A.dim)
+            M = A.dense()
             norm = max(gershgorin_bound(M), 1e-12)
             for lam in oracle_points(rng, evals, norm):
                 if np.abs(evals - lam).min() <= 1e-9 * norm:
@@ -541,7 +542,7 @@ def check_dim_properties(rng: np.random.Generator) -> list[CheckResult]:
 def check_window_norm_bound(m: ModelUnderTest) -> CheckResult:
     mside = m.window_sizes[-1]
     win = window_subgraph(m.graph, folner_box(m.graph.dimension, mside))
-    spec = spectral_density(assemble_dirichlet(m.operator, win), win)
+    spec = spectral_density(dirichlet_matrix(m.operator, win), win)
     bound = m.operator.norm_bound + 1e-9
     ok = bool(
         spec.eigenvalues.size == 0

@@ -43,7 +43,6 @@ from .config import (
 from .exhaustion import folner_box, interior_vertices, window_subgraph
 from .floquet import (
     Band,
-    BandEdgeError,
     IdsEstimate,
     MagneticCell,
     OracleUnavailableError,
@@ -59,9 +58,7 @@ from .lattice import square_lattice
 from .spectra import (
     WindowMatrix,
     WindowSpectrum,
-    assemble_dirichlet,
     dirichlet_matrix,
-    gershgorin_bound,
     interior_restriction,
     neumann_matrix,
     rect_kernel_dim,
@@ -262,16 +259,12 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
         )
     if cell is not None:
         def oracle_at(lam: float) -> Optional[IdsEstimate]:
-            try:
-                if not cfg.oracle.allow_band_edge:
-                    if band_edge_distance(cell, lam) < BAND_EDGE_EXCLUSION:
-                        return None
-                return ids_oracle(
-                    cell, lam, cfg.oracle.grid_n,
-                    allow_band_edge=cfg.oracle.allow_band_edge,
-                )
-            except BandEdgeError:
+            if not cfg.oracle.allow_band_edge and band_edge_distance(cell, lam) < BAND_EDGE_EXCLUSION:
                 return None
+            return ids_oracle(
+                cell, lam, cfg.oracle.grid_n,
+                allow_band_edge=cfg.oracle.allow_band_edge,
+            )
 
         estimates = dict(zip(lams, ordered_parallel(oracle_at, lams)))
 
@@ -336,11 +329,11 @@ def run_jumps(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
 
     def one_window(m: int):
         win = window_subgraph(model.graph, folner_box(model.graph.dimension, m))
-        M = assemble_dirichlet(model.operator, win)
-        A = WindowMatrix.from_dense(M)
+        A = dirichlet_matrix(model.operator, win)
         spec = spectral_density(A, win)
         split = interior_vertices(model.graph, win, radius)
-        tol = cfg.jump_tol_scale * max(gershgorin_bound(M), 1e-4)
+        row_sums = np.bincount(A.rows, np.abs(A.vals), minlength=A.dim)
+        tol = cfg.jump_tol_scale * max(float(row_sums.max(initial=0.0)), 1e-4)
         out = []
         for lam in lams:
             d_count = spec.jump_count(lam, tol)

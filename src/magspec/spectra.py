@@ -4,14 +4,15 @@ Every window matrix is read off the operator's stencil by one routine,
 ``operators.window_coo`` (``LocalOperator.triplets`` at the window's
 vertices, with rows found by ``Window.positions``), and held as its
 nonzero entries (``WindowMatrix``: sorted COO triplets, each position
-once).  ``dirichlet_matrix`` and ``neumann_matrix`` build those, and
-``WindowMatrix.dense`` is the one place a window matrix becomes an n x n
-array, capped at MAX_DENSE_DIM: ``assemble_dirichlet`` and
-``assemble_neumann`` (the dense matrices the checks and tests read) and
-the dense and blocks solvers call it.  The Neumann Laplacian is the
-Dirichlet compression of the magnetic Laplacian minus a diagonal, so
-their difference is a nonnegative diagonal on the boundary collar by
-construction.
+once) up to the solvers: ``dirichlet_matrix`` and ``neumann_matrix``
+build the square ones, ``interior_restriction`` the rectangular
+A' - lam i'.  ``WindowMatrix.dense`` is the one place one becomes a
+dense array, capped at MAX_DENSE_DIM: ``assemble_dirichlet`` and
+``assemble_neumann`` (the dense matrices the checks and tests read),
+the dense solver and the SVD of a connected interior restriction call
+it.  The Neumann Laplacian is the Dirichlet compression of the magnetic
+Laplacian minus a diagonal, so their difference is a nonnegative
+diagonal on the boundary collar by construction.
 
 Two counting backends count eigenvalues <= lam: full diagonalization (the
 default) and LDL-inertia counting.  The inertia backend calls LAPACK
@@ -26,16 +27,18 @@ function.  The diagonalization paths (``count_leq`` and
 which there depends on rounding, and raise
 ``CountingPointOnEigenvalueWarning`` instead.
 
-Window spectra (``spectral_density`` and ``count_leq``)
-and interior kernels (``rect_kernel_dim``) are computed one connected
-block of the matrix's nonzero pattern at a time: a block-diagonal model
-such as the triangle cells costs O(n) instead of a dense O(n^3) call.  A
-connected matrix whose nonzeros lie within a narrow band (half-bandwidth
-b with BAND_RATIO * b <= n, as a box window in its natural vertex order
-has) is diagonalized in LAPACK band storage by ``hbevd``, at O(n^2 b)
-instead of O(n^3), from (b + 1) n entries written straight from the
-nonzeros: no n x n array and no dimension cap.  A connected matrix with a
-wide band takes the plain dense call.
+Window spectra (``spectral_density`` and ``count_leq``) and interior
+kernels (``rect_kernel_dim``), which read dense input once through
+``WindowMatrix.from_dense``, are computed one connected block of the
+nonzero pattern at a time: a block-diagonal model such as the triangle
+cells costs O(n) instead of a dense O(n^3) call, its equal-shape blocks
+stacked straight from the entries.  A connected matrix whose nonzeros
+lie within a narrow band (half-bandwidth b with BAND_RATIO * b <= n, as
+a box window in its natural vertex order has) is diagonalized in LAPACK
+band storage by ``hbevd``, at O(n^2 b) instead of O(n^3), from its
+(b + 1) n lower-band entries.  Neither builds an n x n or n x k array or
+has a dimension cap.  A connected matrix with a wide band takes the
+plain dense call.
 
 Jumps and kernel dimensions are floating-point notions here, so both are
 defined through clusters with a validated gap, judged over the union of
@@ -53,7 +56,7 @@ import ctypes
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
@@ -172,47 +175,44 @@ def _warn_if_on_eigenvalue(evals: np.ndarray, lam: float) -> None:
         )
 
 
-def _check_dim(n: int) -> None:
-    if n > MAX_DENSE_DIM:
-        raise WindowTooLargeError(
-            f"dense restriction of dimension {n} exceeds the cap {MAX_DENSE_DIM}; "
-            "choose a smaller window"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class WindowMatrix:
-    """A Hermitian matrix of dimension ``dim`` held as its nonzero entries:
-    ``rows``, ``cols`` and ``vals`` sorted by (row, column), each position
-    once, which is what ``np.nonzero`` reads off the dense matrix.
-    ``dense()`` builds the dense matrix; one read off a dense matrix keeps
-    it instead of building a copy."""
+    """A matrix of shape ``shape`` held as its nonzero entries: ``rows``,
+    ``cols`` and ``vals`` sorted by (row, column), each position once,
+    which is what ``np.nonzero`` reads off the dense matrix.  Square and
+    Hermitian for a window operator (``dim`` is then its dimension),
+    rectangular for an interior restriction."""
 
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    dim: int
-    _dense: Optional[np.ndarray] = None
+    shape: tuple[int, int]
 
     @classmethod
     def from_dense(cls, M: np.ndarray) -> "WindowMatrix":
         rows, cols = np.nonzero(M)
-        return cls(rows, cols, M[rows, cols], M.shape[0], M)
+        return cls(rows, cols, M[rows, cols], M.shape)
 
     @classmethod
     def from_triplets(
-        cls, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int
+        cls, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: int | tuple[int, int]
     ) -> "WindowMatrix":
-        """The sum of COO triplets, a position given more than once added
-        up in input order (the additions ``np.add.at`` makes on a dense
-        zero matrix, so every entry has the same bits), entries that sum
-        to zero dropped."""
-        keys, inverse = np.unique(rows.astype(np.int64) * dim + cols, return_inverse=True)
+        """The sum of COO triplets (shape an int for a square matrix), a
+        position given more than once added up in input order (the
+        additions ``np.add.at`` makes on a dense zero matrix, so every
+        entry has the same bits), entries that sum to zero dropped."""
+        shape = (shape, shape) if isinstance(shape, int) else shape
+        width = shape[1]
+        keys, inverse = np.unique(rows.astype(np.int64) * width + cols, return_inverse=True)
         summed = np.zeros(keys.size, dtype=complex)
         np.add.at(summed, inverse, vals)
         keep = summed != 0
         keys = keys[keep]
-        return cls(keys // dim, keys % dim, summed[keep], dim)
+        return cls(keys // width, keys % width, summed[keep], shape)
+
+    @property
+    def dim(self) -> int:
+        return self.shape[0]
 
     @property
     def nnz(self) -> int:
@@ -220,10 +220,12 @@ class WindowMatrix:
 
     def dense(self) -> np.ndarray:
         """The dense matrix; building one is capped at MAX_DENSE_DIM."""
-        if self._dense is not None:
-            return self._dense
-        _check_dim(self.dim)
-        M = np.zeros((self.dim, self.dim), dtype=complex)
+        if max(self.shape) > MAX_DENSE_DIM:
+            raise WindowTooLargeError(
+                f"dense matrix of shape {self.shape} exceeds the cap {MAX_DENSE_DIM}; "
+                "choose a smaller window"
+            )
+        M = np.zeros(self.shape, dtype=complex)
         M[self.rows, self.cols] = self.vals
         return M
 
@@ -394,23 +396,28 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[int, np.nda
     return int(is_root.sum()), (np.cumsum(is_root) - 1)[parent]
 
 
-def _blocks_by_shape(*labelings: np.ndarray, count: int):
-    """Group the blocks by shape.  Each labeling assigns one axis's indices
-    to blocks 0..count-1; yields, per distinct shape, the shape and for
-    each axis an index array (blocks of that shape) x (their indices in
-    ascending order)."""
-    members = []
-    for labels in labelings:
-        sizes = np.bincount(labels, minlength=count)
-        starts = np.cumsum(sizes) - sizes
-        members.append((np.argsort(labels, kind="stable"), starts, sizes))
-    shapes = np.stack([sizes for _, _, sizes in members], axis=1)
+def _block_stacks(A: WindowMatrix, row_labels: np.ndarray, col_labels: np.ndarray, count: int):
+    """The blocks of A, grouped by shape.  The labelings assign the row
+    and the column indices to blocks 0..count-1, and every entry of A lies
+    in one block.  Yields, per distinct shape (rows, cols) in ascending
+    order, a stack (blocks of that shape, in block order) x rows x cols,
+    written from the entries, each block's indices in ascending order."""
+    labelings = (row_labels, col_labels)
+    shapes = np.stack([np.bincount(labels, minlength=count) for labels in labelings], axis=1)
+    local = []  # each index's place in its block
+    for labels, size in zip(labelings, shapes.T):
+        starts = np.cumsum(size) - size
+        at = np.empty(labels.size, dtype=np.int64)
+        at[np.argsort(labels, kind="stable")] = np.arange(labels.size) - np.repeat(starts, size)
+        local.append(at)
+    block = row_labels[A.rows]
     for shape in np.unique(shapes, axis=0):
-        which = np.flatnonzero((shapes == shape).all(axis=1))
-        yield tuple(int(k) for k in shape), [
-            order[starts[which][:, None] + np.arange(k)]
-            for (order, starts, _), k in zip(members, shape)
-        ]
+        same = (shapes == shape).all(axis=1)
+        mine = same[block]
+        rows, cols = local[0][A.rows[mine]], local[1][A.cols[mine]]
+        stack = np.zeros((int(same.sum()), *shape), dtype=complex)
+        stack[(np.cumsum(same) - 1)[block[mine]], rows, cols] = A.vals[mine]
+        yield stack
 
 
 def _band_eigvals(A: WindowMatrix, b: int) -> np.ndarray:
@@ -432,11 +439,11 @@ def _block_spectrum(M: np.ndarray | WindowMatrix) -> tuple[np.ndarray, int, int,
     blocks of its nonzero pattern, its half-bandwidth max |i - j| over the
     nonzeros (0 without off-diagonal nonzeros) and the solver used.  The
     spectrum is the union of the blocks' spectra; equal-size blocks are
-    diagonalized in one stacked call ("blocks").  A connected matrix is
-    diagonalized in band storage when BAND_RATIO * b <= n ("banded"), and
-    by the plain dense call otherwise ("dense").  Only the dense and blocks
-    solvers build the dense matrix, so only they are capped at
-    MAX_DENSE_DIM."""
+    diagonalized in one stacked call ("blocks"), written straight from the
+    entries.  A connected matrix is diagonalized in band storage when
+    BAND_RATIO * b <= n ("banded"), and by the plain dense call otherwise
+    ("dense").  Only the dense solver builds the dense matrix, so only it
+    is capped at MAX_DENSE_DIM."""
     A = M if isinstance(M, WindowMatrix) else WindowMatrix.from_dense(M)
     n = A.dim
     if n == 0:
@@ -447,30 +454,26 @@ def _block_spectrum(M: np.ndarray | WindowMatrix) -> tuple[np.ndarray, int, int,
         if 0 < BAND_RATIO * b <= n:
             return np.sort(_band_eigvals(A, b)), 1, b, "banded"
         return np.sort(np.linalg.eigvalsh(A.dense())), 1, b, "dense"
-    dense = A.dense()
-    parts = [
-        np.linalg.eigvalsh(dense[idx[:, :, None], idx[:, None, :]]).ravel()
-        for _, (idx,) in _blocks_by_shape(labels, count=count)
-    ]
+    parts = [np.linalg.eigvalsh(stack).ravel() for stack in _block_stacks(A, labels, labels, count)]
     return np.sort(np.concatenate(parts)), count, b, "blocks"
 
 
-def _block_singular_values(R: np.ndarray) -> np.ndarray:
+def _block_singular_values(R: WindowMatrix) -> np.ndarray:
     """Singular values of a rectangular matrix, one per column: the union
     over the connected blocks of its bipartite row/column nonzero graph,
     each r x c block padded with c - min(r, c) zeros.  Rows without a
-    column add nothing; equal-shape blocks share one stacked call."""
+    column add nothing; equal-shape blocks share one stacked call, written
+    from the entries.  Only a connected matrix takes the dense SVD."""
     r, c = R.shape
-    rows, cols = np.nonzero(R)
-    count, labels = _components(rows, cols + r, r + c)
+    count, labels = _components(R.rows, R.cols + r, r + c)
     if count == 1:
-        return np.concatenate([np.linalg.svd(R, compute_uv=False), np.zeros(c - min(r, c))])
+        return np.concatenate([np.linalg.svd(R.dense(), compute_uv=False), np.zeros(c - min(r, c))])
     parts = []
-    for (rb, cb), (ridx, cidx) in _blocks_by_shape(labels[:r], labels[r:], count=count):
+    for stack in _block_stacks(R, labels[:r], labels[r:], count):
+        blocks, rb, cb = stack.shape
         if rb and cb:
-            sub = R[ridx[:, :, None], cidx[:, None, :]]
-            parts.append(np.linalg.svd(sub, compute_uv=False).ravel())
-        parts.append(np.zeros(len(cidx) * (cb - min(rb, cb))))
+            parts.append(np.linalg.svd(stack, compute_uv=False).ravel())
+        parts.append(np.zeros(blocks * (cb - min(rb, cb))))
     return np.concatenate(parts)
 
 
@@ -535,9 +538,11 @@ def spectral_density(M: np.ndarray | WindowMatrix, window: Window) -> WindowSpec
 
 def interior_restriction(
     op: LocalOperator, window: Window, split: InteriorSplit, lam: float
-) -> np.ndarray:
+) -> WindowMatrix:
     """Matrix of (A' - lam i'): functions on the interior -> functions on
-    the window, in window coordinates.
+    the window, in window coordinates, summed from the stencil's
+    ``window_coo`` entries at the interior columns with -lam added on the
+    interior diagonal after them.
 
     The interior radius must dominate the operator's propagation bound so
     that no column can leak outside the window; leakage is checked exactly
@@ -548,8 +553,6 @@ def interior_restriction(
             f"interior radius {split.radius} is below the propagation bound "
             f"{op.propagation}"
         )
-    n = len(window)
-    _check_dim(n)
     interior = split.interior_positions
     rows, cols, vals = window_coo(op, window, interior)
     leaks = np.flatnonzero(rows < 0)
@@ -559,23 +562,25 @@ def interior_restriction(
             f"finite propagation violated: column at {y} leaks outside the window"
         )
     k = interior.size
-    R = np.zeros((n, k), dtype=complex)
-    np.add.at(R, (rows, cols), vals)
-    R[interior, np.arange(k)] -= lam
-    return R
+    return WindowMatrix.from_triplets(
+        np.concatenate([rows, interior]),
+        np.concatenate([cols, np.arange(k)]),
+        np.concatenate([vals, np.full(k, -complex(lam))]),  # -0.0 imaginary part: adds as - lam
+        (len(window), k),
+    )
 
 
-def rect_kernel_dim(R: np.ndarray, tol: float) -> int:
-    """Kernel dimension of a rectangular matrix: singular values below
-    tol * (largest singular value), with the same cluster-gap validation
-    as jumps, both over the union of the connected blocks' singular
+def rect_kernel_dim(R: np.ndarray | WindowMatrix, tol: float) -> int:
+    """Kernel dimension of a rectangular matrix, dense or a WindowMatrix:
+    singular values below tol * (largest one), with the same cluster-gap
+    validation as jumps, over the union of the connected blocks' singular
     values.  Rank-nullity holds by construction: kernel + rank = #cols."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     cols = R.shape[1]
     if cols == 0:
         return 0
-    s = _block_singular_values(R)
+    s = _block_singular_values(R if isinstance(R, WindowMatrix) else WindowMatrix.from_dense(R))
     smax = float(s.max())
     if smax == 0.0:
         return cols

@@ -13,7 +13,7 @@ from hypothesis import given
 
 from magspec.config import build_model, parse_config
 from magspec.exhaustion import folner_box, interior_vertices, translated, window_subgraph
-from magspec.experiments import _window_spectrum, select_probe_lambdas
+from magspec.experiments import _window_spectrum, run_jumps, select_probe_lambdas
 from magspec.floquet import band_edges, magnetic_cell
 from magspec.lattice import Vertex, line_graph, periodic_graph, square_lattice, triangle_cells
 from magspec.operators import (
@@ -37,7 +37,9 @@ from magspec.spectra import (
     WindowMatrix,
     WindowTooLargeError,
     _assert_hermitian,
+    _block_singular_values,
     _block_spectrum,
+    _block_stacks,
     _components,
     _inertia,
     _warn_if_on_eigenvalue,
@@ -482,14 +484,14 @@ class TestInteriorRestriction:
         R = interior_restriction(D, w, split, 0.0)
         M = assemble_dirichlet(D, w)
         assert R.shape == (5, 3)
-        assert np.allclose(R, M[:, 1:4])
+        assert np.allclose(R.dense(), M[:, 1:4])
 
     def test_lambda_shift_hits_interior_rows(self):
         g, D, w = line_window(5)
         split = interior_vertices(g, w, 1)
         R0 = interior_restriction(D, w, split, 0.0)
         R2 = interior_restriction(D, w, split, 2.0)
-        shift = R0 - R2
+        shift = R0.dense() - R2.dense()
         expected = np.zeros((5, 3))
         expected[split.interior_positions, np.arange(3)] = 2.0
         assert np.allclose(shift, expected)
@@ -601,6 +603,53 @@ def scrambled(rng, R):
     return R[rng.permutation(R.shape[0])][:, rng.permutation(R.shape[1])]
 
 
+def permuted_block_matrix(seed):
+    """Ten dense Hermitian blocks of sizes 1 to 7 under a random symmetric
+    permutation."""
+    rng = np.random.default_rng(seed)
+    sizes = [1, 3, 3, 2, 5, 1, 4, 3, 2, 7]
+    M = block_diagonal([random_hermitian(rng, k) for k in sizes])
+    p = rng.permutation(M.shape[0])
+    return M[np.ix_(p, p)], len(sizes)
+
+
+def scrambled_block_restriction(seed):
+    """A scrambled 21 x 16 block matrix.  (rows, cols, rank) per block:
+    kernels of 1, 0, 2, 2 and 1 columns; the 2 x 4 block has more columns
+    than rows, the 1 x 0 block is a row with no column."""
+    rng = np.random.default_rng(seed)
+    shapes = [(4, 3, 2), (3, 3, 3), (5, 4, 2), (2, 4, 2), (1, 0, 0), (6, 2, 1)]
+    return scrambled(rng, block_diagonal([planted_block(rng, *s) for s in shapes]))
+
+
+def dense_block_gather(M, row_labels, col_labels, count):
+    """Reference for ``_block_stacks``: the blocks cut out of the dense
+    matrix by fancy indexing.  Per distinct block shape in ascending
+    order, the stack of the blocks of that shape in block order, each
+    block's indices in ascending order."""
+    members = []
+    for labels in (row_labels, col_labels):
+        sizes = np.bincount(labels, minlength=count)
+        starts = np.cumsum(sizes) - sizes
+        members.append((np.argsort(labels, kind="stable"), starts, sizes))
+    shapes = np.stack([sizes for _, _, sizes in members], axis=1)
+    for shape in np.unique(shapes, axis=0):
+        which = np.flatnonzero((shapes == shape).all(axis=1))
+        ridx, cidx = (order[starts[which][:, None] + np.arange(k)] for (order, starts, _), k in zip(members, shape))
+        yield M[ridx[:, :, None], cidx[:, None, :]]
+
+
+def assert_stacks_match_dense_gather(M, row_labels, col_labels, count):
+    """The stacks written from the entries equal the dense gather bit for
+    bit, shape by shape; returns the reference stacks."""
+    got = list(_block_stacks(WindowMatrix.from_dense(M), row_labels, col_labels, count))
+    want = list(dense_block_gather(M, row_labels, col_labels, count))
+    assert [g.shape for g in got] == [w.shape for w in want]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    return want
+
+
 def box_matrix(graph, weights, boundary, m):
     """Dirichlet or Neumann box window of the magnetic Laplacian, with the
     auto counting points of the converge driver (9 points, margin 0.1)."""
@@ -670,14 +719,10 @@ class TestBlockPath:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_permuted_block_spectrum_matches_dense(self, seed):
-        rng = np.random.default_rng(seed)
-        sizes = [1, 3, 3, 2, 5, 1, 4, 3, 2, 7]
-        M = block_diagonal([random_hermitian(rng, k) for k in sizes])
-        p = rng.permutation(M.shape[0])
-        M = M[np.ix_(p, p)]
+        M, blocks = permuted_block_matrix(seed)
         _, _, w = line_window(M.shape[0])
         spec = spectral_density(M, w)
-        assert spec.blocks == len(sizes)
+        assert spec.blocks == blocks
         dense = np.linalg.eigvalsh(M)
         assert np.all(np.diff(spec.eigenvalues) >= 0)
         assert np.abs(spec.eigenvalues - dense).max() <= 1e-12 * np.linalg.norm(M, 2)
@@ -734,12 +779,7 @@ class TestBlockPath:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_permuted_block_kernel_matches_dense_svd(self, seed):
-        rng = np.random.default_rng(seed)
-        # (rows, cols, rank): kernels of 1, 0, 2, 2 and 1 columns; the
-        # 2 x 4 block has more columns than rows, the 1 x 0 block is a row
-        # with no interior column
-        shapes = [(4, 3, 2), (3, 3, 3), (5, 4, 2), (2, 4, 2), (1, 0, 0), (6, 2, 1)]
-        R = scrambled(rng, block_diagonal([planted_block(rng, *s) for s in shapes]))
+        R = scrambled_block_restriction(seed)
         assert R.shape == (21, 16)
         s = np.linalg.svd(R, compute_uv=False)
         dense = int(np.count_nonzero(s < 1e-8 * s[0]))
@@ -754,6 +794,31 @@ class TestBlockPath:
         R = scrambled(rng, block_diagonal([q @ np.diag([2.0, 1.0]) @ q.T, q @ np.diag([1.0, 1.5e-7]) @ q.T]))
         with pytest.raises(UnresolvedClusterError):
             rect_kernel_dim(R.astype(complex), 1e-8)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_square_block_stacks_match_the_dense_gather(self, seed):
+        M, _ = permuted_block_matrix(seed)
+        A = WindowMatrix.from_dense(M)
+        count, labels = _components(A.rows, A.cols, A.dim)
+        want = assert_stacks_match_dense_gather(M, labels, labels, count)
+        reference = np.sort(np.concatenate([np.linalg.eigvalsh(w).ravel() for w in want]))
+        assert np.array_equal(_block_spectrum(A)[0], reference)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rectangular_block_stacks_match_the_dense_gather(self, seed):
+        R = scrambled_block_restriction(seed)
+        A = WindowMatrix.from_dense(R)
+        r, c = R.shape
+        count, labels = _components(A.rows, A.cols + r, r + c)
+        want = assert_stacks_match_dense_gather(R, labels[:r], labels[r:], count)
+        assert {w.shape[1:] for w in want} >= {(2, 4), (1, 0)}
+        reference = []
+        for w in want:
+            blocks, rb, cb = w.shape
+            if rb and cb:
+                reference.append(np.linalg.svd(w, compute_uv=False).ravel())
+            reference.append(np.zeros(blocks * (cb - min(rb, cb))))
+        assert np.array_equal(_block_singular_values(A), np.concatenate(reference))
 
 
 FLUXES = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7)]
@@ -872,6 +937,49 @@ class TestTripletBandPath:
             B = WindowMatrix.from_triplets(rows[keep], cols[keep], vals[keep], 2)
             with pytest.raises(AssertionError, match="not Hermitian"):
                 _assert_hermitian(B)
+
+
+JUMPS_BLOCK_YAML = """
+label: jumps-block
+graph: {dimension: 1, orbits: 3, templates: [[0, 1, [0]], [1, 2, [0]], [0, 2, [0]]]}
+weights: {kind: uniform}
+operator: dml
+windows: [64, 128, 256, 512]
+"""
+
+
+class TestBlockWindowsFromEntries:
+    """Block-diagonal windows and interior restrictions are solved from
+    their entries: no n x n or n x k array and no dimension cap."""
+
+    def test_triangle_window_past_the_dense_cap(self):
+        # n = 6000 > MAX_DENSE_DIM; every triangle cell has spectrum
+        # {0, 3, 3} and, fully interior, one kernel vector at 0
+        g = triangle_cells()
+        _, D = harper_dml(g, uniform_weights(g))
+        m = 2000
+        w = window_subgraph(g, folner_box(1, m))
+        assert len(w) == 3 * m > MAX_DENSE_DIM
+        spec = spectral_density(dirichlet_matrix(D, w), w)
+        assert (spec.solver, spec.blocks) == ("blocks", m)
+        assert np.allclose(spec.eigenvalues, np.repeat([0.0, 3.0], [m, 2 * m]), atol=1e-12)
+        split = interior_vertices(g, w, 1)
+        assert rect_kernel_dim(interior_restriction(D, w, split, 0.0), 1e-8) == m
+
+    def test_jumps_allocate_no_dense_window(self):
+        # a dense m = 512 triangle window is n^2 * 16 bytes (38 MB) with
+        # n = 1536; the whole jumps run must peak below a quarter of that
+        cfg = parse_config(JUMPS_BLOCK_YAML)
+        n = 3 * 512
+        tracemalloc.start()
+        try:
+            _, meta = run_jumps(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {d["solver"] for d in meta["diagnostics"]} == {"blocks"}
+        assert max(d["dim"] for d in meta["diagnostics"]) == n
+        assert peak < n * n * 16 / 4, peak
 
 
 class TestProjectionWindowDim:
