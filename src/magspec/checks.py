@@ -99,7 +99,6 @@ class ModelUnderTest:
     graph: PeriodicGraph
     weights: WeightFunction
     operator: LocalOperator
-    flux: object = None
     window_sizes: tuple[int, ...] = (4, 6)
     interior_radius: Optional[int] = None
 

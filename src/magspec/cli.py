@@ -1,9 +1,11 @@
 """Command-line entry points: converge, jumps, butterfly, verify.
 
-Each subcommand reads a YAML config, writes CSV results plus a JSON run
-manifest into --out, and exits nonzero on any failed invariant or
-assertion.  --seed overrides the config seed (it feeds the randomized
-check suites; the tables themselves are deterministic).
+Each subcommand reads a YAML config, writes its CSV table (or, for
+verify, its JSON report) plus a JSON run manifest into --out, and exits 0
+on success, 1 on a failed run or verification and 2 on a config error.
+--seed overrides the config seed (it feeds the randomized check suites;
+the tables themselves are deterministic).  The commands are declared
+once, in ``COMMANDS``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,19 @@ from .experiments import (
     write_manifest,
 )
 
+# name -> (help, driver, (CSV name, columns), or None for the verify report).
+# Drivers and write_csv are looked up when a command runs, so a wrapper set
+# on this module after import (as the benchmark's tracer does) is called.
+COMMANDS = {
+    "converge": ("window counting functions vs quadrature ground truth",
+                 lambda cfg: run_converge(cfg), ("converge.csv", RESULT_COLUMNS)),
+    "jumps": ("window and interior jumps vs exact jumps",
+              lambda cfg: run_jumps(cfg), ("jumps.csv", RESULT_COLUMNS)),
+    "butterfly": ("band intervals over rational fluxes",
+                  lambda cfg: run_butterfly(cfg), ("butterfly.csv", BUTTERFLY_COLUMNS)),
+    "verify": ("named structural invariant checks", lambda cfg: run_verify(cfg), None),
+}
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -37,18 +52,29 @@ def _parser() -> argparse.ArgumentParser:
         description="Spectral approximation experiments for magnetic lattice operators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("converge", "window counting functions vs quadrature ground truth"),
-        ("jumps", "window and interior jumps vs exact jumps"),
-        ("butterfly", "band intervals over rational fluxes"),
-        ("verify", "named structural invariant checks"),
-    ):
+    for name, (text, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("config", type=Path, help="YAML experiment config")
         p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--workers", type=int, default=1, help="accepted and forwarded nowhere: runs are serial")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
+
+
+def _write_report(out: Path, results) -> tuple[Path, bool]:
+    """Write the verify report, print one line per check and name the
+    failures on stderr; return the report's path and its pass flag."""
+    report = verify_report(results)
+    path = out / "verify_report.json"
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    for r in results:
+        mark = "PASS" if r.passed else "FAIL"
+        scope = f" [{r.model}]" if r.model else ""
+        print(f"[{mark}] {r.name}{scope}: {r.detail}")
+    print(f"wrote {path} ({report['num_checks']} checks)")
+    if not report["passed"]:
+        print(f"verification failed: {', '.join(report['failures'])}", file=sys.stderr)
+    return path, report["passed"]
 
 
 def main(argv=None) -> int:
@@ -64,69 +90,26 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    _, run, table = COMMANDS[args.command]
     try:
-        if args.command == "converge":
-            rows, info = run_converge(cfg)
-            csv_path = out / "converge.csv"
-            write_csv(csv_path, RESULT_COLUMNS, [r.as_record() for r in rows])
-            outputs = [csv_path.name]
-            print(f"wrote {csv_path} ({len(rows)} rows)")
-        elif args.command == "jumps":
-            rows, info = run_jumps(cfg)
-            csv_path = out / "jumps.csv"
-            write_csv(csv_path, RESULT_COLUMNS, [r.as_record() for r in rows])
-            outputs = [csv_path.name]
-            print(f"wrote {csv_path} ({len(rows)} rows)")
-        elif args.command == "butterfly":
-            records, info = run_butterfly(cfg)
-            csv_path = out / "butterfly.csv"
-            write_csv(csv_path, BUTTERFLY_COLUMNS, records)
-            outputs = [csv_path.name]
-            print(f"wrote {csv_path} ({len(records)} rows)")
-        elif args.command == "verify":
-            results, info = run_verify(cfg)
-            report = verify_report(results)
-            report_path = out / "verify_report.json"
-            report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-            outputs = [report_path.name]
-            for r in results:
-                mark = "PASS" if r.passed else "FAIL"
-                scope = f" [{r.model}]" if r.model else ""
-                print(f"[{mark}] {r.name}{scope}: {r.detail}")
-            print(f"wrote {report_path} ({report['num_checks']} checks)")
-            if not report["passed"]:
-                write_manifest(
-                    out / "manifest.json",
-                    config_text=config_text,
-                    seed=cfg.seed,
-                    info=info,
-                    outputs=outputs,
-                )
-                print(f"verification failed: {', '.join(report['failures'])}", file=sys.stderr)
-                return 1
-        else:  # pragma: no cover
-            return 2
-    except (
-        AssertionError,
-        ConfigError,
-        WeightError,
-        StencilError,
-        OracleUnavailableError,
-        BandEdgeError,
-        UnresolvedClusterError,
-        WindowTooLargeError,
-    ) as exc:
+        rows, info = run(cfg)
+        if table is None:
+            path, passed = _write_report(out, rows)
+        else:
+            path, passed = out / table[0], True
+            write_csv(path, table[1], rows)
+            print(f"wrote {path} ({len(rows)} rows)")
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (AssertionError, WeightError, StencilError, OracleUnavailableError, BandEdgeError,
+            UnresolvedClusterError, WindowTooLargeError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 1
 
-    write_manifest(
-        out / "manifest.json",
-        config_text=config_text,
-        seed=cfg.seed,
-        info=info,
-        outputs=outputs,
-    )
-    return 0
+    write_manifest(out / "manifest.json", config_text=config_text, seed=cfg.seed,
+                   info=info, outputs=[path.name])
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

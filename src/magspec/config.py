@@ -295,8 +295,8 @@ def parse_config(text: str, default_label: str = "experiment") -> ExperimentConf
     )
     if any(b <= a for a, b in zip(cfg.windows, cfg.windows[1:])):
         raise ConfigError("windows must be strictly increasing")
-    if any(m < 1 for m in cfg.windows):
-        raise ConfigError(f"window sides must be >= 1, got {list(cfg.windows)}")
+    if not cfg.windows or min(cfg.windows) < 1:
+        raise ConfigError(f"windows must be one or more sides >= 1, got {list(cfg.windows)}")
     if cfg.boundary not in ("dirichlet", "neumann", "both"):
         raise ConfigError(f"unknown boundary condition {cfg.boundary!r}")
     if cfg.interior_radius is not None and cfg.interior_radius < 0:
@@ -313,6 +313,14 @@ def parse_config(text: str, default_label: str = "experiment") -> ExperimentConf
         raise ConfigError(f"unknown lambda selection {cfg.lambdas.kind!r}")
     if cfg.lambdas.kind == "explicit" and not cfg.lambdas.values:
         raise ConfigError("explicit lambda selection needs values")
+    if cfg.lambdas.count < 1:
+        raise ConfigError(f"lambdas.count must be >= 1, got {cfg.lambdas.count}")
+    if not cfg.verify.window_sizes or min(cfg.verify.window_sizes) < 1:
+        raise ConfigError(
+            f"verify.window_sizes must be one or more sides >= 1, got {list(cfg.verify.window_sizes)}"
+        )
+    if cfg.verify.inertia_instances < 1:
+        raise ConfigError(f"verify.inertia_instances must be >= 1, got {cfg.verify.inertia_instances}")
     return cfg
 
 

@@ -23,11 +23,10 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -81,8 +80,9 @@ RESULT_COLUMNS = (
 BUTTERFLY_COLUMNS = ("p", "q", "alpha", "band", "lo", "hi")
 
 
-@dataclass
-class ResultRow:
+class ResultRow(NamedTuple):
+    """One row of a converge or jumps table, fields in RESULT_COLUMNS order."""
+
     experiment: str
     boundary: str
     m: int
@@ -93,20 +93,6 @@ class ResultRow:
     d_m: Optional[float] = None
     d_prime_m: Optional[float] = None
     d_oracle: Optional[float] = None
-
-    def as_record(self) -> tuple:
-        return (
-            self.experiment,
-            self.boundary,
-            self.m,
-            self.lam,
-            self.f_m,
-            self.f_oracle,
-            self.abs_err,
-            self.d_m,
-            self.d_prime_m,
-            self.d_oracle,
-        )
 
 
 def _fmt(value) -> str:
@@ -485,7 +471,6 @@ def run_verify(cfg: ExperimentConfig) -> tuple[list[CheckResult], dict]:
             graph=model.graph,
             weights=model.weights,
             operator=model.operator,
-            flux=model.weights.flux,
             window_sizes=cfg.verify.window_sizes,
             interior_radius=cfg.interior_radius,
         )

@@ -14,8 +14,8 @@ it.  The Neumann Laplacian is the Dirichlet compression of the magnetic
 Laplacian minus a diagonal, so their difference is a nonnegative
 diagonal on the boundary collar by construction.
 
-Two counting backends count eigenvalues <= lam: full diagonalization (the
-default) and LDL-inertia counting.  The inertia backend calls LAPACK
+Two counting backends count eigenvalues <= lam: full diagonalization and
+LDL-inertia counting.  The inertia backend calls LAPACK
 ``hetrf`` (Bunch-Kaufman) on M - lam I and reads the inertia off the
 eigenvalues of the factor's 1x1 and 2x2 diagonal blocks D, by Sylvester's
 law; the triangular factor is never formed.  The backends agree away from

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import magspec.cli
 from magspec.cli import _parser
 from magspec.exhaustion import folner_box, window_subgraph
 from magspec.lattice import triangle_cells
@@ -83,3 +84,26 @@ def test_cli_accepts_benchmark_argv(name, tmp_path):
     assert (args.command, args.out, args.workers, args.seed) == (
         workload.command, tmp_path / "out", workload.workers, 1,
     )
+
+
+def test_cli_calls_drivers_set_after_import(monkeypatch, tmp_path):
+    # Tracer.install replaces run_jumps and write_csv on magspec.cli after
+    # the import; main must call the replacements, or the driver and CSV
+    # spans go missing from the trace
+    called = []
+
+    def wrap(name):
+        original = getattr(magspec.cli, name)
+
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(magspec.cli, name, wrapper)
+
+    wrap("run_jumps")
+    wrap("write_csv")
+    config = tmp_path / "jumps.yaml"
+    config.write_text(json.dumps({**WORKLOADS["jumps-block"].config, "windows": [2, 4]}))
+    assert magspec.cli.main(["jumps", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert called == ["run_jumps", "write_csv"]

@@ -41,7 +41,7 @@ def healthy_model(label="sq-third"):
     g = square_lattice()
     w = hofstadter_weights(g, Fraction(1, 3))
     _, D = harper_dml(g, w)
-    return ModelUnderTest(label, g, w, D, flux=w.flux, window_sizes=(3, 4))
+    return ModelUnderTest(label, g, w, D, window_sizes=(3, 4))
 
 
 class TestModelSuite:
@@ -55,7 +55,7 @@ class TestModelSuite:
         g = triangle_cells()
         w = uniform_weights(g)
         _, D = harper_dml(g, w)
-        m = ModelUnderTest("tri", g, w, D, flux=w.flux, window_sizes=(2, 3))
+        m = ModelUnderTest("tri", g, w, D, window_sizes=(2, 3))
         results = model_suite(m, np.random.default_rng(1))
         failed = [r.name for r in results if not r.passed]
         assert not failed, failed

@@ -60,7 +60,16 @@ seed: 7
 """
 
 # one value out of range per entry; each must be a ConfigError, not a crash
-OUT_OF_RANGE = ["windows: [0, 4]", "interior_radius: -1", "jump_tol_scale: 0"]
+OUT_OF_RANGE = [
+    "windows: [0, 4]",
+    "windows: []",
+    "interior_radius: -1",
+    "jump_tol_scale: 0",
+    "verify: {window_sizes: []}",
+    "verify: {window_sizes: [0, 4]}",
+    "verify: {inertia_instances: 0}",
+    "lambdas: {kind: auto, count: 0}",
+]
 
 
 # grid sizes and flux denominators the Floquet routines refuse: config
@@ -73,7 +82,10 @@ FLOQUET_OUT_OF_RANGE = [
 
 
 def triangle_with(line):
-    return TRIANGLE_YAML.replace("windows: [2, 4, 8]\n", "") + line + "\n"
+    """TRIANGLE_YAML with ``line`` in place of the entry for its key."""
+    key = line.split(":")[0]
+    kept = [entry for entry in TRIANGLE_YAML.splitlines() if not entry.startswith(key + ":")]
+    return "\n".join(kept + [line]) + "\n"
 
 
 # malformed sections: each must be a ConfigError (exit 2 from the CLI),
@@ -550,6 +562,31 @@ verify: {inertia_instances: 2, window_sizes: [3]}
         assert "sigma-conjugation" in proc.stdout + proc.stderr
         report = json.loads((out / "verify_report.json").read_text())
         assert not report["passed"]
+        # a failed verification is still a finished run: the failures are
+        # named on stderr and the manifest is written
+        assert proc.stderr.startswith("verification failed:")
+        assert "sigma-conjugation" in proc.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["verify_report.json"]
+
+    def test_help_lists_the_commands_in_order(self):
+        proc = run_cli(["--help"])
+        assert proc.returncode == 0, proc.stderr
+        assert "{converge,jumps,butterfly,verify}" in proc.stdout
+        listed = [line.split()[0] for line in proc.stdout.splitlines() if line.startswith("    ")]
+        assert listed == ["converge", "jumps", "butterfly", "verify"]
+
+    def test_driver_config_error_exits_2(self, tmp_path):
+        # the square flux-1/3 model has no exact jump oracle, and auto
+        # lambdas give the driver no counting points: a config error
+        # raised inside the run, reported like a parse-time one
+        cfg = tmp_path / "j.yaml"
+        cfg.write_text(SQUARE_YAML.replace('flux: "1/2"', 'flux: "1/3"'))
+        proc = run_cli(["jumps", str(cfg), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "config error: model admits no exact jump oracle; provide explicit lambdas\n"
+        )
 
     @pytest.mark.parametrize("command", ["converge", "jumps"])
     @pytest.mark.parametrize("line", OUT_OF_RANGE)
