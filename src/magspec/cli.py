@@ -56,7 +56,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("config", type=Path, help="YAML experiment config")
         p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="accepted and forwarded nowhere: runs are serial")
+        p.add_argument("--workers", type=int, default=1, help="accepted and ignored: converge sizes its thread pool by the usable CPUs")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 

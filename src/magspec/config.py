@@ -162,6 +162,13 @@ def _optional(fn):
     return lambda value: None if value is None else fn(value)
 
 
+def _flag(value) -> bool:
+    """A YAML boolean; a string such as "false" or "no" is not one."""
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
 def _ints(values) -> tuple[int, ...]:
     return tuple(int(x) for x in values)
 
@@ -282,7 +289,7 @@ def parse_config(text: str, default_label: str = "experiment") -> ExperimentConf
             values=lambda values: tuple(float(x) for x in values),
         )),
         oracle=OracleSpec(**_fields(
-            doc.get("oracle"), grid_n=int, compare=bool, allow_band_edge=bool,
+            doc.get("oracle"), grid_n=int, compare=_flag, allow_band_edge=_flag,
         )),
         butterfly=ButterflySpec(**_fields(doc.get("butterfly"), q_max=int, grid_n=int)),
         verify=VerifySpec(**_fields(

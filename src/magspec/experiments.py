@@ -9,20 +9,33 @@ reproduces byte-identical CSV; wall-clock timings go to the run manifest
 instead (they cannot be deterministic), together with per-window
 diagnostics (dimension, nonzeros, connected blocks, half-bandwidth and
 eigenvalue solver of each window matrix; for converge also the distance
-from each counting point to the window's nearest eigenvalue), per-flux
+from each counting point to the window's nearest eigenvalue and the
+seconds the window took to build and solve), per-flux
 butterfly diagnostics (fiber dimension and the fibers diagonalized on the
 grid and in the band edge refinement) or the inertia oracle's run facts
 for verify.  Every driver returns its rows plus a dict of the manifest
-sections the run adds: ``timings_s`` and ``diagnostics``, and for
-converge ``oracle``, the quadrature value and error bound per counting
-point.
+sections the run adds: ``timings_s`` and ``diagnostics``; converge adds
+the wall time of its two stages to ``timings_s`` (``oracle``: counting
+points and quadrature; ``windows``: every window's build and solve), and
+records ``oracle``, the quadrature value and error bound per counting
+point, and ``threads``, the size of its window pool.
+
+Converge solves its windows with ``ordered_parallel``, one thread per
+usable CPU: the band and dense solvers release the GIL, so two windows
+take little more wall time than the larger one.  Everything else is
+serial: the oracle's first counting point fills the fiber-grid caches
+the others read, and the stacks of small ``eigvalsh`` calls in band edges
+and jumps gain nothing from a second thread.  Rows come out in a fixed
+order whatever the thread count.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -132,11 +145,22 @@ def write_manifest(path, *, config_text: str, seed: int, info: dict, outputs: li
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
 def ordered_parallel(fn: Callable, items: Sequence) -> list:
-    """The drivers' map, in input order and serial.  On a two-core machine
-    a thread pool made the dense LAPACK calls compete with OpenBLAS's own
-    threads: same rows, more CPU time and memory, no shorter run."""
-    return [fn(x) for x in items]
+    """``[fn(x) for x in items]`` on a pool of one thread per usable CPU:
+    results in input order, and the first exception in input order is the
+    one raised (items not yet started are then dropped).  It pays only
+    where ``fn`` spends its time in calls that release the GIL, such as
+    converge's window solves."""
+    pool = ThreadPoolExecutor(max_workers=_usable_cpus())
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def select_probe_lambdas(
@@ -194,18 +218,17 @@ def _diagnostics(m: int, boundary: str, A: WindowMatrix, spec: WindowSpectrum) -
 
 
 def _window_spectrum(model: BuiltModel, m: int, boundary: str) -> tuple[WindowSpectrum, dict]:
+    """The window's spectrum and its diagnostics, with ``seconds``, the
+    wall time of building and diagonalizing it.  Neumann windows are the
+    Laplacian's; run_converge refuses them for other operators."""
+    t0 = time.perf_counter()
     win = window_subgraph(model.graph, folner_box(model.graph.dimension, m))
     if boundary == "dirichlet":
         A = dirichlet_matrix(model.operator, win)
     else:  # "neumann", the only other boundary parse_config admits
-        if model.spec.operator != "dml":
-            raise ConfigError(
-                "neumann boundary is defined for the Laplacian only; "
-                f"got operator {model.spec.operator!r}"
-            )
         A = neumann_matrix(model.graph, model.weights, win)
     spec = spectral_density(A, win)
-    return spec, _diagnostics(m, boundary, A, spec)
+    return spec, {**_diagnostics(m, boundary, A, spec), "seconds": time.perf_counter() - t0}
 
 
 def _boundaries(cfg: ExperimentConfig) -> list[str]:
@@ -223,8 +246,14 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     failed, unless the config opts in to band-edge evaluation."""
     if cfg.model is None:
         raise ConfigError("converge needs a model section")
+    if cfg.boundary != "dirichlet" and cfg.model.operator != "dml":
+        raise ConfigError(
+            "neumann boundary is defined for the Laplacian only; "
+            f"got operator {cfg.model.operator!r}"
+        )
     t0 = time.perf_counter()
     model = build_model(cfg.model)
+    t_oracle = time.perf_counter()
 
     cell = None
     estimates: dict[float, Optional[IdsEstimate]] = {}
@@ -252,10 +281,13 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
                 allow_band_edge=cfg.oracle.allow_band_edge,
             )
 
-        estimates = dict(zip(lams, ordered_parallel(oracle_at, lams)))
+        # serial: the first point fills the cell's fiber-grid caches
+        estimates = {lam: oracle_at(lam) for lam in lams}
+    t_windows = time.perf_counter()
 
     tasks = [(m, bc) for m in cfg.windows for bc in _boundaries(cfg)]
     results = ordered_parallel(lambda t: _window_spectrum(model, t[0], t[1]), tasks)
+    timings = {"oracle": t_windows - t_oracle, "windows": time.perf_counter() - t_windows}
     spectra = {t: spec for t, (spec, _) in zip(tasks, results)}
     rows = []
     for lam in lams:
@@ -269,7 +301,8 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     for spec, diag in results:
         diag["eigenvalue_distance"] = [spec.distance(lam) for lam in lams]
     return rows, {
-        "timings_s": {"total": time.perf_counter() - t0},
+        "timings_s": {"total": time.perf_counter() - t0, **timings},
+        "threads": _usable_cpus(),
         "diagnostics": [diag for _, diag in results],
         "oracle": [
             {"lambda": lam, "value": None, "error_bound": None} if est is None
@@ -349,7 +382,7 @@ def run_jumps(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
             )
         return out, _diagnostics(m, "dirichlet", A, spec)
 
-    per_window = ordered_parallel(one_window, list(cfg.windows))
+    per_window = [one_window(m) for m in cfg.windows]
     rows = []
     for lam_i, lam in enumerate(lams):
         for res, _ in per_window:
@@ -397,7 +430,7 @@ def run_butterfly(cfg: ExperimentConfig) -> tuple[list[tuple], dict]:
         }
         return bands, diag
 
-    per_flux = ordered_parallel(bands_at, fluxes)
+    per_flux = [bands_at(flux) for flux in fluxes]
     all_bands = {flux: bands for flux, (bands, _) in zip(fluxes, per_flux)}
     for flux in fluxes:
         mirror = 1 - flux

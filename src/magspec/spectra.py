@@ -35,10 +35,14 @@ cells costs O(n) instead of a dense O(n^3) call, its equal-shape blocks
 stacked straight from the entries.  A connected matrix whose nonzeros
 lie within a narrow band (half-bandwidth b with BAND_RATIO * b <= n, as
 a box window in its natural vertex order has) is diagonalized in LAPACK
-band storage by ``hbevd``, at O(n^2 b) instead of O(n^3), from its
+band storage by ``zhbevd``, at O(n^2 b) instead of O(n^3), from its
 (b + 1) n lower-band entries.  Neither builds an n x n or n x k array or
 has a dimension cap.  A connected matrix with a wide band takes the
-plain dense call.
+plain dense call.  ``zhbevd`` is called through scipy's Cython LAPACK
+table with ctypes (``_HBEVD``): the same routine and OpenBLAS as scipy's
+f2py ``hbevd``, so the same eigenvalues bit for bit, but the call
+releases the GIL, and band windows solved on several threads run side by
+side (numpy's ``eigvalsh``, the dense and blocks solver, releases it too).
 
 Jumps and kernel dimensions are floating-point notions here, so both are
 defined through clusters with a validated gap, judged over the union of
@@ -59,6 +63,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import cython_lapack
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from .exhaustion import InteriorSplit, Window
@@ -77,7 +82,35 @@ ZERO_PIVOT_SCALE = 5e-14  # relative block-eigenvalue size treated as singular
 BAND_RATIO = 32
 
 _HETRF, _HETRF_LWORK = get_lapack_funcs(("hetrf", "hetrf_lwork"), dtype=np.complex128)
-_HBEVD = get_lapack_funcs("hbevd", dtype=np.complex128)
+
+
+def _cython_lapack(name: str, *argtypes):
+    """LAPACK routine ``name`` from scipy's Cython LAPACK table (the
+    OpenBLAS scipy links) as a ctypes function.  Unlike the f2py wrappers,
+    which hold the GIL for the whole call, a ctypes call releases it, so
+    threads can run the routine side by side."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+def _f_array(dtype):
+    return np.ctypeslib.ndpointer(dtype=dtype, flags="F_CONTIGUOUS")
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+# zhbevd(jobz, uplo, n, kd, ab, ldab, w, z, ldz, work, lwork, rwork,
+# lrwork, iwork, liwork, info); the integers go by reference, so a
+# ctypes.c_int passed for one is readable after the call
+_HBEVD = _cython_lapack(
+    "zhbevd", ctypes.c_char_p, ctypes.c_char_p, _INT, _INT, _f_array(np.complex128), _INT,
+    _f_array(np.float64), _f_array(np.complex128), _INT, _f_array(np.complex128), _INT,
+    _f_array(np.float64), _INT, _f_array(np.intc), _INT, _INT,
+)
 
 
 # (prefix, suffix) of the thread-control symbols an OpenBLAS build exports:
@@ -427,9 +460,18 @@ def _band_eigvals(A: WindowMatrix, b: int) -> np.ndarray:
     lower = A.rows >= A.cols
     ab = np.zeros((b + 1, A.dim), dtype=complex, order="F")
     ab[(A.rows - A.cols)[lower], A.cols[lower]] = A.vals[lower]
-    evals, _, info = _HBEVD(ab, compute_v=0, lower=1, overwrite_ab=1)
-    if info:
-        raise np.linalg.LinAlgError(f"hbevd failed with info {info}")
+    n = A.dim
+    # eigenvalues only (jobz "N"): LAPACK's minimal workspaces, which are
+    # also the ones scipy's f2py hbevd passes
+    evals, z = np.empty(n), np.empty(1, dtype=complex)
+    work, rwork, iwork = np.empty(n, dtype=complex), np.empty(n), np.empty(1, dtype=np.intc)
+    c_int, info = ctypes.c_int, ctypes.c_int()
+    _HBEVD(
+        b"N", b"L", c_int(n), c_int(b), ab, c_int(b + 1), evals, z, c_int(1),
+        work, c_int(n), rwork, c_int(n), iwork, c_int(1), info,
+    )
+    if info.value:
+        raise np.linalg.LinAlgError(f"hbevd failed with info {info.value}")
     return evals
 
 

@@ -3,8 +3,10 @@ including output determinism and fault injection."""
 
 import csv
 import json
+import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -20,9 +22,11 @@ from magspec.config import (
     parse_config,
     parse_flux,
 )
+import magspec.experiments
 from magspec.experiments import (
     DEFAULT_VERIFY_MODELS,
     hofstadter_flux_list,
+    ordered_parallel,
     run_butterfly,
     run_converge,
     run_jumps,
@@ -69,6 +73,8 @@ OUT_OF_RANGE = [
     "verify: {window_sizes: [0, 4]}",
     "verify: {inertia_instances: 0}",
     "lambdas: {kind: auto, count: 0}",
+    'oracle: {compare: "false"}',
+    'oracle: {allow_band_edge: "no"}',
 ]
 
 
@@ -348,6 +354,77 @@ oracle: {grid_n: 16}
         text = SQUARE_YAML.replace("operator: dml", "operator: harper")
         with pytest.raises(ConfigError):
             run_converge(parse_config(text))
+
+    def test_neumann_rejected_before_any_work(self, monkeypatch):
+        calls = []
+        for name in ("spectral_density", "ids_oracle"):
+            monkeypatch.setattr(
+                magspec.experiments, name, lambda *a, name=name, **k: calls.append(name)
+            )
+        text = SQUARE_YAML.replace("operator: dml", "operator: harper")
+        with pytest.raises(ConfigError, match="neumann"):
+            run_converge(parse_config(text))
+        assert calls == []
+
+    def test_manifest_records_stages_and_threads(self):
+        _, info = run_converge(parse_config(SQUARE_YAML))
+        assert set(info["timings_s"]) == {"total", "oracle", "windows"}
+        assert info["timings_s"]["total"] >= info["timings_s"]["oracle"] + info["timings_s"]["windows"]
+        assert all(d["seconds"] > 0 for d in info["diagnostics"])
+        assert info["threads"] == len(os.sched_getaffinity(0))
+
+    def test_thread_count_changes_nothing_but_timings(self, monkeypatch):
+        # band windows (m = 32) and dense ones, on one pool thread and on two
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setattr(magspec.experiments, "_usable_cpus", lambda threads=threads: threads)
+            rows, info = run_converge(parse_config(CONVERGE_THREADS_YAML))
+            assert info["threads"] == threads
+            diags = [{k: v for k, v in d.items() if k != "seconds"} for d in info["diagnostics"]]
+            runs.append((rows, diags, info["oracle"]))
+        assert {d["solver"] for d in runs[0][1]} == {"dense", "banded"}
+        assert runs[0] == runs[1]
+
+
+CONVERGE_THREADS_YAML = """
+label: sq-threads
+graph: {dimension: 2, orbits: 1, templates: [[0, 0, [1, 0]], [0, 0, [0, 1]]]}
+weights: {kind: hofstadter, flux: "1/3"}
+operator: dml
+boundary: both
+windows: [8, 16, 32]
+lambdas: {kind: auto, count: 9, margin: 0.1}
+oracle: {grid_n: 32}
+"""
+
+
+class TestOrderedParallel:
+    def test_results_in_input_order(self, monkeypatch):
+        # later items finish first
+        monkeypatch.setattr(magspec.experiments, "_usable_cpus", lambda: 3)
+
+        def slow_first(x):
+            time.sleep(0.02 * (5 - x))
+            return x * x
+
+        assert ordered_parallel(slow_first, range(6)) == [0, 1, 4, 9, 16, 25]
+
+    def test_first_failure_in_input_order_is_raised(self, monkeypatch):
+        # item 3 fails at once, item 1 only after a pause
+        monkeypatch.setattr(magspec.experiments, "_usable_cpus", lambda: 4)
+
+        def fail_odd(x):
+            if x == 1:
+                time.sleep(0.1)
+            if x % 2:
+                raise ValueError(f"item {x}")
+            return x
+
+        with pytest.raises(ValueError, match="item 1"):
+            ordered_parallel(fail_odd, range(4))
+
+    def test_empty(self):
+        assert ordered_parallel(lambda x: x, []) == []
 
 
 class TestRunJumps:

@@ -1,6 +1,8 @@
 """Window restrictions, counting backends, jumps, interior restrictions
 and the window-normalized subspace dimension."""
 
+import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -39,6 +41,7 @@ from magspec.spectra import (
     _assert_hermitian,
     _block_singular_values,
     _block_spectrum,
+    _band_eigvals,
     _block_stacks,
     _components,
     _inertia,
@@ -937,6 +940,67 @@ class TestTripletBandPath:
             B = WindowMatrix.from_triplets(rows[keep], cols[keep], vals[keep], 2)
             with pytest.raises(AssertionError, match="not Hermitian"):
                 _assert_hermitian(B)
+
+
+def f2py_band_eigvals(A, b):
+    """The reference band kernel: scipy's f2py ``hbevd`` on the same lower
+    band storage ``_band_eigvals`` writes."""
+    lower = A.rows >= A.cols
+    ab = np.zeros((b + 1, A.dim), dtype=complex, order="F")
+    ab[(A.rows - A.cols)[lower], A.cols[lower]] = A.vals[lower]
+    evals, _, info = scipy.linalg.get_lapack_funcs("hbevd", dtype=np.complex128)(
+        ab, compute_v=0, lower=1, overwrite_ab=1
+    )
+    assert info == 0
+    return evals
+
+
+def square_box_matrix(flux, boundary, m):
+    g = square_lattice()
+    weights = hofstadter_weights(g, flux)
+    w = window_subgraph(g, folner_box(2, m))
+    if boundary == "dirichlet":
+        return dirichlet_matrix(harper_dml(g, weights)[1], w)
+    return neumann_matrix(g, weights, w)
+
+
+class TestBandKernel:
+    """The band kernel calls LAPACK zhbevd through scipy's Cython LAPACK
+    table, which releases the GIL; its eigenvalues are those of scipy's
+    f2py hbevd, bit for bit."""
+
+    @pytest.mark.parametrize("m", [32, 48])
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("flux", [Fraction(0), Fraction(1, 2), Fraction(1, 3)])
+    def test_square_box_bit_identical_to_f2py(self, flux, boundary, m):
+        A = square_box_matrix(flux, boundary, m)
+        assert np.array_equal(_band_eigvals(A, m), f2py_band_eigvals(A, m))
+
+    def test_line_window_bit_identical_to_f2py(self):
+        _, D, w = line_window(200)
+        A = dirichlet_matrix(D, w)
+        assert np.array_equal(_band_eigvals(A, 1), f2py_band_eigvals(A, 1))
+
+    def test_solve_releases_the_gil(self):
+        # the main thread keeps ticking while a worker solves: its longest
+        # pause stays far below the solve time (f2py's hbevd holds the GIL,
+        # so there the pause is the whole solve)
+        A = square_box_matrix(Fraction(1, 3), "dirichlet", 32)
+        solve_s = []
+
+        def solve():
+            t = time.perf_counter()
+            _band_eigvals(A, 32)
+            solve_s.append(time.perf_counter() - t)
+
+        worker = threading.Thread(target=solve)
+        worker.start()
+        last, gap = time.perf_counter(), 0.0
+        while worker.is_alive():
+            now = time.perf_counter()
+            gap, last = max(gap, now - last), now
+        worker.join()
+        assert gap < solve_s[0] / 4, (gap, solve_s)
 
 
 JUMPS_BLOCK_YAML = """
