@@ -35,7 +35,6 @@ from .lattice import (
     OrientedEdge,
     PeriodicGraph,
     Vertex,
-    act,
     line_graph,
     periodic_graph,
     square_lattice,

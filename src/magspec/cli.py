@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .floquet import BandEdgeError, OracleUnavailableError
+from .floquet import OracleUnavailableError
 from .operators import StencilError, WeightError
 from .spectra import UnresolvedClusterError, WindowTooLargeError
 from .experiments import (
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, WeightError, StencilError, OracleUnavailableError, BandEdgeError,
+    except (AssertionError, WeightError, StencilError, OracleUnavailableError,
             UnresolvedClusterError, WindowTooLargeError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 1

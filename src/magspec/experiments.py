@@ -8,9 +8,9 @@ digits and assembled in a fixed key order, so identical config + seed
 reproduces byte-identical CSV; wall-clock timings go to the run manifest
 instead (they cannot be deterministic), together with per-window
 diagnostics (dimension, nonzeros, connected blocks, half-bandwidth and
-eigenvalue solver of each window matrix; for converge also the distance
-from each counting point to the window's nearest eigenvalue and the
-seconds the window took to build and solve), per-flux
+eigenvalue solver of each window matrix and the seconds the window took
+to build and solve; for converge also the distance from each counting
+point to the window's nearest eigenvalue), per-flux
 butterfly diagnostics (fiber dimension and the fibers diagonalized on the
 grid and in the band edge refinement) or the inertia oracle's run facts
 for verify.  Every driver returns its rows plus a dict of the manifest
@@ -20,9 +20,10 @@ points and quadrature; ``windows``: every window's build and solve), and
 records ``oracle``, the quadrature value and error bound per counting
 point, and ``threads``, the size of its window pool.
 
-Converge solves its windows with ``ordered_parallel``, one thread per
-usable CPU: the band and dense solvers release the GIL, so two windows
-take little more wall time than the larger one.  Everything else is
+Converge and jumps build and solve each window with one routine,
+``_window_spectrum``.  Converge runs it with ``ordered_parallel``, one
+thread per usable CPU: the band and dense solvers release the GIL, so two
+windows take little more wall time than the larger one.  Everything else is
 serial: the oracle's first counting point fills the fiber-grid caches
 the others read, and the stacks of small ``eigvalsh`` calls in band edges
 and jumps gain nothing from a second thread.  Rows come out in a fixed
@@ -52,7 +53,7 @@ from .config import (
     build_model,
     config_digest,
 )
-from .exhaustion import folner_box, interior_vertices, window_subgraph
+from .exhaustion import Window, folner_box, interior_vertices, window_subgraph
 from .floquet import (
     Band,
     IdsEstimate,
@@ -205,22 +206,13 @@ def _oracle_cell(model: BuiltModel) -> MagneticCell:
     return magnetic_cell(model.graph, model.operator, model.weights.flux)
 
 
-def _diagnostics(m: int, boundary: str, A: WindowMatrix, spec: WindowSpectrum) -> dict:
-    return {
-        "m": m,
-        "boundary": boundary,
-        "dim": A.dim,
-        "nnz": A.nnz,
-        "blocks": spec.blocks,
-        "bandwidth": spec.bandwidth,
-        "solver": spec.solver,
-    }
-
-
-def _window_spectrum(model: BuiltModel, m: int, boundary: str) -> tuple[WindowSpectrum, dict]:
-    """The window's spectrum and its diagnostics, with ``seconds``, the
-    wall time of building and diagonalizing it.  Neumann windows are the
-    Laplacian's; run_converge refuses them for other operators."""
+def _window_spectrum(
+    model: BuiltModel, m: int, boundary: str
+) -> tuple[Window, WindowMatrix, WindowSpectrum, dict]:
+    """The box window of side m, its matrix and spectrum, and their
+    diagnostics, with ``seconds``, the wall time of building and
+    diagonalizing it.  Neumann windows are the Laplacian's; run_converge
+    refuses them for other operators."""
     t0 = time.perf_counter()
     win = window_subgraph(model.graph, folner_box(model.graph.dimension, m))
     if boundary == "dirichlet":
@@ -228,7 +220,10 @@ def _window_spectrum(model: BuiltModel, m: int, boundary: str) -> tuple[WindowSp
     else:  # "neumann", the only other boundary parse_config admits
         A = neumann_matrix(model.graph, model.weights, win)
     spec = spectral_density(A, win)
-    return spec, {**_diagnostics(m, boundary, A, spec), "seconds": time.perf_counter() - t0}
+    return win, A, spec, {
+        "m": m, "boundary": boundary, "dim": A.dim, "nnz": A.nnz, "blocks": spec.blocks,
+        "bandwidth": spec.bandwidth, "solver": spec.solver, "seconds": time.perf_counter() - t0,
+    }
 
 
 def _boundaries(cfg: ExperimentConfig) -> list[str]:
@@ -286,7 +281,8 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     t_windows = time.perf_counter()
 
     tasks = [(m, bc) for m in cfg.windows for bc in _boundaries(cfg)]
-    results = ordered_parallel(lambda t: _window_spectrum(model, t[0], t[1]), tasks)
+    # each window and its matrix are dropped as soon as it is solved
+    results = ordered_parallel(lambda t: _window_spectrum(model, *t)[2:], tasks)
     timings = {"oracle": t_windows - t_oracle, "windows": time.perf_counter() - t_windows}
     spectra = {t: spec for t, (spec, _) in zip(tasks, results)}
     rows = []
@@ -346,20 +342,19 @@ def run_jumps(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
         else model.operator.propagation
     )
 
-    def one_window(m: int):
-        win = window_subgraph(model.graph, folner_box(model.graph.dimension, m))
-        A = dirichlet_matrix(model.operator, win)
-        spec = spectral_density(A, win)
-        split = interior_vertices(model.graph, win, radius)
-        row_sums = np.bincount(A.rows, np.abs(A.vals), minlength=A.dim)
-        tol = cfg.jump_tol_scale * max(float(row_sums.max(initial=0.0)), 1e-4)
-        out = []
-        for lam in lams:
+    windows, diagnostics = [], []
+    for m in cfg.windows:
+        win, A, spec, diag = _window_spectrum(model, m, "dirichlet")
+        tol = cfg.jump_tol_scale * max(A.norm_bound, 1e-4)
+        windows.append((m, win, spec, interior_vertices(model.graph, win, radius), tol))
+        diagnostics.append(diag)
+    rows = []
+    for lam in lams:
+        d_oracle = None if oracle_map is None else oracle_map[lam]
+        for m, win, spec, split, tol in windows:
+            norm = spec.normalization
             d_count = spec.jump_count(lam, tol)
-            R = interior_restriction(model.operator, win, split, lam)
-            k_count = rect_kernel_dim(R, 1e-8)
-            norm = len(win.elements)
-            d_oracle = None if oracle_map is None else oracle_map[lam]
+            k_count = rect_kernel_dim(interior_restriction(model.operator, win, split, lam), 1e-8)
             if k_count > d_count:
                 raise AssertionError(
                     f"kernel inclusion violated at m={m}, lambda={lam}: "
@@ -369,27 +364,13 @@ def run_jumps(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
                 raise AssertionError(
                     f"interior jump exceeds the exact jump at m={m}, lambda={lam}"
                 )
-            out.append(
-                ResultRow(
-                    cfg.label,
-                    "dirichlet",
-                    m,
-                    lam,
-                    d_m=d_count / norm,
-                    d_prime_m=k_count / norm,
-                    d_oracle=None if d_oracle is None else float(d_oracle),
-                )
-            )
-        return out, _diagnostics(m, "dirichlet", A, spec)
-
-    per_window = [one_window(m) for m in cfg.windows]
-    rows = []
-    for lam_i, lam in enumerate(lams):
-        for res, _ in per_window:
-            rows.append(res[lam_i])
+            rows.append(ResultRow(
+                cfg.label, "dirichlet", m, lam, d_m=d_count / norm, d_prime_m=k_count / norm,
+                d_oracle=None if d_oracle is None else float(d_oracle),
+            ))
     return rows, {
         "timings_s": {"total": time.perf_counter() - t0},
-        "diagnostics": [diag for _, diag in per_window],
+        "diagnostics": diagnostics,
     }
 
 

@@ -20,11 +20,13 @@ import numpy as np
 from .exhaustion import distinct_rows, window_subgraph
 from .lattice import PeriodicGraph, Shift
 from .operators import LocalOperator, gamma_trace_power
-from .spectra import assemble_dirichlet, gershgorin_bound
+from .spectra import dirichlet_matrix, spectral_density
 
 PERIODICITY_TOL = 1e-13
 BAND_EDGE_MARGIN = 1e-6
 FLAT_BAND_TOL = 1e-10
+FLAT_GRID_N = 32       # fiber grid per axis on which flat bands are detected
+BAND_JOIN_TOL = 1e-9   # gap below which merged_intervals joins two bands
 # Complex entries per stack of fibers diagonalized at once: 4 MiB, plus
 # eigvalsh's copy.  The grid chunks used to be 16 times larger, which for
 # 3 x 3 fibers held a whole 512^2 grid (64 MiB) at once and ran no faster.
@@ -274,19 +276,17 @@ def band_edges(cell: MagneticCell, N: int = 64) -> tuple[Band, ...]:
     return out
 
 
-def band_edge_distance(cell: MagneticCell, lam: float, N: int = 64) -> float:
-    edges = []
-    for band in band_edges(cell, N):
-        edges.append(band.lo)
-        edges.append(band.hi)
-    return min(abs(lam - e) for e in edges)
+def band_edge_distance(cell: MagneticCell, lam: float) -> float:
+    """Distance from lam to the nearest edge of ``band_edges(cell)``."""
+    return min(abs(lam - e) for band in band_edges(cell) for e in (band.lo, band.hi))
 
 
-def merged_intervals(bands, join_tol: float = 1e-9) -> list[tuple[float, float]]:
-    """Union of band intervals as disjoint intervals (touching bands merge)."""
+def merged_intervals(bands) -> list[tuple[float, float]]:
+    """Union of band intervals as disjoint intervals (bands closer than
+    BAND_JOIN_TOL merge)."""
     out: list[list[float]] = []
     for band in sorted(bands, key=lambda b: (b.lo, b.hi)):
-        if out and band.lo <= out[-1][1] + join_tol:
+        if out and band.lo <= out[-1][1] + BAND_JOIN_TOL:
             out[-1][1] = max(out[-1][1], band.hi)
         else:
             out.append([band.lo, band.hi])
@@ -297,30 +297,28 @@ def jump_oracle(
     graph: PeriodicGraph,
     op: LocalOperator,
     cell: Optional[MagneticCell] = None,
-    flat_tol: float = FLAT_BAND_TOL,
-    grid_n: int = 32,
 ) -> list[tuple[float, Fraction]]:
     """Exact jump list (lam, D(lam)) for models that admit one.
 
-    Block-diagonal models (all templates have zero offset) get their
-    per-cell spectrum; models whose fibers are k-independent within
-    flat_tol get flat-band multiplicities divided by q.  Anything else has
-    no exact jump oracle and is rejected.
+    Block-diagonal models (all templates have zero offset) get the
+    spectrum of the one-cell window; models whose fibers on the
+    FLAT_GRID_N grid are k-independent within FLAT_BAND_TOL get flat-band
+    multiplicities divided by q.  Anything else has no exact jump oracle
+    and is rejected.
     """
     if graph.offset_reach == 0 and op.offset_reach == 0:
         window = window_subgraph(graph, [(0,) * graph.dimension])
-        M = assemble_dirichlet(op, window)
-        evals = np.sort(np.linalg.eigvalsh(M)) if M.size else np.zeros(0)
-        return _cluster_jumps(evals, Fraction(1), gershgorin_bound(M))
+        A = dirichlet_matrix(op, window)
+        return _cluster_jumps(spectral_density(A, window).eigenvalues, Fraction(1), A.norm_bound)
     if cell is not None:
-        eigs = fiber_grid_eigs(cell, grid_n)
+        eigs = fiber_grid_eigs(cell, FLAT_GRID_N)
         spread = (eigs.max(axis=0) - eigs.min(axis=0)).max() if eigs.size else 0.0
-        if spread < flat_tol:
+        if spread < FLAT_BAND_TOL:
             values = eigs.mean(axis=0)
             scale = max(1.0, float(np.abs(values).max()) if values.size else 1.0)
             return _cluster_jumps(np.sort(values), Fraction(1, cell.q), scale)
         raise OracleUnavailableError(
-            f"no exact jump oracle: fiber spread {spread:.3e} exceeds {flat_tol}"
+            f"no exact jump oracle: fiber spread {spread:.3e} exceeds {FLAT_BAND_TOL}"
         )
     raise OracleUnavailableError("no exact jump oracle for this model")
 
@@ -340,11 +338,6 @@ def _cluster_jumps(
         jumps.append((lam, unit * (j + 1 - i)))
         i = j + 1
     return jumps
-
-
-def exact_ids_from_jumps(jumps, lam: float) -> float:
-    """Counting function of a pure-point model: sum of jumps at or below lam."""
-    return float(sum(d for x, d in jumps if x <= lam + 1e-12))
 
 
 def moment_crosscheck(

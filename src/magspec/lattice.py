@@ -50,11 +50,6 @@ def word_length(a: Shift) -> int:
     return sum(abs(x) for x in a)
 
 
-def act(gamma: Shift, v: Vertex) -> Vertex:
-    """Translate a vertex by a group element (the free action)."""
-    return Vertex(v.orbit, add(gamma, v.shift))
-
-
 def word_ball(dimension: int, radius: int) -> list[Shift]:
     """All group elements of l1 word length <= radius, sorted."""
     if radius < 0:
@@ -69,16 +64,6 @@ def word_ball(dimension: int, radius: int) -> list[Shift]:
 
 def reverse(e: OrientedEdge) -> OrientedEdge:
     return OrientedEdge(e.terminus, e.origin, e.template, not e.reversed)
-
-
-def is_positive(e: OrientedEdge) -> bool:
-    """Membership in the positive orientation class E+."""
-    return not e.reversed
-
-
-def positive_representative(e: OrientedEdge) -> OrientedEdge:
-    """The E+ member of {e, reverse(e)}."""
-    return e if not e.reversed else reverse(e)
 
 
 @dataclass(frozen=True)
@@ -131,9 +116,9 @@ def periodic_graph(
     dimension: int,
     num_orbits: int,
     templates: Iterable[tuple[int, int, Iterable[int]]],
-    generators: Optional[Iterable[Shift]] = None,
 ) -> PeriodicGraph:
-    """Validate a graph description and build the PeriodicGraph.
+    """Validate a graph description and build the PeriodicGraph, whose
+    generators are the unit shifts and their inverses.
 
     Rejects an empty fundamental domain, orbit indices out of range and
     self-loop templates (zero offset between equal orbits).  Multi-edges
@@ -153,14 +138,11 @@ def periodic_graph(
         if a == b and all(x == 0 for x in off):
             raise GraphSpecError("self-loop template rejected")
         built.append(EdgeTemplate(a, b, off))
-    if generators is None:
-        gens = []
-        for i in range(dimension):
-            e = tuple(1 if j == i else 0 for j in range(dimension))
-            gens.append(e)
-            gens.append(neg(e))
-    else:
-        gens = [tuple(g) for g in generators]
+    gens = []
+    for i in range(dimension):
+        e = tuple(1 if j == i else 0 for j in range(dimension))
+        gens.append(e)
+        gens.append(neg(e))
     return PeriodicGraph(dimension, num_orbits, tuple(built), tuple(gens))
 
 
@@ -177,11 +159,6 @@ def square_lattice() -> PeriodicGraph:
 def triangle_cells() -> PeriodicGraph:
     """Z-many disjoint triangles: three orbits joined by zero-offset edges."""
     return periodic_graph(1, 3, [(0, 1, (0,)), (1, 2, (0,)), (0, 2, (0,))])
-
-
-def isolated_cells(dimension: int = 1, num_orbits: int = 1) -> PeriodicGraph:
-    """Edgeless graph (valence zero everywhere)."""
-    return periodic_graph(dimension, num_orbits, [])
 
 
 def simplicial_ball(g: PeriodicGraph, v: Vertex, radius: int) -> dict[Vertex, int]:

@@ -38,6 +38,7 @@ from .lattice import (
 
 HERMITIAN_TOL = 1e-12
 COCYCLE_TOL = 1e-12
+SAMPLE_RADIUS = 2  # local_operator checks Hermitian symmetry at translates this close to 0
 
 # array rules: origin translates of shape (k, d) -> k complex values
 PhaseRule = Union[complex, Callable[[np.ndarray], np.ndarray]]
@@ -349,16 +350,15 @@ def _abs(values: np.ndarray) -> np.ndarray:
 def local_operator(
     graph: PeriodicGraph,
     raw_entries: Iterable[tuple[int, int, Iterable[int], object]],
-    sample_radius: int = 2,
 ) -> LocalOperator:
     """Build and validate a stencil operator.
 
     ``raw_entries`` is an iterable of (origin_orbit, target_orbit, offset,
     coeff) with coeff a complex constant or an array rule of origin
     translates.  Entries sharing (origin, target, offset) are summed.
-    Hermitian symmetry is checked numerically on a sample of translates and
-    the propagation bound is computed by BFS in the graph metric;
-    unreachable stencil targets are rejected.
+    Hermitian symmetry is checked numerically on the translates within
+    SAMPLE_RADIUS of the origin and the propagation bound is computed by
+    BFS in the graph metric; unreachable stencil targets are rejected.
     """
     table: dict[tuple[int, int, Shift], list[CoeffRule]] = {}
     for a, b, off, coeff in raw_entries:
@@ -376,7 +376,7 @@ def local_operator(
         return lambda s, rules=tuple(rules): sum(r(s) for r in rules)
 
     merged = {key: combined(key) for key in table}
-    samples = np.array(word_ball(graph.dimension, sample_radius), dtype=np.int64)
+    samples = np.array(word_ball(graph.dimension, SAMPLE_RADIUS), dtype=np.int64)
     values = {key: rule(samples) for key, rule in merged.items()}
     scale = max([1.0] + [float(_abs(v).max()) for v in values.values()])
     for (a, b, off), rule in merged.items():

@@ -6,13 +6,18 @@ vertices, with rows found by ``Window.positions``), and held as its
 nonzero entries (``WindowMatrix``: sorted COO triplets, each position
 once) up to the solvers: ``dirichlet_matrix`` and ``neumann_matrix``
 build the square ones, ``interior_restriction`` the rectangular
-A' - lam i'.  ``WindowMatrix.dense`` is the one place one becomes a
-dense array, capped at MAX_DENSE_DIM: ``assemble_dirichlet`` and
-``assemble_neumann`` (the dense matrices the checks and tests read),
-the dense solver and the SVD of a connected interior restriction call
-it.  The Neumann Laplacian is the Dirichlet compression of the magnetic
-Laplacian minus a diagonal, so their difference is a nonnegative
-diagonal on the boundary collar by construction.
+A' - lam i'.  ``spectral_density`` is the one way a window matrix becomes
+eigenvalues: the drivers, the named checks and the block jump oracle all
+read their window spectra from it, and the tolerances they scale by the
+matrix's norm from ``WindowMatrix.norm_bound``.  ``WindowMatrix.dense``
+is the one place one becomes a dense array, capped at MAX_DENSE_DIM: the
+dense solver, the SVD of a connected interior restriction and the checks
+that read matrix entries call it.  ``assemble_dirichlet`` and
+``assemble_neumann`` are its dense copies for the tests (and names the
+benchmark's tracer wraps); nothing in the package calls them.  The
+Neumann Laplacian is the Dirichlet compression of the magnetic Laplacian
+minus a diagonal, so their difference is a nonnegative diagonal on the
+boundary collar by construction.
 
 Two counting backends count eigenvalues <= lam: full diagonalization and
 LDL-inertia counting.  The inertia backend calls LAPACK
@@ -67,9 +72,10 @@ from scipy.linalg import cython_lapack
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from .exhaustion import InteriorSplit, Window
-from .operators import LocalOperator, WeightFunction, harper_dml, window_coo
+from .operators import HERMITIAN_TOL, LocalOperator, WeightFunction, harper_dml, window_coo
 
 MAX_DENSE_DIM = 5000
+PROJECTION_TOL = 1e-10    # projection test of projection_window_dim, relative
 SHIFT_SCALE = 1e-10       # bracketing shift, relative to the norm bound
 ZERO_PIVOT_SCALE = 5e-14  # relative block-eigenvalue size treated as singular
 # A connected matrix of half-bandwidth b >= 1 is diagonalized in band
@@ -251,6 +257,12 @@ class WindowMatrix:
     def nnz(self) -> int:
         return int(self.vals.size)
 
+    @property
+    def norm_bound(self) -> float:
+        """Gershgorin bound on the spectral radius, the largest absolute
+        row sum of the entries (0 for an empty matrix)."""
+        return float(np.bincount(self.rows, np.abs(self.vals), minlength=self.dim).max(initial=0.0))
+
     def dense(self) -> np.ndarray:
         """The dense matrix; building one is capped at MAX_DENSE_DIM."""
         if max(self.shape) > MAX_DENSE_DIM:
@@ -309,12 +321,12 @@ def assemble_neumann(
     return neumann_matrix(graph, weights, window).dense()
 
 
-def _assert_hermitian(A: WindowMatrix, tol: float = 1e-12) -> None:
-    """Largest |A - A^*| entry against tol times the largest |A| entry (at
-    least 1).  An entry of A - A^* is zero unless it or its mirror is a
-    stored entry, and both have the same size, so the stored entries and
-    their mirrors (found by binary search on the sorted positions) decide
-    it without an n x n temporary."""
+def _assert_hermitian(A: WindowMatrix) -> None:
+    """Largest |A - A^*| entry against HERMITIAN_TOL times the largest |A|
+    entry (at least 1).  An entry of A - A^* is zero unless it or its
+    mirror is a stored entry, and both have the same size, so the stored
+    entries and their mirrors (found by binary search on the sorted
+    positions) decide it without an n x n temporary."""
     if A.nnz == 0:
         return
     keys = A.rows.astype(np.int64) * A.dim + A.cols
@@ -323,7 +335,7 @@ def _assert_hermitian(A: WindowMatrix, tol: float = 1e-12) -> None:
     mirrored = np.where(keys[at] == mirror, A.vals[at], 0)
     scale = max(1.0, float(np.abs(A.vals).max()))
     resid = float(np.abs(A.vals - mirrored.conj()).max())
-    if resid > tol * scale:
+    if resid > HERMITIAN_TOL * scale:
         raise AssertionError(f"restriction matrix is not Hermitian: residual {resid:.3e}")
 
 
@@ -636,9 +648,7 @@ def rect_kernel_dim(R: np.ndarray | WindowMatrix, tol: float) -> int:
     return int(small.sum())
 
 
-def projection_window_dim(
-    P: np.ndarray, outer: Window, inner: Window, tol: float = 1e-10
-) -> float:
+def projection_window_dim(P: np.ndarray, outer: Window, inner: Window) -> float:
     """Window-normalized dimension of a subspace given by its orthogonal
     projection matrix over the (possibly padded) outer window:
     (1/#Lambda) sum over inner-window vertices of the projection diagonal.
@@ -648,9 +658,9 @@ def projection_window_dim(
     if P.shape != (n, n) or n != len(outer):
         raise ValueError("projection must be square over the outer window")
     scale = max(1.0, float(np.abs(P).max()) if P.size else 1.0)
-    if float(np.abs(P - P.conj().T).max()) > tol * scale:
+    if float(np.abs(P - P.conj().T).max()) > PROJECTION_TOL * scale:
         raise ValueError("input fails the projection test: not self-adjoint")
-    if float(np.abs(P @ P - P).max()) > tol * scale:
+    if float(np.abs(P @ P - P).max()) > PROJECTION_TOL * scale:
         raise ValueError("input fails the projection test: not idempotent")
     idx = outer.positions(inner.orbits, inner.shifts)
     if (idx < 0).any():

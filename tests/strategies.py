@@ -1,14 +1,15 @@
 """Shared test helpers: hypothesis strategies for random small periodic
-graphs and shifts, the vertex list of a window, the set-based collar
-reference, the two-orbit decorated square lattice, and the dense window
-matrices and dense-copy band solver that the triplet band path is checked
-against."""
+graphs and shifts, the group action on vertices and the orientation
+class of edges, the edgeless graph, the counting function of a jump
+list, the vertex list of a window, the set-based collar reference, the
+two-orbit decorated square lattice, and the dense window matrices and
+dense-copy band solver that the triplet band path is checked against."""
 
 import hypothesis.strategies as st
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from magspec.lattice import add, periodic_graph, word_ball
+from magspec.lattice import OrientedEdge, PeriodicGraph, Vertex, add, periodic_graph, reverse, word_ball
 from magspec.operators import WeightFunction, harper_dml, landau_phase, window_coo
 
 
@@ -45,6 +46,31 @@ def graph_specs(draw):
 def graphs(draw):
     dimension, orbits, templates = draw(graph_specs())
     return periodic_graph(dimension, orbits, templates)
+
+
+def act(gamma, v: Vertex) -> Vertex:
+    """Translate a vertex by a group element (the free action)."""
+    return Vertex(v.orbit, add(gamma, v.shift))
+
+
+def is_positive(e: OrientedEdge) -> bool:
+    """Membership in the positive orientation class E+."""
+    return not e.reversed
+
+
+def positive_representative(e: OrientedEdge) -> OrientedEdge:
+    """The E+ member of {e, reverse(e)}."""
+    return e if not e.reversed else reverse(e)
+
+
+def isolated_cells(dimension: int = 1, num_orbits: int = 1) -> PeriodicGraph:
+    """Edgeless graph (valence zero everywhere)."""
+    return periodic_graph(dimension, num_orbits, [])
+
+
+def exact_ids_from_jumps(jumps, lam: float) -> float:
+    """Counting function of a pure-point model: sum of jumps at or below lam."""
+    return float(sum(d for x, d in jumps if x <= lam + 1e-12))
 
 
 def vertices(window):

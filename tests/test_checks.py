@@ -1,6 +1,7 @@
 """The named check suite itself: green on healthy models, loud and
 precisely named on injected faults."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -93,6 +94,41 @@ class TestModelSuite:
             results = model_suite(m, np.random.default_rng(0))
             assert all(r.passed for r in results if r.name in ("cocycle-residual", "commutator-residual"))
         assert solves == [checks.COCYCLE_RADIUS + m.operator.propagation for m in models]
+
+
+def triangle_model():
+    g = triangle_cells()
+    w = uniform_weights(g)
+    return ModelUnderTest("tri", g, w, harper_dml(g, w)[1], window_sizes=(2, 3))
+
+
+@pytest.mark.parametrize("model", [healthy_model, triangle_model])
+def test_checks_read_window_spectra_from_spectral_density(model, monkeypatch):
+    # every window spectrum a check reads comes from spectral_density:
+    # window-norm-bound reads one, gauge and translation invariance two
+    # each, and per window size Dirichlet-Neumann order two and kernel
+    # inclusion one; eigvalsh is called only by the solvers in spectra
+    # and the fiber stacks in floquet
+    import magspec.checks as checks
+
+    m = model()
+    windows, callers = [], []
+    solve, eigvalsh = checks.spectral_density, np.linalg.eigvalsh
+
+    def counting(A, win):
+        windows.append(len(win))
+        return solve(A, win)
+
+    def recording(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "spectral_density", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    results = model_suite(m, np.random.default_rng(0))
+    assert all(r.passed for r in results), [r.name for r in results if not r.passed]
+    assert len(windows) == 5 + 3 * len(m.window_sizes)
+    assert callers and set(callers) <= {"magspec.spectra", "magspec.floquet"}, set(callers)
 
 
 class TestRaisingCheck:

@@ -445,11 +445,15 @@ windows: [2, 4, 8]
 
     def test_diagnostics_count_triangle_cells(self):
         _, info = run_jumps(parse_config(TRIANGLE_YAML))
-        assert info["diagnostics"] == [
+        assert [{k: v for k, v in d.items() if k != "seconds"} for d in info["diagnostics"]] == [
             {"m": m, "boundary": "dirichlet", "dim": 3 * m, "nnz": 9 * m, "blocks": m,
              "bandwidth": 2, "solver": "blocks"}
             for m in (2, 4, 8)
         ]
+
+    def test_window_diagnostics_record_seconds(self):
+        _, info = run_jumps(parse_config(TRIANGLE_YAML))
+        assert all(d["seconds"] > 0 for d in info["diagnostics"])
 
     def test_dispersive_model_needs_explicit_lambdas(self):
         rows, _ = run_jumps(parse_config(SQUARE_YAML.replace(

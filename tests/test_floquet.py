@@ -17,7 +17,6 @@ from magspec.floquet import (
     _fibers,
     band_edges,
     bloch_fiber,
-    exact_ids_from_jumps,
     fiber_grid_eigs,
     grid_ids,
     ids_oracle,
@@ -27,7 +26,6 @@ from magspec.floquet import (
     moment_crosscheck,
 )
 from magspec.lattice import (
-    isolated_cells,
     line_graph,
     periodic_graph,
     square_lattice,
@@ -39,7 +37,7 @@ from magspec.operators import (
     uniform_weights,
     zero_operator,
 )
-from strategies import decorated_lattice
+from strategies import decorated_lattice, exact_ids_from_jumps, isolated_cells
 
 
 def square_cell(alpha, operator="dml"):
@@ -349,6 +347,22 @@ class TestJumpOracle:
         mults = [d for _, d in jumps]
         assert lams == pytest.approx([0.0, 3.0], abs=1e-12)
         assert mults == [Fraction(1), Fraction(2)]
+
+    def test_block_path_reads_spectral_density(self, monkeypatch):
+        import magspec.floquet as floquet
+
+        dims = []
+        solve = floquet.spectral_density
+
+        def counting(A, win):
+            dims.append(A.dim)
+            return solve(A, win)
+
+        monkeypatch.setattr(floquet, "spectral_density", counting)
+        g = triangle_cells()
+        _, D = harper_dml(g, uniform_weights(g))
+        assert [d for _, d in jump_oracle(g, D)] == [Fraction(1), Fraction(2)]
+        assert dims == [3]
 
     def test_isolated_vertices_zero_operator(self):
         g = isolated_cells(1, 1)

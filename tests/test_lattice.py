@@ -10,11 +10,8 @@ from hypothesis import given
 from magspec.lattice import (
     GraphSpecError,
     Vertex,
-    act,
-    is_positive,
     line_graph,
     periodic_graph,
-    positive_representative,
     reverse,
     simplicial_ball,
     simplicial_distance,
@@ -22,7 +19,7 @@ from magspec.lattice import (
     triangle_cells,
     word_ball,
 )
-from strategies import graphs, shifts
+from strategies import act, graphs, is_positive, positive_representative, shifts
 
 
 class TestGroupAction:

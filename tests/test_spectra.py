@@ -60,6 +60,7 @@ from magspec.spectra import (
     spectral_density,
 )
 
+from magspec.checks import random_stencil_window
 from strategies import (
     dense_band_spectrum,
     dense_dirichlet,
@@ -235,6 +236,14 @@ class TestCountLeq:
         bound = gershgorin_bound(A)
         assert count_leq(A, -bound - 1e-9) == 0
         assert count_leq(A, bound + 1e-9) == 7
+
+    def test_norm_bound_is_the_dense_gershgorin_bound(self):
+        # row sums added entry by entry instead of over dense rows: equal
+        # up to summation order
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            _, _, A = random_stencil_window(rng)
+            assert A.norm_bound == pytest.approx(gershgorin_bound(A.dense()), rel=1e-15, abs=0)
 
     def test_backends_agree(self):
         rng = np.random.default_rng(11)
@@ -887,7 +896,7 @@ class TestTripletBandPath:
         n = 48 * 48
         tracemalloc.start()
         try:
-            spec, diag = _window_spectrum(model, 48, boundary)
+            _, _, _, diag = _window_spectrum(model, 48, boundary)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
