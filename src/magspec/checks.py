@@ -53,9 +53,9 @@ from .operators import (
     window_matvec,
 )
 from .spectra import (
+    WindowMatrix,
     blas_thread_counts,
     dirichlet_matrix,
-    gershgorin_bound,
     inertia_count_leq,
     interior_restriction,
     neumann_matrix,
@@ -234,9 +234,13 @@ def check_dirichlet_neumann(m: ModelUnderTest) -> CheckResult:
         win = window_subgraph(m.graph, folner_box(m.graph.dimension, mside))
         D = dirichlet_matrix(dml, win)
         N = neumann_matrix(m.graph, m.weights, win)
-        diff = D.dense() - N.dense()
-        off = float(np.abs(diff - np.diag(np.diag(diff))).max())
-        diag = np.real(np.diag(diff))
+        diff = WindowMatrix.from_triplets(
+            np.concatenate([D.rows, N.rows]), np.concatenate([D.cols, N.cols]),
+            np.concatenate([D.vals, -N.vals]), D.dim,
+        )
+        on = diff.rows == diff.cols
+        off = float(np.abs(diff.vals[~on]).max(initial=0.0))
+        diag = np.bincount(diff.rows[on], diff.vals[on].real, minlength=diff.dim)
         if off > 1e-12 or diag.min() < -1e-12:
             return False, max(off, -diag.min()), "Dirichlet minus Neumann is not a nonnegative diagonal"
         interior_rows = interior_vertices(m.graph, win, 1).interior_positions
@@ -382,15 +386,16 @@ def check_inertia_oracle(
     random Hermitian stencil restrictions, exactly, away from eigenvalues:
     points within 1e-9 of the norm bound of an eigenvalue are excluded.
 
-    The reference spectrum is the one ``count_leq`` counts
-    on (``spectral_density``: per connected block, in band storage when the
-    band is narrow, dense otherwise), so the check reads "inertia backend
-    == eigh backend".  The loop runs inside ``one_blas_thread``: its
-    matrices (n <= max_dim) are too small for a second BLAS thread to
-    help, and with numpy's and scipy's OpenBLAS alternating, that thread
-    only spins.  The result's ``diagnostics`` count the instances per
-    reference solver, the largest dimension, the points tested and
-    excluded, and the OpenBLAS thread counts read inside the loop."""
+    Both backends take the same window matrix.  The reference spectrum is
+    the one ``count_leq`` counts on (``spectral_density``: per connected
+    block, in band storage when the band is narrow, dense otherwise), so
+    the check reads "inertia backend == eigh backend".  The loop runs
+    inside ``one_blas_thread``: its matrices (n <= max_dim) are too small
+    for a second BLAS thread to help, and with numpy's and scipy's
+    OpenBLAS alternating, that thread only spins.  The result's
+    ``diagnostics`` count the instances per reference solver, the largest
+    dimension, the points tested and excluded, and the OpenBLAS thread
+    counts read inside the loop."""
     mismatches = tested = excluded = largest = 0
     solvers = dict.fromkeys(("blocks", "banded", "dense"), 0)
     with one_blas_thread():
@@ -400,15 +405,14 @@ def check_inertia_oracle(
             evals = spec.eigenvalues
             solvers[spec.solver] += 1
             largest = max(largest, A.dim)
-            M = A.dense()
-            norm = max(gershgorin_bound(M), 1e-12)
+            norm = max(A.norm_bound, 1e-12)
             for lam in oracle_points(rng, evals, norm):
                 if np.abs(evals - lam).min() <= 1e-9 * norm:
                     excluded += 1  # counting at an eigenvalue is ambiguous
                     continue
                 tested += 1
                 expected = int(np.count_nonzero(evals <= lam))
-                if inertia_count_leq(M, lam) != expected:
+                if inertia_count_leq(A, lam) != expected:
                     mismatches += 1
         threads = blas_thread_counts()
     return CheckResult(

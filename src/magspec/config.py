@@ -174,8 +174,11 @@ def _ints(values) -> tuple[int, ...]:
 
 
 def _graph_spec(entry: dict) -> GraphSpec:
+    """The graph section, validated at parse time by ``periodic_graph``."""
     templates = tuple((int(a), int(b), _ints(off)) for a, b, off in entry.get("templates", []))
-    return GraphSpec(int(entry["dimension"]), int(entry["orbits"]), templates)
+    spec = GraphSpec(int(entry["dimension"]), int(entry["orbits"]), templates)
+    build_graph(spec)
+    return spec
 
 
 def _stencil(entries) -> tuple:

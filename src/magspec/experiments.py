@@ -316,6 +316,12 @@ def run_jumps(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
         raise ConfigError("jumps needs a model section")
     t0 = time.perf_counter()
     model = build_model(cfg.model)
+    propagation = model.operator.propagation
+    radius = cfg.interior_radius if cfg.interior_radius is not None else propagation
+    if radius < propagation:
+        raise ConfigError(
+            f"interior_radius {radius} is below the operator's propagation bound {propagation}"
+        )
     try:
         cell = _oracle_cell(model)
     except OracleUnavailableError:
@@ -335,12 +341,6 @@ def run_jumps(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
         raise ConfigError(
             "model admits no exact jump oracle; provide explicit lambdas"
         )
-
-    radius = (
-        cfg.interior_radius
-        if cfg.interior_radius is not None
-        else model.operator.propagation
-    )
 
     windows, diagnostics = [], []
     for m in cfg.windows:

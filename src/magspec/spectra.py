@@ -11,30 +11,31 @@ eigenvalues: the drivers, the named checks and the block jump oracle all
 read their window spectra from it, and the tolerances they scale by the
 matrix's norm from ``WindowMatrix.norm_bound``.  ``WindowMatrix.dense``
 is the one place one becomes a dense array, capped at MAX_DENSE_DIM: the
-dense solver, the SVD of a connected interior restriction and the checks
-that read matrix entries call it.  ``assemble_dirichlet`` and
-``assemble_neumann`` are its dense copies for the tests (and names the
-benchmark's tracer wraps); nothing in the package calls them.  The
-Neumann Laplacian is the Dirichlet compression of the magnetic Laplacian
-minus a diagonal, so their difference is a nonnegative diagonal on the
-boundary collar by construction.
+dense solver, the inertia backend's factorization, the SVD of a connected
+interior restriction and the checks that read matrix entries call it.
+``assemble_dirichlet`` and ``assemble_neumann`` are its dense copies for
+the tests (and names the benchmark's tracer wraps); nothing in the
+package calls them.  The Neumann Laplacian is the Dirichlet compression
+of the magnetic Laplacian minus a diagonal, so their difference is a
+nonnegative diagonal on the boundary collar by construction.
 
-Two counting backends count eigenvalues <= lam: full diagonalization and
-LDL-inertia counting.  The inertia backend calls LAPACK
-``hetrf`` (Bunch-Kaufman) on M - lam I and reads the inertia off the
-eigenvalues of the factor's 1x1 and 2x2 diagonal blocks D, by Sylvester's
-law; the triangular factor is never formed.  The backends agree away from
-eigenvalues; they differ when the counting point essentially hits one.
-The inertia backend then brackets it with a small shift and returns the
-upper count, matching the right-continuity of the eigenvalue counting
+Two counting backends count the eigenvalues <= lam of a WindowMatrix:
+full diagonalization (``count_leq``) and LDL-inertia counting
+(``inertia_count_leq``), which calls LAPACK ``hetrf`` (Bunch-Kaufman)
+in place on the dense copy of A - lam I and reads the inertia off the
+eigenvalues of the factor's 1x1 and 2x2 diagonal blocks D, by
+Sylvester's law; the triangular factor is never formed.  The backends
+agree away from eigenvalues; they differ when the counting point
+essentially hits one.  The inertia backend then brackets it with a shift
+of SHIFT_SCALE times ``WindowMatrix.norm_bound`` and returns the upper
+count, matching the right-continuity of the eigenvalue counting
 function.  The diagonalization paths (``count_leq`` and
 ``WindowSpectrum``) keep the plain count of computed eigenvalues <= lam,
 which there depends on rounding, and raise
 ``CountingPointOnEigenvalueWarning`` instead.
 
 Window spectra (``spectral_density`` and ``count_leq``) and interior
-kernels (``rect_kernel_dim``), which read dense input once through
-``WindowMatrix.from_dense``, are computed one connected block of the
+kernels (``rect_kernel_dim``) are computed one connected block of the
 nonzero pattern at a time: a block-diagonal model such as the triangle
 cells costs O(n) instead of a dense O(n^3) call, its equal-shape blocks
 stacked straight from the entries.  A connected matrix whose nonzeros
@@ -199,7 +200,7 @@ class CountingPointOnEigenvalueWarning(RuntimeWarning):
 def _warn_if_on_eigenvalue(evals: np.ndarray, lam: float) -> None:
     """Warn when an ascending spectrum has an eigenvalue within the
     bracketing shift of lam: SHIFT_SCALE times the largest |eigenvalue|,
-    floored at 1e-14, as in inertia_bracket."""
+    floored at 1e-14 (inertia_bracket scales it by the norm bound)."""
     if evals.size == 0:
         return
     eps = max(SHIFT_SCALE * max(abs(evals[0]), abs(evals[-1])), 1e-14)
@@ -226,11 +227,6 @@ class WindowMatrix:
     cols: np.ndarray
     vals: np.ndarray
     shape: tuple[int, int]
-
-    @classmethod
-    def from_dense(cls, M: np.ndarray) -> "WindowMatrix":
-        rows, cols = np.nonzero(M)
-        return cls(rows, cols, M[rows, cols], M.shape)
 
     @classmethod
     def from_triplets(
@@ -263,14 +259,14 @@ class WindowMatrix:
         row sum of the entries (0 for an empty matrix)."""
         return float(np.bincount(self.rows, np.abs(self.vals), minlength=self.dim).max(initial=0.0))
 
-    def dense(self) -> np.ndarray:
-        """The dense matrix; building one is capped at MAX_DENSE_DIM."""
+    def dense(self, order: str = "C") -> np.ndarray:
+        """The dense matrix in memory order ``order``; capped at MAX_DENSE_DIM."""
         if max(self.shape) > MAX_DENSE_DIM:
             raise WindowTooLargeError(
                 f"dense matrix of shape {self.shape} exceeds the cap {MAX_DENSE_DIM}; "
                 "choose a smaller window"
             )
-        M = np.zeros(self.shape, dtype=complex)
+        M = np.zeros(self.shape, dtype=complex, order=order)
         M[self.rows, self.cols] = self.vals
         return M
 
@@ -339,33 +335,27 @@ def _assert_hermitian(A: WindowMatrix) -> None:
         raise AssertionError(f"restriction matrix is not Hermitian: residual {resid:.3e}")
 
 
-def gershgorin_bound(M: np.ndarray) -> float:
-    """Row-sum bound on the spectral radius; cheap and rigorous."""
-    if M.size == 0:
-        return 0.0
-    return float(np.abs(M).sum(axis=1).max())
-
-
-def count_leq(M: np.ndarray, lam: float) -> int:
+def count_leq(A: WindowMatrix, lam: float) -> int:
     """Number of eigenvalues <= lam, counting multiplicity, by
     diagonalization as spectral_density does (per connected block, in band
     storage when the band is narrow); warns when lam is within the
     bracketing shift of an eigenvalue.  ``inertia_count_leq`` is the
     factorization backend.
     """
-    evals = _block_spectrum(M)[0]
+    evals = _block_spectrum(A)[0]
     _warn_if_on_eigenvalue(evals, lam)
     return int(np.searchsorted(evals, lam, side="right"))
 
 
-def _inertia(M: np.ndarray, lam: float, zero_tol: float) -> tuple[int, int, int]:
-    """(negative, zero, positive) counts of the eigenvalues of M - lam I,
+def _inertia(A: WindowMatrix, lam: float, zero_tol: float) -> tuple[int, int, int]:
+    """(negative, zero, positive) counts of the eigenvalues of A - lam I,
     read off the block diagonal D of LAPACK hetrf's Bunch-Kaufman
-    factorization P (M - lam I) P^T = L D L^* by Sylvester's law.  D has
-    1x1 blocks and 2x2 Hermitian blocks; each 2x2 block starts at a pair
-    of equal negative pivot indices.  NaN or inf input raises ValueError."""
-    n = M.shape[0]
-    B = np.array(M, dtype=complex, order="F")
+    factorization P (A - lam I) P^T = L D L^* by Sylvester's law, made in
+    place in the one dense copy.  D has 1x1 blocks and 2x2 Hermitian
+    blocks; each 2x2 block starts at a pair of equal negative pivot
+    indices.  NaN or inf input raises ValueError."""
+    n = A.dim
+    B = A.dense(order="F")
     B[np.diag_indices(n)] -= lam
     if not np.isfinite(B).all():
         raise ValueError("array must not contain infs or NaNs")
@@ -387,14 +377,15 @@ def _inertia(M: np.ndarray, lam: float, zero_tol: float) -> tuple[int, int, int]
     return neg, zero, n - neg - zero
 
 
-def inertia_bracket(M: np.ndarray, lam: float) -> tuple[int, int]:
-    """Counts at lam -/+ the bracketing shift (1e-10 of the norm bound).
-    The two agree except when lam sits essentially on an eigenvalue."""
-    norm = gershgorin_bound(M)
+def inertia_bracket(A: WindowMatrix, lam: float) -> tuple[int, int]:
+    """Counts at lam -/+ the bracketing shift (SHIFT_SCALE of the norm
+    bound ``A.norm_bound``, at least 1e-14).  The two agree except when
+    lam sits essentially on an eigenvalue."""
+    norm = A.norm_bound
     eps = max(SHIFT_SCALE * norm, 1e-14)
     zero_tol = ZERO_PIVOT_SCALE * max(norm, 1e-300)
-    lo_neg, lo_zero, _ = _inertia(M, lam - eps, zero_tol)
-    hi_neg, hi_zero, _ = _inertia(M, lam + eps, zero_tol)
+    lo_neg, lo_zero, _ = _inertia(A, lam - eps, zero_tol)
+    hi_neg, hi_zero, _ = _inertia(A, lam + eps, zero_tol)
     if lo_zero or hi_zero:
         raise UnresolvedClusterError(
             f"factorization breakdown persists at {lam} +- {eps:.3e}"
@@ -402,17 +393,17 @@ def inertia_bracket(M: np.ndarray, lam: float) -> tuple[int, int]:
     return lo_neg, hi_neg + hi_zero
 
 
-def inertia_count_leq(M: np.ndarray, lam: float) -> int:
-    if M.shape[0] == 0:
+def inertia_count_leq(A: WindowMatrix, lam: float) -> int:
+    """Number of eigenvalues <= lam by the inertia of A - lam I; a point
+    that is numerically an eigenvalue is bracketed (``inertia_bracket``)."""
+    if A.dim == 0:
         return 0
-    norm = gershgorin_bound(M)
-    zero_tol = ZERO_PIVOT_SCALE * max(norm, 1e-300)
-    neg, zero, _ = _inertia(M, lam, zero_tol)
+    neg, zero, _ = _inertia(A, lam, ZERO_PIVOT_SCALE * max(A.norm_bound, 1e-300))
     if zero == 0:
         return neg
     # lam is numerically an eigenvalue: bracket and take the upper count,
     # which is the right-continuous reading of "eigenvalues <= lam"
-    _, hi = inertia_bracket(M, lam)
+    _, hi = inertia_bracket(A, lam)
     return hi
 
 
@@ -487,18 +478,16 @@ def _band_eigvals(A: WindowMatrix, b: int) -> np.ndarray:
     return evals
 
 
-def _block_spectrum(M: np.ndarray | WindowMatrix) -> tuple[np.ndarray, int, int, str]:
-    """Sorted eigenvalues of a Hermitian matrix, dense or a WindowMatrix
-    (a dense one is read through ``np.nonzero``), the number of connected
-    blocks of its nonzero pattern, its half-bandwidth max |i - j| over the
-    nonzeros (0 without off-diagonal nonzeros) and the solver used.  The
+def _block_spectrum(A: WindowMatrix) -> tuple[np.ndarray, int, int, str]:
+    """Sorted eigenvalues of a Hermitian WindowMatrix, the number of
+    connected blocks of its nonzero pattern, its half-bandwidth max |i - j|
+    over the nonzeros (0 without off-diagonal nonzeros) and the solver used.  The
     spectrum is the union of the blocks' spectra; equal-size blocks are
     diagonalized in one stacked call ("blocks"), written straight from the
     entries.  A connected matrix is diagonalized in band storage when
     BAND_RATIO * b <= n ("banded"), and by the plain dense call otherwise
     ("dense").  Only the dense solver builds the dense matrix, so only it
     is capped at MAX_DENSE_DIM."""
-    A = M if isinstance(M, WindowMatrix) else WindowMatrix.from_dense(M)
     n = A.dim
     if n == 0:
         return np.zeros(0), 0, 0, "dense"
@@ -582,11 +571,10 @@ class WindowSpectrum:
         return self.jump_count(lam, tol) / self.normalization
 
 
-def spectral_density(M: np.ndarray | WindowMatrix, window: Window) -> WindowSpectrum:
-    """Diagonalize a window matrix, dense or a WindowMatrix, once, one
-    connected block at a time, and wrap the sorted spectrum with the
-    window's Folner normalization."""
-    evals, blocks, bandwidth, solver = _block_spectrum(M)
+def spectral_density(A: WindowMatrix, window: Window) -> WindowSpectrum:
+    """Diagonalize a window matrix once, one connected block at a time,
+    and wrap the sorted spectrum with the window's Folner normalization."""
+    evals, blocks, bandwidth, solver = _block_spectrum(A)
     return WindowSpectrum(evals, len(window.elements), blocks, bandwidth, solver)
 
 
@@ -624,17 +612,17 @@ def interior_restriction(
     )
 
 
-def rect_kernel_dim(R: np.ndarray | WindowMatrix, tol: float) -> int:
-    """Kernel dimension of a rectangular matrix, dense or a WindowMatrix:
-    singular values below tol * (largest one), with the same cluster-gap
-    validation as jumps, over the union of the connected blocks' singular
-    values.  Rank-nullity holds by construction: kernel + rank = #cols."""
+def rect_kernel_dim(R: WindowMatrix, tol: float) -> int:
+    """Kernel dimension of a rectangular WindowMatrix: singular values
+    below tol * (largest one), with the same cluster-gap validation as
+    jumps, over the union of the connected blocks' singular values.
+    Rank-nullity holds by construction: kernel + rank = #cols."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     cols = R.shape[1]
     if cols == 0:
         return 0
-    s = _block_singular_values(R if isinstance(R, WindowMatrix) else WindowMatrix.from_dense(R))
+    s = _block_singular_values(R)
     smax = float(s.max())
     if smax == 0.0:
         return cols

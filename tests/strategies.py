@@ -2,8 +2,9 @@
 graphs and shifts, the group action on vertices and the orientation
 class of edges, the edgeless graph, the counting function of a jump
 list, the vertex list of a window, the set-based collar reference, the
-two-orbit decorated square lattice, and the dense window matrices and
-dense-copy band solver that the triplet band path is checked against."""
+two-orbit decorated square lattice, the dense window matrices and
+dense-copy band solver that the triplet band path is checked against, and
+``from_dense``, which hands a dense test matrix to the counting layer."""
 
 import hypothesis.strategies as st
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from magspec.lattice import OrientedEdge, PeriodicGraph, Vertex, add, periodic_graph, reverse, word_ball
 from magspec.operators import WeightFunction, harper_dml, landau_phase, window_coo
+from magspec.spectra import WindowMatrix
 
 
 @st.composite
@@ -154,3 +156,10 @@ def dense_band_spectrum(M):
     )
     assert info == 0
     return np.sort(evals), int(np.count_nonzero(M)), b
+
+
+def from_dense(M) -> WindowMatrix:
+    """The WindowMatrix of a dense matrix: its nonzeros as ``np.nonzero``
+    reads them, in (row, column) order."""
+    rows, cols = np.nonzero(M)
+    return WindowMatrix(rows, cols, M[rows, cols], M.shape)

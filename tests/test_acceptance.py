@@ -54,8 +54,9 @@ from magspec.operators import (
 )
 from magspec.spectra import (
     assemble_dirichlet,
-    assemble_neumann,
+    dirichlet_matrix,
     interior_restriction,
+    neumann_matrix,
     rect_kernel_dim,
     spectral_density,
 )
@@ -93,10 +94,10 @@ def _square_model(alpha):
 def _spectrum(g, op, m, boundary="dirichlet", weights=None):
     win = window_subgraph(g, folner_box(g.dimension, m))
     if boundary == "dirichlet":
-        M = assemble_dirichlet(op, win)
+        A = dirichlet_matrix(op, win)
     else:
-        M = assemble_neumann(g, weights, win)
-    return spectral_density(M, win)
+        A = neumann_matrix(g, weights, win)
+    return spectral_density(A, win)
 
 
 def test_strong_convergence_at_continuity_points():
@@ -148,8 +149,7 @@ def test_jump_convergence_on_block_model():
     problems = []
     for m in range(4, 65):
         win = window_subgraph(g, folner_box(1, m))
-        M = assemble_dirichlet(dml, win)
-        spec = spectral_density(M, win)
+        spec = spectral_density(dirichlet_matrix(dml, win), win)
         split = interior_vertices(g, win, radius)
         for lam, d_exact in oracle.items():
             d_count = spec.jump_count(lam, 1e-8)

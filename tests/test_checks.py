@@ -12,6 +12,7 @@ from magspec.checks import (
     ModelUnderTest,
     check_boundary_collar,
     check_dim_properties,
+    check_dirichlet_neumann,
     check_folner_ratio,
     check_inertia_oracle,
     check_interior_radius,
@@ -22,6 +23,7 @@ from magspec.checks import (
     oracle_points,
     random_stencil_window,
 )
+from magspec.exhaustion import interior_vertices
 from magspec.lattice import square_lattice, triangle_cells
 from magspec.operators import (
     harper_dml,
@@ -30,9 +32,9 @@ from magspec.operators import (
     with_conjugation_defect,
 )
 from magspec.spectra import (
+    WindowMatrix,
     _openblas_controls,
     blas_thread_counts,
-    gershgorin_bound,
     one_blas_thread,
     spectral_density,
 )
@@ -129,6 +131,59 @@ def test_checks_read_window_spectra_from_spectral_density(model, monkeypatch):
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
     assert len(windows) == 5 + 3 * len(m.window_sizes)
     assert callers and set(callers) <= {"magspec.spectra", "magspec.floquet"}, set(callers)
+
+
+def neumann_with(monkeypatch, delta, place):
+    """Make checks.neumann_matrix add delta to every window's Neumann
+    matrix at one place: "off-diagonal" adds it at (0, 1) and its
+    conjugate at (1, 0), "interior" on the diagonal of the first interior
+    row."""
+    import magspec.checks as checks
+
+    neumann = checks.neumann_matrix
+
+    def perturbed(graph, weights, win):
+        N = neumann(graph, weights, win)
+        if place == "off-diagonal":
+            rows, cols, vals = [0, 1], [1, 0], [delta, np.conj(delta)]
+        else:
+            row = int(interior_vertices(graph, win, 1).interior_positions[0])
+            rows, cols, vals = [row], [row], [delta]
+        return WindowMatrix.from_triplets(
+            np.concatenate([N.rows, rows]), np.concatenate([N.cols, cols]),
+            np.concatenate([N.vals, vals]), N.dim,
+        )
+
+    monkeypatch.setattr(checks, "neumann_matrix", perturbed)
+
+
+class TestDirichletNeumannOrder:
+    """Each way D - N can leave the nonnegative boundary diagonal fails
+    the check with its own detail and the size of the defect as metric."""
+
+    def test_off_diagonal_difference(self, monkeypatch):
+        neumann_with(monkeypatch, 1e-6j, "off-diagonal")
+        res = check_dirichlet_neumann(healthy_model())
+        assert (res.name, res.passed) == ("dirichlet-neumann-order", False)
+        assert res.detail == "Dirichlet minus Neumann is not a nonnegative diagonal"
+        assert res.metric == pytest.approx(1e-6)
+
+    def test_negative_diagonal_difference(self, monkeypatch):
+        # N raised above D on an interior row: D - N is negative there
+        neumann_with(monkeypatch, 1e-6, "interior")
+        res = check_dirichlet_neumann(healthy_model())
+        assert not res.passed
+        assert res.detail == "Dirichlet minus Neumann is not a nonnegative diagonal"
+        assert res.metric == pytest.approx(1e-6)
+
+    def test_lowering_on_an_interior_row(self, monkeypatch):
+        # N lowered below D on an interior row: a nonnegative diagonal, but
+        # off the boundary collar
+        neumann_with(monkeypatch, -1e-6, "interior")
+        res = check_dirichlet_neumann(healthy_model())
+        assert not res.passed
+        assert res.detail == "Dirichlet/Neumann difference not supported on the boundary"
+        assert res.metric == pytest.approx(1e-6)
 
 
 class TestRaisingCheck:
@@ -233,9 +288,9 @@ class TestOneBlasThread:
         seen = []
         factor = checks.inertia_count_leq
 
-        def recording(M, lam):
+        def recording(A, lam):
             seen.append(blas_thread_counts())
-            return factor(M, lam)
+            return factor(A, lam)
 
         monkeypatch.setattr(checks, "inertia_count_leq", recording)
         before = blas_thread_counts()
@@ -255,12 +310,11 @@ def test_window_spectrum_reference_matches_heevd(seed):
     solvers = set()
     for _ in range(60):
         _, win, A = random_stencil_window(rng, max_dim=400)
-        M = A.dense()
-        spec = spectral_density(M, win)
+        spec = spectral_density(A, win)
         solvers.add(spec.solver)
         evals = spec.eigenvalues
-        dense = np.sort(scipy.linalg.eigvalsh(M, driver="evd", check_finite=False))
-        norm = max(gershgorin_bound(M), 1e-12)
+        dense = np.sort(scipy.linalg.eigvalsh(A.dense(), driver="evd", check_finite=False))
+        norm = max(A.norm_bound, 1e-12)
         for lam in oracle_points(rng, evals, norm):
             excluded = np.abs(evals - lam).min() <= 1e-9 * norm
             assert excluded == (np.abs(dense - lam).min() <= 1e-9 * norm)

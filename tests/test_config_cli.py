@@ -105,6 +105,14 @@ MALFORMED = [
 ]
 
 
+# graph sections periodic_graph rejects: config errors at parse time, not
+# a GraphSpecError from build_model inside a run
+MALFORMED_GRAPHS = [
+    "graph: {dimension: 4, orbits: 1, templates: [[0, 0, [1, 0, 0, 0]]]}",
+    "graph: {dimension: 1, orbits: 1, templates: [[0, 0, [0]]]}",
+]
+
+
 def line_with(line):
     return (
         "label: bad\n"
@@ -192,6 +200,24 @@ custom_stencil:
 """
         model = build_model(parse_config(text).model)
         assert model.operator.propagation == 1
+
+    @pytest.mark.parametrize("graph", MALFORMED_GRAPHS, ids=["dimension-4", "self-loop"])
+    def test_malformed_graph_rejected(self, graph):
+        with pytest.raises(ConfigError, match="GraphSpecError"):
+            parse_config(f"label: bad\n{graph}\n")
+
+    def test_readme_config_example_parses_without_warning(self):
+        readme = (CONFIG_DIR.parent / "README.md").read_text()
+        section = readme.split("### Config format", 1)[1]
+        example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = parse_config(example)
+        assert cfg.label == "square-dml-third" and cfg.model.graph.dimension == 2
+
+    def test_default_verify_models_are_the_shipped_verify_models(self):
+        shipped = load_config(CONFIG_DIR / "verify.yaml").models
+        assert parse_config(DEFAULT_VERIFY_MODELS).models == shipped
 
     def test_shipped_configs_parse(self):
         for path in sorted(CONFIG_DIR.glob("*.yaml")):
@@ -601,6 +627,26 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["converge", "verify"])
+    @pytest.mark.parametrize("graph", MALFORMED_GRAPHS, ids=["dimension-4", "self-loop"])
+    def test_malformed_graph_exits_2(self, tmp_path, command, graph):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(f"label: bad\n{graph}\noperator: dml\n")
+        proc = run_cli([command, str(cfg), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_jumps_interior_radius_below_propagation_exits_2(self, tmp_path):
+        cfg = tmp_path / "j.yaml"
+        cfg.write_text((CONFIG_DIR / "jumps_triangle.yaml").read_text() + "interior_radius: 0\n")
+        proc = run_cli(["jumps", str(cfg), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "config error: interior_radius 0 is below the operator's propagation bound 1\n"
+        )
+        assert not (tmp_path / "out" / "jumps.csv").exists()
 
     def test_converge_writes_csv_and_manifest(self, tmp_path):
         cfg = tmp_path / "c.yaml"

@@ -14,6 +14,7 @@ from magspec.operators import translation_commutator, validate_weights
 from magspec.spectra import (
     assemble_dirichlet,
     assemble_neumann,
+    dirichlet_matrix,
     interior_restriction,
     rect_kernel_dim,
     spectral_density,
@@ -54,7 +55,7 @@ def test_window_ids_tracks_oracle(model):
     bands = band_edges(cell, 64)
     assert len(bands) == 6
     win = window_subgraph(graph, folner_box(2, 16))
-    spec = spectral_density(assemble_dirichlet(dml, win), win)
+    spec = spectral_density(dirichlet_matrix(dml, win), win)
     # one in-gap point (exact plateau at 1/3) and one in-band point
     gap_est = ids_oracle(cell, 2.0, 128)
     assert gap_est.value == pytest.approx(1.0 / 3.0, abs=1e-9)

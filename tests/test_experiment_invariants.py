@@ -19,7 +19,7 @@ from magspec.floquet import (
 )
 from magspec.lattice import square_lattice, triangle_cells
 from magspec.operators import harper_dml, hofstadter_weights, uniform_weights
-from magspec.spectra import assemble_dirichlet, assemble_neumann, spectral_density
+from magspec.spectra import dirichlet_matrix, neumann_matrix, spectral_density
 
 SQUARE_GRAPH = "graph: {dimension: 2, orbits: 1, templates: [[0, 0, [1, 0]], [0, 0, [0, 1]]]}"
 
@@ -107,7 +107,7 @@ class TestErrorColumnMonotonicity:
         spectra = {}
         for m in sides:
             win = window_subgraph(g, folner_box(2, m))
-            spectra[m] = spectral_density(assemble_neumann(g, w, win), win)
+            spectra[m] = spectral_density(neumann_matrix(g, w, win), win)
         for lam in probes:
             est = ids_oracle(cell, lam, 256)
             counts = [spectra[m].count_leq(lam) for m in sides]
@@ -130,7 +130,7 @@ class TestErrorColumnMonotonicity:
         errs = []
         for m in (10, 20, 40):
             win = window_subgraph(g, folner_box(2, m))
-            spec = spectral_density(assemble_dirichlet(dml, win), win)
+            spec = spectral_density(dirichlet_matrix(dml, win), win)
             errs.append(abs(spec.ids(4.0) - 0.5))
         rises = [b - a for a, b in zip(errs, errs[1:]) if b > a]
         assert len(rises) <= 1 and all(r < 1e-3 for r in rises), errs

@@ -50,7 +50,6 @@ from magspec.spectra import (
     assemble_neumann,
     count_leq,
     dirichlet_matrix,
-    gershgorin_bound,
     inertia_bracket,
     inertia_count_leq,
     interior_restriction,
@@ -65,6 +64,7 @@ from strategies import (
     dense_band_spectrum,
     dense_dirichlet,
     dense_neumann,
+    from_dense,
     vertices,
 )
 
@@ -218,8 +218,8 @@ class TestAssembleNeumann:
         weights = hofstadter_weights(g, Fraction(1, 3))
         _, D = harper_dml(g, weights)
         w = window_subgraph(g, folner_box(2, 5))
-        sd = spectral_density(assemble_dirichlet(D, w), w)
-        sn = spectral_density(assemble_neumann(g, weights, w), w)
+        sd = spectral_density(dirichlet_matrix(D, w), w)
+        sn = spectral_density(neumann_matrix(g, weights, w), w)
         for lam in np.linspace(-1, 9, 41):
             assert sn.ids(lam) >= sd.ids(lam)
 
@@ -227,13 +227,13 @@ class TestAssembleNeumann:
 class TestCountLeq:
     def test_path_count_at_two(self):
         # eigenvalues 2 - sqrt(2), 2, 2 + sqrt(2)
-        assert count_leq(PATH3, 2.0) == 2
+        assert count_leq(from_dense(PATH3), 2.0) == 2
 
     def test_gershgorin_extremes(self):
         rng = np.random.default_rng(3)
         A = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        A = A + A.conj().T
-        bound = gershgorin_bound(A)
+        A = from_dense(A + A.conj().T)
+        bound = A.norm_bound
         assert count_leq(A, -bound - 1e-9) == 0
         assert count_leq(A, bound + 1e-9) == 7
 
@@ -243,7 +243,8 @@ class TestCountLeq:
         rng = np.random.default_rng(0)
         for _ in range(300):
             _, _, A = random_stencil_window(rng)
-            assert A.norm_bound == pytest.approx(gershgorin_bound(A.dense()), rel=1e-15, abs=0)
+            dense_rows = np.abs(A.dense()).sum(axis=1).max()
+            assert A.norm_bound == pytest.approx(dense_rows, rel=1e-15, abs=0)
 
     def test_backends_agree(self):
         rng = np.random.default_rng(11)
@@ -253,19 +254,21 @@ class TestCountLeq:
             A = A + A.conj().T
             evals = np.linalg.eigvalsh(A)
             lam = float(rng.uniform(evals[0] - 1, evals[-1] + 1))
-            if np.abs(evals - lam).min() <= 1e-9 * gershgorin_bound(A):
+            A = from_dense(A)
+            if np.abs(evals - lam).min() <= 1e-9 * A.norm_bound:
                 continue
             assert count_leq(A, lam) == inertia_count_leq(A, lam)
 
     def test_inertia_bracket_at_eigenvalue(self):
         # counting exactly on an eigenvalue brackets it and keeps the
         # right-continuous upper count
-        lo, hi = inertia_bracket(PATH3, 2.0)
+        A = from_dense(PATH3)
+        lo, hi = inertia_bracket(A, 2.0)
         assert (lo, hi) == (1, 2)
-        assert inertia_count_leq(PATH3, 2.0) == 2
+        assert inertia_count_leq(A, 2.0) == 2
 
     def test_zero_matrix(self):
-        Z = np.zeros((4, 4), dtype=complex)
+        Z = from_dense(np.zeros((4, 4), dtype=complex))
         assert inertia_count_leq(Z, 0.0) == 4
         assert inertia_count_leq(Z, -0.1) == 0
 
@@ -275,11 +278,11 @@ class TestCountLeq:
         g = line_graph()
         _, D = harper_dml(g, uniform_weights(g))
         w = window_subgraph(g, folner_box(1, 2050))
-        M = assemble_dirichlet(D, w)
+        A = dirichlet_matrix(D, w)
         n = 2050
         grid = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
         for lam in (0.5, 2.0):
-            assert inertia_count_leq(M, lam) == int(np.count_nonzero(grid <= lam))
+            assert inertia_count_leq(A, lam) == int(np.count_nonzero(grid <= lam))
 
 
 def pivot_sizes(M, lam):
@@ -298,11 +301,12 @@ def assert_inertia_matches_eigvalsh(M, lams):
     """(neg, zero, pos) of M - lam I against eigvalsh, at points at least
     1e-6 of the norm away from every eigenvalue."""
     evals = np.linalg.eigvalsh(M)
-    norm = gershgorin_bound(M)
+    A = from_dense(M)
+    norm = A.norm_bound
     for lam in lams:
         assert np.abs(evals - lam).min() > 1e-6 * norm
         neg = int(np.count_nonzero(evals < lam))
-        got = _inertia(M, lam, ZERO_PIVOT_SCALE * norm)
+        got = _inertia(A, lam, ZERO_PIVOT_SCALE * norm)
         assert got == (neg, 0, len(evals) - neg), lam
 
 
@@ -330,7 +334,8 @@ class TestInertia:
         C = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
         A = np.block([[np.zeros((k, k)), C], [C.conj().T, np.zeros((k, k))]])
         assert pivot_sizes(A, 0.0) == [2] * k
-        assert _inertia(A, 0.0, ZERO_PIVOT_SCALE * gershgorin_bound(A)) == (k, 0, k)
+        W = from_dense(A)
+        assert _inertia(W, 0.0, ZERO_PIVOT_SCALE * W.norm_bound) == (k, 0, k)
         assert_inertia_matches_eigvalsh(A, [0.0])
 
     def test_mixed_1x1_and_2x2_pivots(self):
@@ -344,8 +349,9 @@ class TestInertia:
             assert_inertia_matches_eigvalsh(A, lams)
 
     def test_empty_matrix(self):
-        assert _inertia(np.zeros((0, 0), dtype=complex), 0.3, 1e-14) == (0, 0, 0)
-        assert inertia_bracket(np.zeros((0, 0)), 0.3) == (0, 0)
+        A = from_dense(np.zeros((0, 0), dtype=complex))
+        assert _inertia(A, 0.3, 1e-14) == (0, 0, 0)
+        assert inertia_bracket(A, 0.3) == (0, 0)
 
     @pytest.mark.parametrize("bad", ["nan-entry", "inf-entry", "nan-lambda"])
     def test_non_finite_input_raises(self, bad):
@@ -357,10 +363,11 @@ class TestInertia:
             M[2, 2] = np.inf
         else:
             lam = float("nan")
+        A = from_dense(M)
         with pytest.raises(ValueError):
-            _inertia(M, lam, 1e-14)
+            _inertia(A, lam, 1e-14)
         with pytest.raises(ValueError):
-            inertia_count_leq(M, lam)
+            inertia_count_leq(A, lam)
 
 
 class TestSpectralDensity:
@@ -369,7 +376,7 @@ class TestSpectralDensity:
         _, D = harper_dml(g, uniform_weights(g))
         for m in (1, 4, 9):
             w = window_subgraph(g, folner_box(1, m))
-            spec = spectral_density(assemble_dirichlet(D, w), w)
+            spec = spectral_density(dirichlet_matrix(D, w), w)
             assert spec.ids(0.0 + 1e-9) == pytest.approx(1.0)
             assert spec.ids(3.0 + 1e-9) == pytest.approx(3.0)
             assert spec.ids(-1e-9) == 0.0
@@ -377,19 +384,19 @@ class TestSpectralDensity:
     def test_zero_operator_step(self):
         g = line_graph()
         w = window_subgraph(g, folner_box(1, 6))
-        spec = spectral_density(assemble_dirichlet(zero_operator(g), w), w)
+        spec = spectral_density(dirichlet_matrix(zero_operator(g), w), w)
         assert spec.ids(-1e-12) == 0.0
         assert spec.ids(0.0) == 1.0
 
     def test_full_count_above_spectrum(self):
         g, D, w = line_window(8)
-        spec = spectral_density(assemble_dirichlet(D, w), w)
+        spec = spectral_density(dirichlet_matrix(D, w), w)
         assert spec.ids(4.0 + 1e-6) == 1.0
 
     @given(st.floats(-1, 5), st.floats(-1, 5))
     def test_monotone_step_function(self, a, b):
         _, D, w = line_window(6)
-        spec = spectral_density(assemble_dirichlet(D, w), w)
+        spec = spectral_density(dirichlet_matrix(D, w), w)
         lo, hi = min(a, b), max(a, b)
         assert spec.ids(lo) <= spec.ids(hi)
 
@@ -425,18 +432,18 @@ LINE9_EIGS = 2.0 - 2.0 * np.cos(np.arange(1, 10) * np.pi / 10)
 def line9_counter(path):
     """The window matrix and its count through one of the two eigh paths."""
     _, D, w = line_window(9)
-    M = assemble_dirichlet(D, w)
+    A = dirichlet_matrix(D, w)
     if path == "count_leq":
-        return M, lambda lam: count_leq(M, lam)
-    return M, spectral_density(M, w).count_leq
+        return A, lambda lam: count_leq(A, lam)
+    return A, spectral_density(A, w).count_leq
 
 
 class TestCountingPointOnEigenvalueWarning:
     @pytest.mark.parametrize("path", ["count_leq", "WindowSpectrum"])
     def test_warns_at_eigenvalue_and_keeps_count(self, path):
-        M, counter = line9_counter(path)
+        A, counter = line9_counter(path)
         lam = float(LINE9_EIGS[2])
-        plain = int(np.count_nonzero(np.linalg.eigvalsh(M) <= lam))
+        plain = int(np.count_nonzero(np.linalg.eigvalsh(A.dense()) <= lam))
         assert plain in (2, 3)
         with pytest.warns(CountingPointOnEigenvalueWarning, match="between 2 and 3"):
             assert counter(lam) == plain
@@ -450,10 +457,10 @@ class TestCountingPointOnEigenvalueWarning:
             assert counter(lam) == 3
 
     def test_inertia_brackets_without_warning(self):
-        M, _ = line9_counter("count_leq")
+        A, _ = line9_counter("count_leq")
         with warnings.catch_warnings():
             warnings.simplefilter("error", CountingPointOnEigenvalueWarning)
-            assert inertia_count_leq(M, float(LINE9_EIGS[2])) == 3
+            assert inertia_count_leq(A, float(LINE9_EIGS[2])) == 3
 
 
 class TestJumpDim:
@@ -462,8 +469,7 @@ class TestJumpDim:
         _, D = harper_dml(g, uniform_weights(g))
         for m in (2, 5, 8):
             w = window_subgraph(g, folner_box(1, m))
-            M = assemble_dirichlet(D, w)
-            spec = spectral_density(M, w)
+            spec = spectral_density(dirichlet_matrix(D, w), w)
             assert spec.jump(0.0, 1e-8) == pytest.approx(1.0)
             assert spec.jump(3.0, 1e-8) == pytest.approx(2.0)
 
@@ -471,22 +477,22 @@ class TestJumpDim:
         g = triangle_cells()
         _, D = harper_dml(g, uniform_weights(g))
         w = window_subgraph(g, folner_box(1, 4))
-        assert spectral_density(assemble_dirichlet(D, w), w).jump(1.5, 1e-8) == 0.0
+        assert spectral_density(dirichlet_matrix(D, w), w).jump(1.5, 1e-8) == 0.0
 
     def test_path_simple_eigenvalue(self):
         g, D, w = line_window(3)
-        assert spectral_density(PATH3, w).jump(2.0, 1e-10) == pytest.approx(1.0 / 3.0)
+        assert spectral_density(from_dense(PATH3), w).jump(2.0, 1e-10) == pytest.approx(1.0 / 3.0)
 
     def test_unresolved_cluster_raises(self):
         g, D, w = line_window(3)
         # tol so coarse that the neighbors sit within 10 tol of lambda
         with pytest.raises(UnresolvedClusterError):
-            spectral_density(PATH3, w).jump(2.0, 0.2)
+            spectral_density(from_dense(PATH3), w).jump(2.0, 0.2)
 
     def test_nonpositive_tol_rejected(self):
         g, D, w = line_window(3)
         with pytest.raises(ValueError):
-            spectral_density(PATH3, w).jump(2.0, 0.0)
+            spectral_density(from_dense(PATH3), w).jump(2.0, 0.0)
 
 
 class TestInteriorRestriction:
@@ -554,11 +560,11 @@ class TestInteriorRestriction:
 
 class TestRectKernelDim:
     def test_zero_matrix(self):
-        assert rect_kernel_dim(np.zeros((5, 3), dtype=complex), 1e-8) == 3
+        assert rect_kernel_dim(from_dense(np.zeros((5, 3), dtype=complex)), 1e-8) == 3
 
     def test_injective_matrix(self):
         R = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]], dtype=complex)
-        assert rect_kernel_dim(R, 1e-8) == 0
+        assert rect_kernel_dim(from_dense(R), 1e-8) == 0
 
     def test_triangle_interior_kernel(self):
         g = triangle_cells()
@@ -573,19 +579,19 @@ class TestRectKernelDim:
     def test_rank_nullity(self):
         rng = np.random.default_rng(2)
         R = rng.normal(size=(8, 5)) @ np.diag([1, 1, 1, 0, 0])
-        k = rect_kernel_dim(R.astype(complex), 1e-10)
+        k = rect_kernel_dim(from_dense(R.astype(complex)), 1e-10)
         rank = np.linalg.matrix_rank(R, tol=1e-10)
         assert k + rank == 5
 
     def test_wide_matrix_counts_every_column(self):
         # a rank-1 2 x 4 matrix has a 3-dimensional kernel, although its
         # SVD returns only two singular values
-        assert rect_kernel_dim(np.ones((2, 4), dtype=complex), 1e-8) == 3
+        assert rect_kernel_dim(from_dense(np.ones((2, 4), dtype=complex)), 1e-8) == 3
 
     def test_unresolved_singular_cluster(self):
         R = np.diag([1.0, 1e-7]).astype(complex)
         with pytest.raises(UnresolvedClusterError):
-            rect_kernel_dim(R, 1e-8)
+            rect_kernel_dim(from_dense(R), 1e-8)
 
 
 def random_hermitian(rng, k):
@@ -654,7 +660,7 @@ def dense_block_gather(M, row_labels, col_labels, count):
 def assert_stacks_match_dense_gather(M, row_labels, col_labels, count):
     """The stacks written from the entries equal the dense gather bit for
     bit, shape by shape; returns the reference stacks."""
-    got = list(_block_stacks(WindowMatrix.from_dense(M), row_labels, col_labels, count))
+    got = list(_block_stacks(from_dense(M), row_labels, col_labels, count))
     want = list(dense_block_gather(M, row_labels, col_labels, count))
     assert [g.shape for g in got] == [w.shape for w in want]
     for g, w in zip(got, want):
@@ -668,11 +674,11 @@ def box_matrix(graph, weights, boundary, m):
     _, D = harper_dml(graph, weights)
     w = window_subgraph(graph, folner_box(graph.dimension, m))
     if boundary == "dirichlet":
-        M = assemble_dirichlet(D, w)
+        A = dirichlet_matrix(D, w)
     else:
-        M = assemble_neumann(graph, weights, w)
+        A = neumann_matrix(graph, weights, w)
     cell = magnetic_cell(graph, D, weights.flux)
-    return M, w, select_probe_lambdas(band_edges(cell), 9, 0.1)
+    return A, w, select_probe_lambdas(band_edges(cell), 9, 0.1)
 
 
 def decorated_square_lattice():
@@ -691,15 +697,15 @@ def on_eigenvalue(evals, lam):
     return any(issubclass(c.category, CountingPointOnEigenvalueWarning) for c in caught)
 
 
-def assert_band_path_matches_dense(M, w, bandwidth, points, seed):
+def assert_band_path_matches_dense(A, w, bandwidth, points, seed):
     """The band solver's spectrum agrees with dense eigvalsh to 1e-12 of
     the norm bound, and its counts agree exactly at the given points and
     at 50 seeded random points, wherever no eigenvalue of either spectrum
     lies within the bracketing shift."""
-    spec = spectral_density(M, w)
+    spec = spectral_density(A, w)
     assert (spec.solver, spec.blocks, spec.bandwidth) == ("banded", 1, bandwidth)
-    dense = np.linalg.eigvalsh(M)
-    assert np.abs(spec.eigenvalues - dense).max() <= 1e-12 * gershgorin_bound(M)
+    dense = np.linalg.eigvalsh(A.dense())
+    assert np.abs(spec.eigenvalues - dense).max() <= 1e-12 * A.norm_bound
     rng = np.random.default_rng(seed)
     random_points = rng.uniform(dense[0] - 0.5, dense[-1] + 0.5, 50)
     checked = 0
@@ -733,7 +739,7 @@ class TestBlockPath:
     def test_permuted_block_spectrum_matches_dense(self, seed):
         M, blocks = permuted_block_matrix(seed)
         _, _, w = line_window(M.shape[0])
-        spec = spectral_density(M, w)
+        spec = spectral_density(from_dense(M), w)
         assert spec.blocks == blocks
         dense = np.linalg.eigvalsh(M)
         assert np.all(np.diff(spec.eigenvalues) >= 0)
@@ -743,7 +749,7 @@ class TestBlockPath:
         rng = np.random.default_rng(3)
         M = random_hermitian(rng, 12)
         _, _, w = line_window(12)
-        spec = spectral_density(M, w)
+        spec = spectral_density(from_dense(M), w)
         assert spec.blocks == 1 and spec.solver == "dense" and spec.bandwidth == 11
         assert np.array_equal(spec.eigenvalues, np.sort(np.linalg.eigvalsh(M)))
 
@@ -753,41 +759,42 @@ class TestBlockPath:
     def test_hofstadter_box_band_path_matches_dense(self, flux, boundary, m):
         # half-bandwidth m (the x-neighbour) and n = m^2, so BAND_RATIO * m <= n
         g = square_lattice()
-        M, w, points = box_matrix(g, hofstadter_weights(g, flux), boundary, m)
-        assert_band_path_matches_dense(M, w, m, points, seed=m)
+        A, w, points = box_matrix(g, hofstadter_weights(g, flux), boundary, m)
+        assert_band_path_matches_dense(A, w, m, points, seed=m)
 
     def test_two_orbit_window_band_path_matches_dense(self):
         # the B-A bridge spans 2m - 1 = 63 places and n = 2 m^2 = 2048
         g, weights = decorated_square_lattice()
-        M, w, points = box_matrix(g, weights, "dirichlet", 32)
-        assert_band_path_matches_dense(M, w, 63, points, seed=7)
+        A, w, points = box_matrix(g, weights, "dirichlet", 32)
+        assert_band_path_matches_dense(A, w, 63, points, seed=7)
 
     def test_line_window_band_path_matches_dense(self):
         _, D, w = line_window(200)
-        assert_band_path_matches_dense(assemble_dirichlet(D, w), w, 1, [0.5, 2.0, 3.5], seed=200)
+        assert_band_path_matches_dense(dirichlet_matrix(D, w), w, 1, [0.5, 2.0, 3.5], seed=200)
 
     def test_count_leq_eigh_shares_the_band_path(self):
         _, D, w = line_window(200)
-        M = assemble_dirichlet(D, w)
-        assert _block_spectrum(M)[3] == "banded"
-        dense = np.linalg.eigvalsh(M)
+        A = dirichlet_matrix(D, w)
+        assert _block_spectrum(A)[3] == "banded"
+        dense = np.linalg.eigvalsh(A.dense())
         for lam in (-1.0, 0.7, 2.1, 3.3, 5.0):
-            assert count_leq(M, lam) == int(np.count_nonzero(dense <= lam))
+            assert count_leq(A, lam) == int(np.count_nonzero(dense <= lam))
 
     def test_bandwidth_of_matrices_without_off_diagonal_entries(self):
         # no off-diagonal nonzero: half-bandwidth 0, and the dense call
-        evals, blocks, b, solver = _block_spectrum(np.zeros((0, 0), dtype=complex))
+        evals, blocks, b, solver = _block_spectrum(from_dense(np.zeros((0, 0), dtype=complex)))
         assert evals.size == 0 and (blocks, b, solver) == (0, 0, "dense")
         for value in (0.0, 2.5):
-            evals, blocks, b, solver = _block_spectrum(np.array([[value]], dtype=complex))
+            A = from_dense(np.array([[value]], dtype=complex))
+            evals, blocks, b, solver = _block_spectrum(A)
             assert np.array_equal(evals, [value]) and (blocks, b, solver) == (1, 0, "dense")
-            assert count_leq(np.array([[value]], dtype=complex), 1.0) == int(value <= 1.0)
+            assert count_leq(A, 1.0) == int(value <= 1.0)
 
     def test_triangle_window_splits_into_cells(self):
         g = triangle_cells()
         _, D = harper_dml(g, uniform_weights(g))
         w = window_subgraph(g, folner_box(1, 8))
-        assert spectral_density(assemble_dirichlet(D, w), w).blocks == 8
+        assert spectral_density(dirichlet_matrix(D, w), w).blocks == 8
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_permuted_block_kernel_matches_dense_svd(self, seed):
@@ -795,7 +802,7 @@ class TestBlockPath:
         assert R.shape == (21, 16)
         s = np.linalg.svd(R, compute_uv=False)
         dense = int(np.count_nonzero(s < 1e-8 * s[0]))
-        assert rect_kernel_dim(R, 1e-8) == dense == 6
+        assert rect_kernel_dim(from_dense(R), 1e-8) == dense == 6
 
     def test_unresolved_value_inside_one_block_raises(self):
         rng = np.random.default_rng(4)
@@ -805,12 +812,12 @@ class TestBlockPath:
         # though outside the gap its own largest value would give
         R = scrambled(rng, block_diagonal([q @ np.diag([2.0, 1.0]) @ q.T, q @ np.diag([1.0, 1.5e-7]) @ q.T]))
         with pytest.raises(UnresolvedClusterError):
-            rect_kernel_dim(R.astype(complex), 1e-8)
+            rect_kernel_dim(from_dense(R.astype(complex)), 1e-8)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_square_block_stacks_match_the_dense_gather(self, seed):
         M, _ = permuted_block_matrix(seed)
-        A = WindowMatrix.from_dense(M)
+        A = from_dense(M)
         count, labels = _components(A.rows, A.cols, A.dim)
         want = assert_stacks_match_dense_gather(M, labels, labels, count)
         reference = np.sort(np.concatenate([np.linalg.eigvalsh(w).ravel() for w in want]))
@@ -819,7 +826,7 @@ class TestBlockPath:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rectangular_block_stacks_match_the_dense_gather(self, seed):
         R = scrambled_block_restriction(seed)
-        A = WindowMatrix.from_dense(R)
+        A = from_dense(R)
         r, c = R.shape
         count, labels = _components(A.rows, A.cols + r, r + c)
         want = assert_stacks_match_dense_gather(R, labels[:r], labels[r:], count)
@@ -927,16 +934,16 @@ class TestTripletBandPath:
             A.dense()
 
     def test_dense_input_feeds_the_same_routine(self):
-        # a dense matrix is read through np.nonzero into the triplet routine
+        # a dense matrix read through np.nonzero (the tests' from_dense)
+        # holds the entries the triplet routine summed, so it is solved alike
         g = square_lattice()
         _, dml = harper_dml(g, hofstadter_weights(g, Fraction(1, 3)))
         w = window_subgraph(g, folner_box(2, 32))
         A = dirichlet_matrix(dml, w)
-        M = assemble_dirichlet(dml, w)
-        from_dense = WindowMatrix.from_dense(M)
-        for got, want in zip((from_dense.rows, from_dense.cols, from_dense.vals), (A.rows, A.cols, A.vals)):
+        read = from_dense(assemble_dirichlet(dml, w))
+        for got, want in zip((read.rows, read.cols, read.vals), (A.rows, A.cols, A.vals)):
             assert np.array_equal(got, want)
-        assert np.array_equal(spectral_density(M, w).eigenvalues, spectral_density(A, w).eigenvalues)
+        assert np.array_equal(spectral_density(read, w).eigenvalues, spectral_density(A, w).eigenvalues)
 
     def test_hermitian_check_sums_duplicates_first(self):
         # (0, 1) is written twice, and only the sum mirrors (1, 0)
