@@ -25,6 +25,7 @@ from .floquet import (
     OracleUnavailableError,
     band_edges,
     bloch_fiber,
+    hofstadter_band_edges,
     ids_oracle,
     jump_oracle,
     magnetic_cell,

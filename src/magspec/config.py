@@ -113,7 +113,6 @@ class OracleSpec:
 @dataclass(frozen=True)
 class ButterflySpec:
     q_max: int = 12
-    grid_n: int = 64
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,7 @@ def parse_config(text: str, default_label: str = "experiment") -> ExperimentConf
         oracle=OracleSpec(**_fields(
             doc.get("oracle"), grid_n=int, compare=_flag, allow_band_edge=_flag,
         )),
-        butterfly=ButterflySpec(**_fields(doc.get("butterfly"), q_max=int, grid_n=int)),
+        butterfly=ButterflySpec(**_fields(doc.get("butterfly"), q_max=int)),
         verify=VerifySpec(**_fields(
             doc.get("verify"), inertia_instances=int, window_sizes=_ints,
         )),
@@ -315,8 +314,6 @@ def parse_config(text: str, default_label: str = "experiment") -> ExperimentConf
         raise ConfigError(f"jump_tol_scale must be > 0, got {cfg.jump_tol_scale}")
     if cfg.oracle.grid_n < 8:
         raise ConfigError(f"oracle.grid_n must be >= 8, got {cfg.oracle.grid_n}")
-    if cfg.butterfly.grid_n < 64:
-        raise ConfigError(f"butterfly.grid_n must be >= 64, got {cfg.butterfly.grid_n}")
     if cfg.butterfly.q_max < 1:
         raise ConfigError(f"butterfly.q_max must be >= 1, got {cfg.butterfly.q_max}")
     if cfg.lambdas.kind not in ("auto", "explicit"):

@@ -11,23 +11,23 @@ diagnostics (dimension, nonzeros, connected blocks, half-bandwidth and
 eigenvalue solver of each window matrix and the seconds the window took
 to build and solve; for converge also the distance from each counting
 point to the window's nearest eigenvalue), per-flux
-butterfly diagnostics (fiber dimension and the fibers diagonalized on the
-grid and in the band edge refinement) or the inertia oracle's run facts
-for verify.  Every driver returns its rows plus a dict of the manifest
-sections the run adds: ``timings_s`` and ``diagnostics``; converge adds
-the wall time of its two stages to ``timings_s`` (``oracle``: counting
-points and quadrature; ``windows``: every window's build and solve), and
-records ``oracle``, the quadrature value and error bound per counting
-point, and ``threads``, the size of its window pool.
+butterfly diagnostics (fiber dimension and the fibers diagonalized, two
+per flux for the closed-form band edges) or the inertia oracle's run
+facts for verify.  Every driver returns its rows plus a dict of the
+manifest sections the run adds: ``timings_s`` and ``diagnostics``;
+converge adds the wall time of its two stages to ``timings_s``
+(``oracle``: counting points and quadrature; ``windows``: every window's
+build and solve), and records ``oracle``, the quadrature value and error
+bound per counting point, and ``threads``, the size of its window pool.
 
 Converge and jumps build and solve each window with one routine,
 ``_window_spectrum``.  Converge runs it with ``ordered_parallel``, one
 thread per usable CPU: the band and dense solvers release the GIL, so two
 windows take little more wall time than the larger one.  Everything else is
 serial: the oracle's first counting point fills the fiber-grid caches
-the others read, and the stacks of small ``eigvalsh`` calls in band edges
-and jumps gain nothing from a second thread.  Rows come out in a fixed
-order whatever the thread count.
+the others read, the stacks of small ``eigvalsh`` calls in jumps gain
+nothing from a second thread, and butterfly diagonalizes two fibers per
+flux.  Rows come out in a fixed order whatever the thread count.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .config import (
     BuiltModel,
     ConfigError,
     ExperimentConfig,
+    build_graph,
     build_model,
     config_digest,
 )
@@ -61,6 +62,7 @@ from .floquet import (
     OracleUnavailableError,
     band_edge_distance,
     band_edges,
+    hofstadter_band_edges,
     ids_oracle,
     jump_oracle,
     magnetic_cell,
@@ -384,30 +386,38 @@ def hofstadter_flux_list(q_max: int) -> list[Fraction]:
 
 
 def run_butterfly(cfg: ExperimentConfig) -> tuple[list[tuple], dict]:
-    """Band intervals of the square-lattice family per rational flux.
-    Asserts the alpha -> 1 - alpha reflection symmetry of the band data
-    (about the valence for the Laplacian, about zero for the hopping
-    operator) before returning.  Its ``diagnostics`` hold one entry per
-    flux: p, q, the fiber dimension, the grid fibers and the distinct
-    momenta the band edge refinement diagonalized."""
+    """Band intervals of the square-lattice family per rational flux, in
+    closed form from two fibers per flux (``hofstadter_band_edges``).
+    The operator is the DML unless the model section asks for ``harper``;
+    the model's weights are not read, since the flux is swept.  A model
+    whose graph is not ``square_lattice()``'s, or whose operator is neither
+    ``harper`` nor ``dml``, is a ConfigError.  Asserts the alpha -> 1 - alpha
+    reflection symmetry of the band data (about the valence for the
+    Laplacian, about zero for the hopping operator) before returning.  Its
+    ``diagnostics`` hold one entry per flux: p, q, the fiber dimension and
+    the fibers diagonalized."""
     t0 = time.perf_counter()
     graph = square_lattice()
-    use_dml = cfg.model is None or cfg.model.operator != "harper"
+    if cfg.model is not None:
+        if build_graph(cfg.model.graph) != graph:
+            raise ConfigError(
+                "butterfly sweeps the square lattice: the model graph must be square_lattice()'s"
+            )
+        if cfg.model.operator not in ("harper", "dml"):
+            raise ConfigError(f"butterfly needs operator harper or dml, got {cfg.model.operator!r}")
+    use_dml = cfg.model is None or cfg.model.operator == "dml"
     center = 4.0 if use_dml else 0.0
     fluxes = hofstadter_flux_list(cfg.butterfly.q_max)
-
-    grid_fibers = cfg.butterfly.grid_n ** graph.dimension
 
     def bands_at(flux: Fraction) -> tuple[list[Band], dict]:
         weights = hofstadter_weights(graph, flux)
         harper, dml = harper_dml(graph, weights)
         op = dml if use_dml else harper
         cell = magnetic_cell(graph, op, flux)
-        bands = list(band_edges(cell, cfg.butterfly.grid_n))
+        bands = list(hofstadter_band_edges(cell))
         diag = {
             "p": flux.numerator, "q": flux.denominator, "dim": cell.dim,
-            "grid_fibers": grid_fibers,
-            "refine_fibers": cell.fibers_diagonalized - grid_fibers,
+            "fibers": cell.fibers_diagonalized,
         }
         return bands, diag
 

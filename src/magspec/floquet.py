@@ -6,7 +6,9 @@ over the torus into finite Hermitian fibers of dimension q * #orbits.
 Band integrals of the fiber counting function give the limiting spectral
 density (normalized so it saturates at #orbits), block and flat-band
 models have exact jump lists, and fiber trace moments cross-check the
-walk-based trace through an independent computation.
+walk-based trace through an independent computation.  Band edges come
+from a refined fiber grid search, or, on the Landau-gauge square
+lattice, in closed form from two fibers (Chambers' relation).
 """
 
 from __future__ import annotations
@@ -274,6 +276,33 @@ def band_edges(cell: MagneticCell, N: int = 64) -> tuple[Band, ...]:
     out = tuple(sorted(bands, key=lambda band: (band.lo, band.hi)))
     cell._band_cache[N] = out
     return out
+
+
+def hofstadter_band_edges(cell: MagneticCell) -> tuple[Band, ...]:
+    """Exact per-band intervals of a Landau-gauge Hofstadter cell on the
+    square lattice, from two fibers.
+
+    Chambers' relation (Phys. Rev. 140, A135, 1965) separates the
+    determinant of the Harper fiber: det(lam - H(k)) = P(lam) - 2 cos k1
+    - 2 cos(q k2), with k1 the momentum of the q-stretched axis and P a
+    degree-q polynomial that does not depend on k; the DML fiber is
+    4 - H(k).  So the j-th fiber eigenvalue is a monotone function of
+    s = 2 cos k1 + 2 cos(q k2) alone, and band j is swept out between
+    s = 4 at k = (0, 0) and s = -4 at k = (pi, pi/q) (Hofstadter, PRB 14,
+    2239, 1976): [min, max] of the j-th eigenvalue of those two fibers.
+    Bands are sorted as ``band_edges`` sorts them.
+
+    Precondition: the cell is ``magnetic_cell`` of the Harper or DML
+    operator of ``hofstadter_weights`` on ``square_lattice()``.  Other
+    stencils break the relation and get wrong edges without an error; a
+    cell that is not two-dimensional with one orbit is refused."""
+    if cell.graph.dimension != 2 or cell.graph.num_orbits != 1:
+        raise OracleUnavailableError(
+            "closed-form band edges need the square lattice: two dimensions, one orbit"
+        )
+    eigs = _fiber_eigs(cell, np.array([[0.0, 0.0], [np.pi, np.pi / cell.q]]))
+    bands = [Band(float(lo), float(hi)) for lo, hi in zip(eigs.min(axis=0), eigs.max(axis=0))]
+    return tuple(sorted(bands, key=lambda band: (band.lo, band.hi)))
 
 
 def band_edge_distance(cell: MagneticCell, lam: float) -> float:

@@ -291,7 +291,7 @@ def test_structural_invariant_suite():
 def test_butterfly_reflection_symmetry():
     """Band tables at flux p/q and (q-p)/q coincide under reflection about
     the valence, within 1e-6, for every q <= 12."""
-    cfg = parse_config(f"label: bf\nbutterfly: {{q_max: {BUTTERFLY_QMAX}, grid_n: 64}}\n")
+    cfg = parse_config(f"label: bf\nbutterfly: {{q_max: {BUTTERFLY_QMAX}}}\n")
     records, _ = run_butterfly(cfg)
     table = {}
     for p, q, _, band, lo, hi in records:

@@ -82,9 +82,23 @@ OUT_OF_RANGE = [
 # errors at parse time, not a ValueError from deep inside a run
 FLOQUET_OUT_OF_RANGE = [
     "oracle: {grid_n: 4}",
-    "butterfly: {grid_n: 32}",
     "butterfly: {q_max: 0}",
 ]
+
+
+SQUARE_GRAPH = "graph: {dimension: 2, orbits: 1, templates: [[0, 0, [1, 0]], [0, 0, [0, 1]]]}"
+
+# model sections outside the family butterfly sweeps (the Harper or DML
+# operator on square_lattice()): each must be a ConfigError, not the
+# square-lattice DML butterfly written under their label
+BUTTERFLY_FOREIGN_MODELS = {
+    "triangle-cells-harper": "graph: {dimension: 1, orbits: 3, templates: "
+                             "[[0, 1, [0]], [1, 2, [0]], [0, 2, [0]]]}\noperator: harper",
+    "triangular-lattice-dml": "graph: {dimension: 2, orbits: 1, templates: "
+                              "[[0, 0, [1, 0]], [0, 0, [0, 1]], [0, 0, [1, 1]]]}\noperator: dml",
+    "square-custom": SQUARE_GRAPH + "\noperator: custom\ncustom_stencil: [[0, 0, [0], 1.0]]",
+    "square-zero": SQUARE_GRAPH + "\noperator: zero",
+}
 
 
 def triangle_with(line):
@@ -165,10 +179,15 @@ class TestParseConfig:
             parse_config(line_with(line))
 
     def test_floquet_smallest_values_accepted(self):
-        cfg = parse_config(line_with(
-            "oracle: {grid_n: 8}\nbutterfly: {grid_n: 64, q_max: 1}"
-        ))
-        assert (cfg.oracle.grid_n, cfg.butterfly.grid_n, cfg.butterfly.q_max) == (8, 64, 1)
+        cfg = parse_config(line_with("oracle: {grid_n: 8}\nbutterfly: {q_max: 1}"))
+        assert (cfg.oracle.grid_n, cfg.butterfly.q_max) == (8, 1)
+
+    def test_butterfly_grid_n_warns_as_unknown_key(self):
+        # the band edges take no grid since they come from two fibers:
+        # grid_n is ignored with the unknown-key warning, however small
+        with pytest.warns(UserWarning, match=r"ignored: butterfly\.grid_n$"):
+            cfg = parse_config(line_with("butterfly: {grid_n: 32, q_max: 2}"))
+        assert cfg.butterfly.q_max == 2
 
     def test_windows_must_increase(self):
         with pytest.raises(ConfigError):
@@ -220,14 +239,18 @@ custom_stencil:
         assert parse_config(DEFAULT_VERIFY_MODELS).models == shipped
 
     def test_shipped_configs_parse(self):
-        for path in sorted(CONFIG_DIR.glob("*.yaml")):
-            load_config(path)
+        # every file under configs/, without a warning: a shipped config
+        # that keeps a removed key (such as butterfly.grid_n) fails here
+        paths = sorted(path for path in CONFIG_DIR.rglob("*") if path.is_file())
+        assert paths
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for path in paths:
+                load_config(path)
 
     def test_known_keys_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for path in sorted(CONFIG_DIR.glob("*.yaml")):
-                load_config(path)
             for text in (TRIANGLE_YAML, SQUARE_YAML, DEFAULT_VERIFY_MODELS):
                 parse_config(text)
 
@@ -503,7 +526,7 @@ class TestRunButterfly:
         assert all(0 <= f <= 1 for f in fluxes)
 
     def test_small_butterfly_symmetry_holds(self):
-        text = "label: bf\nbutterfly: {q_max: 4, grid_n: 64}\n"
+        text = "label: bf\nbutterfly: {q_max: 4}\n"
         records, _ = run_butterfly(parse_config(text))
         assert records, "butterfly produced no rows"
         # flux 0 gives the single flux-free band [0, 8]
@@ -519,18 +542,34 @@ class TestRunButterfly:
 
 
     def test_diagnostics_one_entry_per_flux(self):
-        text = "label: bf\nbutterfly: {q_max: 3, grid_n: 64}\n"
+        text = "label: bf\nbutterfly: {q_max: 3}\n"
         _, info = run_butterfly(parse_config(text))
         diags = info["diagnostics"]
         assert [(d["p"], d["q"]) for d in diags] == [
             (f.numerator, f.denominator) for f in hofstadter_flux_list(3)
         ]
-        for d in diags:
-            assert d["dim"] == d["q"]
-            assert d["grid_fibers"] == 64**2
-            assert 0 < d["refine_fibers"] <= 14 * 2 * d["dim"] * 25
-        third = next(d for d in diags if (d["p"], d["q"]) == (1, 3))
-        assert third["refine_fibers"] == 1400
+        # two fibers per flux, at k = (0, 0) and (pi, pi/q)
+        assert all(d == {"p": d["p"], "q": d["q"], "dim": d["q"], "fibers": 2} for d in diags)
+
+    def test_harper_butterfly(self):
+        text = f"label: bf\n{SQUARE_GRAPH}\noperator: harper\nbutterfly: {{q_max: 6}}\n"
+        records, _ = run_butterfly(parse_config(text))
+        table = {}
+        for p, q, _, band, lo, hi in records:
+            table.setdefault(Fraction(p, q), []).append((lo, hi))
+        assert list(table) == hofstadter_flux_list(6)
+        assert all(len(bands) == flux.denominator for flux, bands in table.items())
+        # the flux-free hopping operator has the single band [-4, 4]
+        np.testing.assert_allclose(table[Fraction(0)], [(-4.0, 4.0)], rtol=0, atol=1e-12)
+        for flux, bands in table.items():
+            reflected = sorted((-hi, -lo) for lo, hi in table[1 - flux])
+            np.testing.assert_allclose(sorted(bands), reflected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("model", BUTTERFLY_FOREIGN_MODELS.values(),
+                             ids=BUTTERFLY_FOREIGN_MODELS.keys())
+    def test_model_outside_the_square_family_rejected(self, model):
+        with pytest.raises(ConfigError, match="butterfly"):
+            run_butterfly(parse_config(f"label: bf\n{model}\nbutterfly: {{q_max: 2}}\n"))
 
 
 class TestRunVerify:
@@ -734,9 +773,19 @@ verify: {inertia_instances: 2, window_sizes: [3]}
         assert proc.stderr.startswith("config error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("model", BUTTERFLY_FOREIGN_MODELS.values(),
+                             ids=BUTTERFLY_FOREIGN_MODELS.keys())
+    def test_butterfly_model_outside_the_square_family_exits_2(self, tmp_path, model):
+        cfg = tmp_path / "bf.yaml"
+        cfg.write_text(f"label: bf\n{model}\nbutterfly: {{q_max: 2}}\n")
+        proc = run_cli(["butterfly", str(cfg), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: butterfly")
+        assert not (tmp_path / "out" / "butterfly.csv").exists()
+
     def test_butterfly_manifest_has_diagnostics(self, tmp_path):
         cfg = tmp_path / "bf.yaml"
-        cfg.write_text("label: bf\nbutterfly: {q_max: 2, grid_n: 64}\n")
+        cfg.write_text("label: bf\nbutterfly: {q_max: 2}\n")
         out = tmp_path / "out"
         proc = run_cli(["butterfly", str(cfg), "--out", str(out)])
         assert proc.returncode == 0, proc.stderr

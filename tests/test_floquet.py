@@ -19,6 +19,7 @@ from magspec.floquet import (
     bloch_fiber,
     fiber_grid_eigs,
     grid_ids,
+    hofstadter_band_edges,
     ids_oracle,
     jump_oracle,
     magnetic_cell,
@@ -336,6 +337,49 @@ class TestRefinementWork:
         before = cell.fibers_diagonalized
         band_edges(cell, 64)
         assert cell.fibers_diagonalized == before
+
+
+BUTTERFLY_CASES = [
+    (alpha, operator) for operator in ("dml", "harper") for alpha in hofstadter_flux_list(12)
+]
+REFINEMENT_ERROR = 1.3e-6  # largest gap of band_edges(cell, 64) to the exact edges, q <= 12
+
+
+def edge_array(bands):
+    return np.array([(b.lo, b.hi) for b in bands])
+
+
+class TestHofstadterBandEdges:
+    """Closed-form edges from the fibers at k = (0, 0) and (pi, pi/q),
+    against the refined grid search and the fibers at random momenta, on
+    every butterfly flux with q <= 12."""
+
+    @pytest.mark.parametrize("alpha,operator", BUTTERFLY_CASES)
+    def test_edges_enclose_the_refined_bands_and_every_fiber(self, alpha, operator):
+        cell = square_cell(alpha, operator)
+        exact = edge_array(hofstadter_band_edges(cell))
+        assert cell.fibers_diagonalized == 2
+        refined = edge_array(band_edges(cell, 64))
+        assert exact.shape == refined.shape == (cell.q, 2)
+        assert np.abs(exact - refined).max() <= REFINEMENT_ERROR
+        assert np.all(exact[:, 0] <= refined[:, 0] + 1e-12)
+        assert np.all(refined[:, 1] <= exact[:, 1] + 1e-12)
+        kpts = np.random.default_rng(19).uniform(0.0, 2 * np.pi, size=(500, 2))
+        eigs = _fiber_eigs(cell, kpts)  # column j: the j-th eigenvalue, in band j
+        assert np.all(eigs >= exact[:, 0] - 1e-12)
+        assert np.all(eigs <= exact[:, 1] + 1e-12)
+
+    def test_flux_free_band(self):
+        edges = edge_array(hofstadter_band_edges(square_cell(Fraction(0))))
+        np.testing.assert_allclose(edges, [[0.0, 8.0]], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("make_cell", [line_cell, decorated_cell, cubic_cell],
+                             ids=["line", "decorated", "cubic"])
+    def test_non_square_cell_rejected(self, make_cell):
+        cell = make_cell()
+        with pytest.raises(OracleUnavailableError):
+            hofstadter_band_edges(cell)
+        assert cell.fibers_diagonalized == 0
 
 
 class TestJumpOracle:
