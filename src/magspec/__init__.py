@@ -26,6 +26,7 @@ from .floquet import (
     band_edges,
     bloch_fiber,
     hofstadter_band_edges,
+    hofstadter_ids,
     ids_oracle,
     jump_oracle,
     magnetic_cell,
@@ -49,9 +50,11 @@ from .operators import (
     StencilError,
     WeightFunction,
     WeightError,
+    dml_operator,
     gamma_trace_power,
     gauge_transformed,
     harper_dml,
+    harper_operator,
     hofstadter_weights,
     local_operator,
     translation_commutator,

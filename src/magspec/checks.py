@@ -42,9 +42,9 @@ from .operators import (
     LocalOperator,
     WeightFunction,
     check_conjugation_symmetry,
+    dml_operator,
     gauge_transformed,
     gamma_trace_power,
-    harper_dml,
     local_operator,
     translation_commutator,
     unit_phase,
@@ -206,8 +206,8 @@ def check_gauge_invariance(m: ModelUnderTest, rng: np.random.Generator) -> Check
     # random phases on the window, then 1 at position -1 (off the window)
     phases = np.array([unit_phase(rng.random()) for _ in range(len(win))] + [1.0 + 0.0j])
     gauged = gauge_transformed(m.weights, lambda orbit, s: phases[win.positions(orbit, s)])
-    e1 = _dirichlet_spectrum(harper_dml(m.graph, m.weights)[1], win)
-    e2 = _dirichlet_spectrum(harper_dml(m.graph, gauged)[1], win)
+    e1 = _dirichlet_spectrum(dml_operator(m.graph, m.weights), win)
+    e2 = _dirichlet_spectrum(dml_operator(m.graph, gauged), win)
     worst = float(np.abs(e1 - e2).max())
     return worst <= 1e-10, worst, f"max eigenvalue shift under a random gauge = {worst:.3e}"
 
@@ -228,7 +228,7 @@ def check_translation_invariance(m: ModelUnderTest) -> CheckResult:
 
 @_model_check("dirichlet-neumann-order")
 def check_dirichlet_neumann(m: ModelUnderTest) -> CheckResult:
-    _, dml = harper_dml(m.graph, m.weights)
+    dml = dml_operator(m.graph, m.weights)
     worst = 0.0
     for mside in m.window_sizes:
         win = window_subgraph(m.graph, folner_box(m.graph.dimension, mside))

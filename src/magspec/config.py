@@ -23,7 +23,8 @@ from .lattice import PeriodicGraph, periodic_graph
 from .operators import (
     LocalOperator,
     WeightFunction,
-    harper_dml,
+    dml_operator,
+    harper_operator,
     hofstadter_weights,
     local_operator,
     perturbed_weights,
@@ -363,8 +364,7 @@ def build_model(spec: ModelSpec) -> BuiltModel:
     graph = build_graph(spec.graph)
     weights = build_weights(graph, spec.weights)
     if spec.operator in ("harper", "dml"):
-        harper, dml = harper_dml(graph, weights)
-        op = harper if spec.operator == "harper" else dml
+        op = (harper_operator if spec.operator == "harper" else dml_operator)(graph, weights)
     elif spec.operator == "custom":
         if not spec.custom_stencil:
             raise ConfigError("custom operator needs a custom_stencil section")

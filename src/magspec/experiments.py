@@ -16,9 +16,11 @@ per flux for the closed-form band edges) or the inertia oracle's run
 facts for verify.  Every driver returns its rows plus a dict of the
 manifest sections the run adds: ``timings_s`` and ``diagnostics``;
 converge adds the wall time of its two stages to ``timings_s``
-(``oracle``: counting points and quadrature; ``windows``: every window's
-build and solve), and records ``oracle``, the quadrature value and error
-bound per counting point, and ``threads``, the size of its window pool.
+(``oracle``: counting points and ground truth; ``windows``: every
+window's build and solve), and records ``oracle``, the ground-truth value,
+its error bound and its ``method`` (``chambers``, exact on the square
+lattice, or ``grid``, the fiber-grid quadrature) per counting point, and
+``threads``, the size of its window pool.
 
 Converge and jumps build and solve each window with one routine,
 ``_window_spectrum``.  Converge runs it with ``ordered_parallel``, one
@@ -50,6 +52,8 @@ from .config import (
     BuiltModel,
     ConfigError,
     ExperimentConfig,
+    ModelSpec,
+    WeightSpec,
     build_graph,
     build_model,
     config_digest,
@@ -63,12 +67,13 @@ from .floquet import (
     band_edge_distance,
     band_edges,
     hofstadter_band_edges,
+    hofstadter_ids,
     ids_oracle,
     jump_oracle,
     magnetic_cell,
     merged_intervals,
 )
-from .operators import harper_dml, hofstadter_weights
+from .operators import dml_operator, harper_operator, hofstadter_weights
 from .lattice import square_lattice
 from .spectra import (
     WindowMatrix,
@@ -208,6 +213,18 @@ def _oracle_cell(model: BuiltModel) -> MagneticCell:
     return magnetic_cell(model.graph, model.operator, model.weights.flux)
 
 
+def _square_family(spec: ModelSpec) -> bool:
+    """Whether the model is the Harper or DML operator on
+    ``square_lattice()``, the family that Chambers' relation covers."""
+    return spec.operator in ("harper", "dml") and build_graph(spec.graph) == square_lattice()
+
+
+def _chambers_applies(spec: ModelSpec) -> bool:
+    """Whether converge takes the exact oracle (``hofstadter_ids``): the
+    square family with plain Hofstadter weights, no fault-injection knob."""
+    return _square_family(spec) and spec.weights == WeightSpec("hofstadter", spec.weights.flux)
+
+
 def _window_spectrum(
     model: BuiltModel, m: int, boundary: str
 ) -> tuple[Window, WindowMatrix, WindowSpectrum, dict]:
@@ -236,11 +253,14 @@ BAND_EDGE_EXCLUSION = 1e-3  # counting points closer than this are flagged
 
 
 def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
-    """Counting-function table F_m(lambda) per window, with quadrature
-    ground truth and error column when the oracle applies.  Rows sorted by
-    (lambda, m, boundary).  Counting points inside the default band-edge
-    exclusion are flagged (their oracle columns stay empty) rather than
-    failed, unless the config opts in to band-edge evaluation."""
+    """Counting-function table F_m(lambda) per window, with ground truth
+    and error column when the oracle applies: exact by Chambers' relation
+    (``hofstadter_ids``) where ``_chambers_applies``, else the fiber-grid
+    quadrature ``ids_oracle`` at ``oracle.grid_n``; the manifest's oracle
+    entries name the ``method``.  Rows sorted by (lambda, m, boundary).
+    Counting points inside the default band-edge exclusion are flagged
+    (their oracle columns stay empty) rather than failed, unless the
+    config opts in to band-edge evaluation."""
     if cfg.model is None:
         raise ConfigError("converge needs a model section")
     if cfg.boundary != "dirichlet" and cfg.model.operator != "dml":
@@ -269,10 +289,13 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
         lams = select_probe_lambdas(
             band_edges(cell), cfg.lambdas.count, cfg.lambdas.margin
         )
+    method = "chambers" if _chambers_applies(cfg.model) else "grid"
     if cell is not None:
         def oracle_at(lam: float) -> Optional[IdsEstimate]:
             if not cfg.oracle.allow_band_edge and band_edge_distance(cell, lam) < BAND_EDGE_EXCLUSION:
                 return None
+            if method == "chambers":
+                return hofstadter_ids(cell, lam)
             return ids_oracle(
                 cell, lam, cfg.oracle.grid_n,
                 allow_band_edge=cfg.oracle.allow_band_edge,
@@ -303,8 +326,8 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
         "threads": _usable_cpus(),
         "diagnostics": [diag for _, diag in results],
         "oracle": [
-            {"lambda": lam, "value": None, "error_bound": None} if est is None
-            else {"lambda": lam, "value": est.value, "error_bound": est.error_bound}
+            {"lambda": lam, "method": method, "value": None, "error_bound": None} if est is None
+            else {"lambda": lam, "method": method, "value": est.value, "error_bound": est.error_bound}
             for lam, est in estimates.items()
         ],
     }
@@ -388,32 +411,30 @@ def hofstadter_flux_list(q_max: int) -> list[Fraction]:
 def run_butterfly(cfg: ExperimentConfig) -> tuple[list[tuple], dict]:
     """Band intervals of the square-lattice family per rational flux, in
     closed form from two fibers per flux (``hofstadter_band_edges``).
-    The operator is the DML unless the model section asks for ``harper``;
-    the model's weights are not read, since the flux is swept.  A model
-    whose graph is not ``square_lattice()``'s, or whose operator is neither
-    ``harper`` nor ``dml``, is a ConfigError.  Asserts the alpha -> 1 - alpha
-    reflection symmetry of the band data (about the valence for the
-    Laplacian, about zero for the hopping operator) before returning.  Its
-    ``diagnostics`` hold one entry per flux: p, q, the fiber dimension and
-    the fibers diagonalized."""
+    The operator is the DML unless the model section asks for ``harper``.
+    A model outside ``_square_family``, or one with a weights section
+    other than the default, is a ConfigError: the flux is swept, so
+    weights (fault-injection knobs included) would be dropped unread.
+    Asserts the alpha -> 1 - alpha reflection symmetry of the band data
+    (about the valence for the Laplacian, about zero for the hopping
+    operator) before returning.  Its ``diagnostics`` hold one entry per
+    flux: p, q, the fiber dimension and the fibers diagonalized."""
     t0 = time.perf_counter()
     graph = square_lattice()
     if cfg.model is not None:
-        if build_graph(cfg.model.graph) != graph:
+        if not _square_family(cfg.model):
             raise ConfigError(
-                "butterfly sweeps the square lattice: the model graph must be square_lattice()'s"
+                "butterfly sweeps the Harper or DML operator on square_lattice(), not this model"
             )
-        if cfg.model.operator not in ("harper", "dml"):
-            raise ConfigError(f"butterfly needs operator harper or dml, got {cfg.model.operator!r}")
+        if cfg.model.weights != WeightSpec():
+            raise ConfigError("butterfly sweeps the flux: its model takes no weights section")
     use_dml = cfg.model is None or cfg.model.operator == "dml"
+    build = dml_operator if use_dml else harper_operator
     center = 4.0 if use_dml else 0.0
     fluxes = hofstadter_flux_list(cfg.butterfly.q_max)
 
     def bands_at(flux: Fraction) -> tuple[list[Band], dict]:
-        weights = hofstadter_weights(graph, flux)
-        harper, dml = harper_dml(graph, weights)
-        op = dml if use_dml else harper
-        cell = magnetic_cell(graph, op, flux)
+        cell = magnetic_cell(graph, build(graph, hofstadter_weights(graph, flux)), flux)
         bands = list(hofstadter_band_edges(cell))
         diag = {
             "p": flux.numerator, "q": flux.denominator, "dim": cell.dim,

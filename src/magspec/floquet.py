@@ -8,13 +8,16 @@ density (normalized so it saturates at #orbits), block and flat-band
 models have exact jump lists, and fiber trace moments cross-check the
 walk-based trace through an independent computation.  Band edges come
 from a refined fiber grid search, or, on the Landau-gauge square
-lattice, in closed form from two fibers (Chambers' relation).
+lattice, in closed form from two fibers (Chambers' relation), which
+there also gives the spectral density exactly as a one-dimensional
+integral over the flux-0 law.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -29,6 +32,10 @@ BAND_EDGE_MARGIN = 1e-6
 FLAT_BAND_TOL = 1e-10
 FLAT_GRID_N = 32       # fiber grid per axis on which flat bands are detected
 BAND_JOIN_TOL = 1e-9   # gap below which merged_intervals joins two bands
+CHAMBERS_NODES = 64    # Gauss-Legendre nodes per smooth piece of the flux-0 law
+CHAMBERS_ROUNDING = 1e-14  # rounding of the quadrature sums, added to the bound
+CHAMBERS_TOL = 1e-9    # relative characteristic-polynomial residual of the relation
+CHAMBERS_PROBE_K = (0.7123, 0.3217)  # generic momentum at which the relation is checked
 # Complex entries per stack of fibers diagonalized at once: 4 MiB, plus
 # eigvalsh's copy.  The grid chunks used to be 16 times larger, which for
 # 3 x 3 fibers held a whole 512^2 grid (64 MiB) at once and ran no faster.
@@ -194,6 +201,11 @@ def grid_ids(cell: MagneticCell, lam: float, N: int) -> float:
 
 @dataclass(frozen=True)
 class IdsEstimate:
+    """A value of the limiting spectral density and its error bound, with
+    the coarse and fine values behind the bound and the coarse resolution
+    (grid side N for ``ids_oracle``, Gauss nodes per piece for
+    ``hofstadter_ids``)."""
+
     value: float
     error_bound: float
     coarse: float
@@ -303,6 +315,91 @@ def hofstadter_band_edges(cell: MagneticCell) -> tuple[Band, ...]:
     eigs = _fiber_eigs(cell, np.array([[0.0, 0.0], [np.pi, np.pi / cell.q]]))
     bands = [Band(float(lo), float(hi)) for lo, hi in zip(eigs.min(axis=0), eigs.max(axis=0))]
     return tuple(sorted(bands, key=lambda band: (band.lo, band.hi)))
+
+
+@lru_cache(maxsize=None)
+def _clustered_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [0, 1] mapped by u -> (1 - cos(pi u)) / 2,
+    which clusters them at both ends, and their weights (the map's
+    Jacobian included).  A square-root kink at an end of a piece becomes
+    smooth in u, so the rule keeps its geometric convergence there."""
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    u = 0.5 * (u + 1.0)
+    return 0.5 * (1.0 - np.cos(np.pi * u)), 0.25 * np.pi * np.sin(np.pi * u) * w
+
+
+def flux_zero_law(t: np.ndarray, nodes: int = CHAMBERS_NODES) -> np.ndarray:
+    """G(t), the probability that 2 cos x + 2 cos y <= t for (x, y) uniform
+    on the torus: the limiting spectral density of the flux-0 Harper
+    operator.  G(t) = (1/pi) int_0^pi [1 - arccos(clip((t - 2 cos x)/2,
+    -1, 1))/pi] dx, integrated on the pieces of [0, pi] cut at the kinks
+    where the clip engages, each with ``nodes`` clustered Gauss nodes."""
+    t = np.asarray(t, dtype=float)[:, None, None]
+    y, w = _clustered_rule(nodes)
+    kinks = np.arccos(np.clip((t[:, :, 0] + [-2.0, 2.0]) / 2.0, -1.0, 1.0))
+    ends = np.zeros((t.shape[0], 1))
+    cuts = np.sort(np.concatenate([ends, kinks, ends + np.pi], axis=1), axis=1)[:, :, None]
+    width = np.diff(cuts, axis=1)
+    x = cuts[:, :-1] + width * y
+    g = 1.0 - np.arccos(np.clip((t - 2.0 * np.cos(x)) / 2.0, -1.0, 1.0)) / np.pi
+    return (g * w * width).sum(axis=(1, 2)) / np.pi
+
+
+def hofstadter_ids(cell: MagneticCell, lam: float) -> IdsEstimate:
+    """Exact limiting spectral density at lam of a Landau-gauge Hofstadter
+    cell on the square lattice, Harper or DML (Chambers' relation; see
+    ``hofstadter_band_edges``).
+
+    With D(lam) = det(lam - H) at a momentum where s = 2 cos k1 +
+    2 cos(q k2) vanishes, the relation reads det(lam - H(k)) = D(lam) -
+    c s(k), so lam lies on band j at s = t_j = 4 D(lam) / D(e_j(+4)), with
+    e_j(+4) the j-th eigenvalue at s = 4.  s has the flux-0 law G, and
+    band j is swept upward in s when e_j(+4) > e_j(-4), so band j adds
+    G(t_j) (else 1 - G(t_j)) when lam lies inside it, and 1 when lam lies
+    above it; F is the sum over q.  Needs no band-edge exclusion: F is
+    continuous there.  The error bound is the difference between the
+    values at CHAMBERS_NODES and at half as many nodes, plus
+    CHAMBERS_ROUNDING.
+
+    Raises OracleUnavailableError for a cell that is not two-dimensional
+    with one orbit, and for one whose fibers break the relation: the
+    characteristic polynomials at s = +4, -4 and at the generic momentum
+    CHAMBERS_PROBE_K must differ from D only in the constant term, by
+    -c s with one c != 0."""
+    if cell.graph.dimension != 2 or cell.graph.num_orbits != 1:
+        raise OracleUnavailableError(
+            "the exact oracle needs the square lattice: two dimensions, one orbit"
+        )
+    q = cell.q
+    k1, k2 = CHAMBERS_PROBE_K
+    kpts = np.array([[0.0, 0.0], [np.pi, np.pi / q], [np.pi / 2, np.pi / (2 * q)], [k1, k2]])
+    top, bottom, zero, probe = _fiber_eigs(cell, kpts)
+    base = np.poly(zero)
+    shifts = np.array([np.poly(e) for e in (top, bottom, probe)]) - base
+    s = np.array([4.0, -4.0, 2.0 * np.cos(k1) + 2.0 * np.cos(q * k2)])
+    c = -shifts[0, -1] / 4.0
+    shifts[:, -1] += c * s
+    tol = CHAMBERS_TOL * max(1.0, float(np.abs(base).max()))
+    if not abs(c) > tol or np.abs(shifts).max() > tol:
+        raise OracleUnavailableError("the fibers break Chambers' relation; no exact oracle")
+
+    def det(x) -> np.ndarray:
+        return np.prod(np.subtract.outer(x, zero), axis=-1)
+
+    lo, hi = np.minimum(top, bottom), np.maximum(top, bottom)
+    inside = (lo < lam) & (lam < hi)
+    t = np.clip(4.0 * det(lam) / det(top[inside]), -4.0, 4.0)
+    rising = top[inside] > bottom[inside]
+    below = np.count_nonzero(hi <= lam)
+
+    def value(nodes: int) -> tuple[float, np.ndarray]:
+        law = flux_zero_law(t, nodes)
+        return float(below + np.where(rising, law, 1.0 - law).sum()) / q, law
+
+    fine, law_fine = value(CHAMBERS_NODES)
+    coarse, law_coarse = value(CHAMBERS_NODES // 2)
+    bound = float(np.abs(law_fine - law_coarse).sum()) / q + CHAMBERS_ROUNDING
+    return IdsEstimate(fine, bound, coarse, fine, CHAMBERS_NODES // 2)
 
 
 def band_edge_distance(cell: MagneticCell, lam: float) -> float:

@@ -433,16 +433,12 @@ def zero_operator(graph: PeriodicGraph) -> LocalOperator:
     return LocalOperator(graph, {}, 0, 0, 0.0)
 
 
-def harper_dml(
+def _hopping_entries(
     graph: PeriodicGraph, weights: WeightFunction
-) -> tuple[LocalOperator, LocalOperator]:
-    """The magnetic hopping operator and the magnetic Laplacian.
-
-    Hopping sums sigma phases over all oriented edges out of each vertex
-    (reversed edges carry the conjugate phase, which is the self-adjoint
-    orientation convention); the Laplacian is the valence diagonal minus
-    the hopping part.
-    """
+) -> list[tuple[int, int, Shift, CoeffRule]]:
+    """The sigma phases of all oriented edges out of each vertex: each
+    template in its own direction and reversed, where it carries the
+    conjugate phase (the self-adjoint orientation convention)."""
     hop_raw: list[tuple[int, int, Shift, CoeffRule]] = []
     for i, t in enumerate(graph.templates):
         hop_raw.append(
@@ -453,17 +449,34 @@ def harper_dml(
             (t.terminus_orbit, t.origin_orbit, neg(t.offset),
              lambda s, i=i, off=t.offset: weights.positive_phase(i, s - off).conj())
         )
-    harper = local_operator(graph, hop_raw)
+    return hop_raw
+
+
+def harper_operator(graph: PeriodicGraph, weights: WeightFunction) -> LocalOperator:
+    """The magnetic hopping (Harper) operator: the sum of the sigma phases
+    over all oriented edges out of each vertex."""
+    return local_operator(graph, _hopping_entries(graph, weights))
+
+
+def dml_operator(graph: PeriodicGraph, weights: WeightFunction) -> LocalOperator:
+    """The discrete magnetic Laplacian: the valence diagonal minus the
+    hopping part."""
     lap_raw: list[tuple[int, int, Shift, object]] = [
         (orb, orb, (0,) * graph.dimension, float(graph.valence(orb)))
         for orb in range(graph.num_orbits)
     ]
-    for a, b, off, rule in hop_raw:
+    for a, b, off, rule in _hopping_entries(graph, weights):
         lap_raw.append((a, b, off, lambda s, rule=rule: -rule(s)))
-    dml = local_operator(graph, lap_raw)
-    return harper, dml
+    return local_operator(graph, lap_raw)
 
 
+def harper_dml(
+    graph: PeriodicGraph, weights: WeightFunction
+) -> tuple[LocalOperator, LocalOperator]:
+    """The magnetic hopping operator and the magnetic Laplacian; a caller
+    that reads one of them builds it alone with ``harper_operator`` or
+    ``dml_operator``."""
+    return harper_operator(graph, weights), dml_operator(graph, weights)
 
 
 def window_coo(

@@ -73,7 +73,7 @@ from scipy.linalg import cython_lapack
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from .exhaustion import InteriorSplit, Window
-from .operators import HERMITIAN_TOL, LocalOperator, WeightFunction, harper_dml, window_coo
+from .operators import HERMITIAN_TOL, LocalOperator, WeightFunction, dml_operator, window_coo
 
 MAX_DENSE_DIM = 5000
 PROJECTION_TOL = 1e-10    # projection test of projection_window_dim, relative
@@ -291,7 +291,7 @@ def neumann_matrix(graph, weights: WeightFunction, window: Window) -> WindowMatr
     the compression's own entries, as a subtraction from the dense
     diagonal would be.  Only defined for Laplacian-type operators, which
     is why this takes the graph and weights directly."""
-    A = dirichlet_matrix(harper_dml(graph, weights)[1], window)
+    A = dirichlet_matrix(dml_operator(graph, weights), window)
     tails, heads, _ = window.edge_ends()
     inner = np.bincount(np.concatenate([tails, heads]), minlength=len(window))
     valence = np.array([graph.valence(orb) for orb in range(graph.num_orbits)])

@@ -23,6 +23,7 @@ from magspec.config import (
     parse_flux,
 )
 import magspec.experiments
+import magspec.floquet
 from magspec.experiments import (
     DEFAULT_VERIFY_MODELS,
     hofstadter_flux_list,
@@ -98,6 +99,14 @@ BUTTERFLY_FOREIGN_MODELS = {
                               "[[0, 0, [1, 0]], [0, 0, [0, 1]], [0, 0, [1, 1]]]}\noperator: dml",
     "square-custom": SQUARE_GRAPH + "\noperator: custom\ncustom_stencil: [[0, 0, [0], 1.0]]",
     "square-zero": SQUARE_GRAPH + "\noperator: zero",
+}
+
+# weights sections a butterfly model may not carry: the flux is swept, so
+# each would be dropped unread (the fault-injection knobs among them)
+BUTTERFLY_WEIGHTS = {
+    "hofstadter": 'weights: {kind: hofstadter, flux: "1/3"}',
+    "conjugation-defect": "weights: {conjugation_defect: 0.2}",
+    "perturb": "weights: {perturb: {template: 0, shift: [0, 0], turns: 0.3}}",
 }
 
 
@@ -364,6 +373,43 @@ oracle: {grid_n: 16}
             assert o["value"] == f_oracle[o["lambda"]]
             assert o["error_bound"] > 0
 
+    def test_square_lattice_oracle_is_exact_on_the_band_edge_grid_only(self, monkeypatch):
+        # Chambers' relation replaces the N and 2N quadrature grids: the
+        # only fiber grid built is band_edges' N = 64, for probe selection
+        # and the band-edge exclusion
+        sizes = []
+        grid = magspec.floquet.fiber_grid_eigs
+        monkeypatch.setattr(
+            magspec.floquet, "fiber_grid_eigs", lambda cell, N: sizes.append(N) or grid(cell, N)
+        )
+        _, info = run_converge(parse_config(SQUARE_YAML.replace("grid_n: 32", "grid_n: 256")))
+        assert set(sizes) == {64}
+        assert {o["method"] for o in info["oracle"]} == {"chambers"}
+
+    def test_other_models_keep_the_grid_oracle(self):
+        _, info = run_converge(parse_config(TRIANGLE_YAML))
+        assert {o["method"] for o in info["oracle"]} == {"grid"}
+        perturbed = SQUARE_YAML.replace(
+            'flux: "1/2"}', 'flux: "1/2", perturb: {template: 0, shift: [0, 0], turns: 0.5}}'
+        )
+        assert not magspec.experiments._chambers_applies(parse_config(perturbed).model)
+
+    def test_square_lattice_converge_loads_no_quadrature_modules(self, tmp_path):
+        # scipy.integrate alone would cost more start-up time and memory
+        # than the grids it replaces; checked in a fresh interpreter
+        cfg = tmp_path / "sq.yaml"
+        cfg.write_text(SQUARE_YAML)
+        script = (
+            f"import json, sys; sys.path.insert(0, {str(Path(magspec.experiments.__file__).parent.parent)!r}); "
+            "from magspec.cli import main; "
+            f"code = main(['converge', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+            "print(json.dumps([code, sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'special']))]))"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+
     def test_points_near_a_band_edge_have_no_oracle_entry_values(self):
         # the lowest band edge of the flux-1/2 Laplacian is 4 - 2 sqrt(2)
         edge = 4 - 2 * 2**0.5
@@ -373,7 +419,7 @@ oracle: {grid_n: 16}
         )
         rows, info = run_converge(parse_config(text))
         near, far = info["oracle"]
-        assert near == {"lambda": edge, "value": None, "error_bound": None}
+        assert near == {"lambda": edge, "method": "chambers", "value": None, "error_bound": None}
         assert far["lambda"] == 2.5 and far["value"] is not None and far["error_bound"] > 0
         assert {r.f_oracle for r in rows if r.lam == edge} == {None}
 
@@ -570,6 +616,16 @@ class TestRunButterfly:
     def test_model_outside_the_square_family_rejected(self, model):
         with pytest.raises(ConfigError, match="butterfly"):
             run_butterfly(parse_config(f"label: bf\n{model}\nbutterfly: {{q_max: 2}}\n"))
+
+    @pytest.mark.parametrize("weights", BUTTERFLY_WEIGHTS.values(), ids=BUTTERFLY_WEIGHTS.keys())
+    def test_model_weights_rejected(self, weights):
+        text = f"label: bf\n{SQUARE_GRAPH}\n{weights}\noperator: dml\nbutterfly: {{q_max: 2}}\n"
+        with pytest.raises(ConfigError, match="butterfly sweeps the flux"):
+            run_butterfly(parse_config(text))
+
+    def test_default_weights_accepted(self):
+        text = f"label: bf\n{SQUARE_GRAPH}\nweights: {{kind: uniform}}\nbutterfly: {{q_max: 2}}\n"
+        assert run_butterfly(parse_config(text))[0] == run_butterfly(parse_config("butterfly: {q_max: 2}"))[0]
 
 
 class TestRunVerify:
@@ -781,6 +837,14 @@ verify: {inertia_instances: 2, window_sizes: [3]}
         proc = run_cli(["butterfly", str(cfg), "--out", str(tmp_path / "out")])
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: butterfly")
+        assert not (tmp_path / "out" / "butterfly.csv").exists()
+
+    def test_butterfly_model_weights_exit_2(self, tmp_path):
+        cfg = tmp_path / "bf.yaml"
+        cfg.write_text(f"label: bf\n{SQUARE_GRAPH}\n{BUTTERFLY_WEIGHTS['perturb']}\nbutterfly: {{q_max: 2}}\n")
+        proc = run_cli(["butterfly", str(cfg), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: butterfly sweeps the flux")
         assert not (tmp_path / "out" / "butterfly.csv").exists()
 
     def test_butterfly_manifest_has_diagnostics(self, tmp_path):

@@ -9,6 +9,8 @@ import pytest
 from magspec.exhaustion import distinct_rows
 from magspec.experiments import hofstadter_flux_list
 from magspec.floquet import (
+    CHAMBERS_NODES,
+    CHAMBERS_ROUNDING,
     FIBER_CHUNK_ENTRIES,
     BandEdgeError,
     OracleUnavailableError,
@@ -18,8 +20,10 @@ from magspec.floquet import (
     band_edges,
     bloch_fiber,
     fiber_grid_eigs,
+    flux_zero_law,
     grid_ids,
     hofstadter_band_edges,
+    hofstadter_ids,
     ids_oracle,
     jump_oracle,
     magnetic_cell,
@@ -34,7 +38,9 @@ from magspec.lattice import (
 )
 from magspec.operators import (
     harper_dml,
+    harper_operator,
     hofstadter_weights,
+    local_operator,
     uniform_weights,
     zero_operator,
 )
@@ -242,6 +248,12 @@ def decorated_cell():
     return magnetic_cell(graph, dml, Fraction(1, 3))
 
 
+def triangle_cell():
+    g = triangle_cells()
+    _, D = harper_dml(g, uniform_weights(g))
+    return magnetic_cell(g, D, Fraction(0))
+
+
 def cubic_cell():
     g = periodic_graph(3, 1, [(0, 0, (1, 0, 0)), (0, 0, (0, 1, 0)), (0, 0, (0, 0, 1))])
     _, D = harper_dml(g, uniform_weights(g))
@@ -380,6 +392,93 @@ class TestHofstadterBandEdges:
         with pytest.raises(OracleUnavailableError):
             hofstadter_band_edges(cell)
         assert cell.fibers_diagonalized == 0
+
+
+CHAMBERS_FLUXES = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 7), Fraction(5, 12)]
+
+
+def exact_ids(cell, lams):
+    return np.array([hofstadter_ids(cell, lam).value for lam in lams])
+
+
+def relation_breaking_cell():
+    """The flux-1/3 Harper stencil plus a constant diagonal hop: periodic
+    and Hermitian, but its fiber determinant no longer depends on k
+    through 2 cos k1 + 2 cos(q k2) alone."""
+    g = square_lattice()
+    H = harper_operator(g, hofstadter_weights(g, Fraction(1, 3)))
+    raw = [(0, e.target_orbit, e.offset, e.coeff) for e in H.entries[0]]
+    op = local_operator(g, raw + [(0, 0, (1, 1), 0.3), (0, 0, (-1, -1), 0.3)])
+    return magnetic_cell(g, op, Fraction(1, 3))
+
+
+class TestHofstadterIds:
+    """The exact spectral density of the Landau-gauge square lattice from
+    Chambers' relation, against the flux-0 law, the gap labels, the
+    Harper-DML and particle-hole symmetries, and the midpoint grid."""
+
+    def test_flux_free_half_filling(self):
+        assert flux_zero_law(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-15)
+        est = hofstadter_ids(square_cell(Fraction(0), "harper"), 0.0)
+        assert est.value == pytest.approx(0.5, abs=1e-14)
+        assert 0 < est.error_bound < 1e-12
+
+    @pytest.mark.parametrize("alpha,operator", BUTTERFLY_CASES)
+    def test_gaps_hold_the_band_count_over_q(self, alpha, operator):
+        cell = square_cell(alpha, operator)
+        edges = edge_array(hofstadter_band_edges(cell))
+        q = cell.q
+        assert hofstadter_ids(cell, edges[0, 0] - 0.5).value == 0.0
+        assert hofstadter_ids(cell, edges[-1, 1] + 0.5).value == 1.0
+        for k in range(1, q):
+            if edges[k, 0] - edges[k - 1, 1] > 1e-9:
+                assert hofstadter_ids(cell, 0.5 * (edges[k - 1, 1] + edges[k, 0])).value == k / q
+
+    @pytest.mark.parametrize("alpha", [Fraction(0)] + CHAMBERS_FLUXES + [Fraction(5, 7)])
+    def test_dml_is_the_reflected_harper(self, alpha):
+        lams = np.random.default_rng(41).uniform(-0.5, 8.5, 60)
+        dml = exact_ids(square_cell(alpha, "dml"), lams)
+        harper = exact_ids(square_cell(alpha, "harper"), 4.0 - lams)
+        np.testing.assert_allclose(dml, 1.0 - harper, rtol=0, atol=1e-12)
+        # the square lattice is bipartite: F(lam) + F(8 - lam) = 1 on the DML
+        np.testing.assert_allclose(dml + exact_ids(square_cell(alpha, "dml"), 8.0 - lams), 1.0,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", CHAMBERS_FLUXES)
+    def test_nondecreasing_and_continuous_at_band_edges(self, alpha):
+        cell = square_cell(alpha)
+        edges = np.unique(edge_array(hofstadter_band_edges(cell)))
+        lams = np.sort(np.concatenate([
+            np.linspace(-0.5, 8.5, 1501), edges, edges - 1e-9, edges + 1e-9,
+        ]))
+        values = exact_ids(cell, lams)
+        assert np.all(np.diff(values) >= -1e-14)
+        for e in edges:
+            left, mid, right = exact_ids(cell, [e - 1e-9, e, e + 1e-9])
+            assert abs(right - left) < 1e-6 and left - 1e-14 <= mid <= right + 1e-14
+
+    @pytest.mark.parametrize("alpha", CHAMBERS_FLUXES)
+    def test_agrees_with_the_midpoint_grid(self, alpha):
+        cell = square_cell(alpha)
+        lams = np.random.default_rng(7).uniform(-0.2, 8.2, 40)
+        grid = np.array([grid_ids(cell, lam, 1024) for lam in lams])
+        np.testing.assert_allclose(exact_ids(cell, lams), grid, rtol=0, atol=1e-4)
+
+    def test_flux_zero_law_within_its_bound(self):
+        near = 10.0 ** -np.arange(1, 16)
+        t = np.concatenate([np.linspace(-4.0, 4.0, 2001), near, -near, 4 - near, 2 + near, 2 - near])
+        fine = flux_zero_law(t, CHAMBERS_NODES)
+        bound = np.abs(fine - flux_zero_law(t, CHAMBERS_NODES // 2)) + CHAMBERS_ROUNDING
+        assert np.all(np.abs(fine - flux_zero_law(t, 256)) <= bound)
+        assert bound.max() < 1e-9
+
+    @pytest.mark.parametrize(
+        "make_cell", [triangle_cell, decorated_cell, cubic_cell, relation_breaking_cell],
+        ids=["triangle", "decorated", "cubic", "relation-breaking"],
+    )
+    def test_cells_outside_the_relation_rejected(self, make_cell):
+        with pytest.raises(OracleUnavailableError):
+            hofstadter_ids(make_cell(), 1.0)
 
 
 class TestJumpOracle:
