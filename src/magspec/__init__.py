@@ -9,6 +9,12 @@ rational flux, including the jump (flat-band / block) structure.
 
 __version__ = "0.1.0"
 
+import os
+
+# one OpenBLAS thread (see spectra): OpenBLAS reads this once, when it
+# loads, and the first submodule import below loads numpy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .exhaustion import (
     InteriorSplit,
     Window,

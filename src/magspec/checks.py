@@ -59,7 +59,6 @@ from .spectra import (
     inertia_count_leq,
     interior_restriction,
     neumann_matrix,
-    one_blas_thread,
     projection_window_dim,
     rect_kernel_dim,
     spectral_density,
@@ -389,32 +388,30 @@ def check_inertia_oracle(
     Both backends take the same window matrix.  The reference spectrum is
     the one ``count_leq`` counts on (``spectral_density``: per connected
     block, in band storage when the band is narrow, dense otherwise), so
-    the check reads "inertia backend == eigh backend".  The loop runs
-    inside ``one_blas_thread``: its matrices (n <= max_dim) are too small
-    for a second BLAS thread to help, and with numpy's and scipy's
-    OpenBLAS alternating, that thread only spins.  The result's
-    ``diagnostics`` count the instances per reference solver, the largest
-    dimension, the points tested and excluded, and the OpenBLAS thread
-    counts read inside the loop."""
+    the check reads "inertia backend == eigh backend".  Like every LAPACK
+    call in the package, the loop runs on one OpenBLAS thread (the
+    process-wide pin, see ``spectra``).  The result's ``diagnostics``
+    count the instances per reference solver, the largest dimension, the
+    points tested and excluded, and the OpenBLAS thread counts read after
+    the loop."""
     mismatches = tested = excluded = largest = 0
     solvers = dict.fromkeys(("blocks", "banded", "dense"), 0)
-    with one_blas_thread():
-        for _ in range(instances):
-            _, win, A = random_stencil_window(rng, max_dim)
-            spec = spectral_density(A, win)
-            evals = spec.eigenvalues
-            solvers[spec.solver] += 1
-            largest = max(largest, A.dim)
-            norm = max(A.norm_bound, 1e-12)
-            for lam in oracle_points(rng, evals, norm):
-                if np.abs(evals - lam).min() <= 1e-9 * norm:
-                    excluded += 1  # counting at an eigenvalue is ambiguous
-                    continue
-                tested += 1
-                expected = int(np.count_nonzero(evals <= lam))
-                if inertia_count_leq(A, lam) != expected:
-                    mismatches += 1
-        threads = blas_thread_counts()
+    for _ in range(instances):
+        _, win, A = random_stencil_window(rng, max_dim)
+        spec = spectral_density(A, win)
+        evals = spec.eigenvalues
+        solvers[spec.solver] += 1
+        largest = max(largest, A.dim)
+        norm = max(A.norm_bound, 1e-12)
+        for lam in oracle_points(rng, evals, norm):
+            if np.abs(evals - lam).min() <= 1e-9 * norm:
+                excluded += 1  # counting at an eigenvalue is ambiguous
+                continue
+            tested += 1
+            expected = int(np.count_nonzero(evals <= lam))
+            if inertia_count_leq(A, lam) != expected:
+                mismatches += 1
+    threads = blas_thread_counts()
     return CheckResult(
         "inertia-oracle", mismatches == 0, float(mismatches),
         f"{tested} counting points over {instances} random restrictions, "

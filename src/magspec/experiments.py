@@ -25,7 +25,9 @@ lattice, or ``grid``, the fiber-grid quadrature) per counting point, and
 Converge and jumps build and solve each window with one routine,
 ``_window_spectrum``.  Converge runs it with ``ordered_parallel``, one
 thread per usable CPU: the band and dense solvers release the GIL, so two
-windows take little more wall time than the larger one.  Everything else is
+windows take little more wall time than the larger one.  That pool is the
+only parallelism: OpenBLAS runs on one thread (see ``spectra``), as every
+manifest's ``blas_threads`` records.  Everything else is
 serial: the oracle's first counting point fills the fiber-grid caches
 the others read, the stacks of small ``eigvalsh`` calls in jumps gain
 nothing from a second thread, and butterfly diagonalizes two fibers per
@@ -78,6 +80,7 @@ from .lattice import square_lattice
 from .spectra import (
     WindowMatrix,
     WindowSpectrum,
+    blas_thread_counts,
     dirichlet_matrix,
     interior_restriction,
     neumann_matrix,
@@ -135,8 +138,9 @@ def write_csv(path, columns: Sequence[str], records: Iterable[tuple]) -> None:
 
 
 def write_manifest(path, *, config_text: str, seed: int, info: dict, outputs: list[str]) -> None:
-    """Run manifest: tool and library versions, config digest, seed,
-    outputs, and the sections the driver returned in ``info``."""
+    """Run manifest: tool and library versions, the thread count of every
+    loaded OpenBLAS (``blas_threads``), config digest, seed, outputs, and
+    the sections the driver returned in ``info``."""
     import scipy
 
     manifest = {
@@ -144,6 +148,7 @@ def write_manifest(path, *, config_text: str, seed: int, info: dict, outputs: li
         "config_sha256": config_digest(config_text),
         "seed": seed,
         "libraries": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "blas_threads": blas_thread_counts(),
         "outputs": outputs,
         "written_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         **info,
@@ -154,8 +159,11 @@ def write_manifest(path, *, config_text: str, seed: int, info: dict, outputs: li
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """CPUs this process may run on: its affinity mask where the system
+    has one (Linux), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def ordered_parallel(fn: Callable, items: Sequence) -> list:
@@ -258,9 +266,10 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     (``hofstadter_ids``) where ``_chambers_applies``, else the fiber-grid
     quadrature ``ids_oracle`` at ``oracle.grid_n``; the manifest's oracle
     entries name the ``method``.  Rows sorted by (lambda, m, boundary).
-    Counting points inside the default band-edge exclusion are flagged
-    (their oracle columns stay empty) rather than failed, unless the
-    config opts in to band-edge evaluation."""
+    On the grid path, counting points inside the default band-edge
+    exclusion are flagged (their oracle columns stay empty) rather than
+    failed, unless the config opts in to band-edge evaluation; the exact
+    oracle is continuous at the edges and needs no exclusion."""
     if cfg.model is None:
         raise ConfigError("converge needs a model section")
     if cfg.boundary != "dirichlet" and cfg.model.operator != "dml":
@@ -292,10 +301,10 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     method = "chambers" if _chambers_applies(cfg.model) else "grid"
     if cell is not None:
         def oracle_at(lam: float) -> Optional[IdsEstimate]:
-            if not cfg.oracle.allow_band_edge and band_edge_distance(cell, lam) < BAND_EDGE_EXCLUSION:
-                return None
             if method == "chambers":
                 return hofstadter_ids(cell, lam)
+            if not cfg.oracle.allow_band_edge and band_edge_distance(cell, lam) < BAND_EDGE_EXCLUSION:
+                return None
             return ids_oracle(
                 cell, lam, cfg.oracle.grid_n,
                 allow_band_edge=cfg.oracle.allow_band_edge,

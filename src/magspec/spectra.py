@@ -55,16 +55,19 @@ defined through clusters with a validated gap, judged over the union of
 all blocks' values: the caller gets an error ("unresolved cluster")
 instead of a silently wrong multiplicity.
 
-``one_blas_thread`` pins every loaded OpenBLAS to one thread for the
-duration of a loop of small factorizations and diagonalizations, where a
-second BLAS thread only spins.
+Every loaded OpenBLAS runs on one thread, for the whole process: the
+package sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads, and this
+module pins, at import, every OpenBLAS already loaded (by a caller that
+imported numpy or scipy first, or under a user-set variable).  The
+window pool (``experiments.ordered_parallel``) is the only parallelism;
+a second BLAS thread under it would share a core with the other window's
+solve.
 """
 
 from __future__ import annotations
 
 import ctypes
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -161,27 +164,10 @@ def blas_thread_counts() -> dict[str, int]:
     return {name: int(get()) for name, get, _ in _openblas_controls()}
 
 
-@contextmanager
-def one_blas_thread():
-    """Run the body with every loaded OpenBLAS on one thread, then restore
-    each library's previous count, also when the body raises.
-
-    Meant for loops of small LAPACK calls (the inertia oracle's hetrf and
-    reference spectra), where OpenBLAS keeps a second thread spinning for
-    nothing and a loop that alternates numpy's and scipy's libraries makes
-    one pool spin while the other works.  It is scoped, not process-wide:
-    a dense eigvalsh at n = 2304 takes 1.6-2 times as long on one thread.
-    Where no setter is found it does nothing: without /proc (no way to
-    list the loaded libraries), or with a BLAS that is not OpenBLAS."""
-    controls = _openblas_controls()
-    previous = [(set_, int(get())) for _, get, set_ in controls]
-    for set_, _ in previous:
-        set_(1)
-    try:
-        yield
-    finally:
-        for set_, count in previous:
-            set_(count)
+# the process-wide pin (see the module docstring), also for libraries
+# that loaded before the package could set OPENBLAS_NUM_THREADS
+for _, _, _set in _openblas_controls():
+    _set(1)
 
 
 class WindowTooLargeError(ValueError):

@@ -1,8 +1,12 @@
 """The named check suite itself: green on healthy models, loud and
 precisely named on injected faults."""
 
+import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,13 +35,7 @@ from magspec.operators import (
     uniform_weights,
     with_conjugation_defect,
 )
-from magspec.spectra import (
-    WindowMatrix,
-    _openblas_controls,
-    blas_thread_counts,
-    one_blas_thread,
-    spectral_density,
-)
+from magspec.spectra import WindowMatrix, spectral_density
 
 
 def healthy_model(label="sq-third"):
@@ -246,59 +244,45 @@ class TestGlobalChecks:
         assert all(r.passed for r in results), [r.detail for r in results]
 
 
-class TestOneBlasThread:
-    """The inertia oracle's loop runs with every loaded OpenBLAS (numpy's
-    and scipy's) on one thread, and only that loop."""
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-    @pytest.fixture
-    def two_threads(self):
-        # start from a known count above one, and give back what was there
-        controls = _openblas_controls()
-        if not controls:
+
+class TestProcessPin:
+    """Once magspec is imported, every loaded OpenBLAS (numpy's and
+    scipy's) runs on one thread, whatever was imported first and whatever
+    OPENBLAS_NUM_THREADS says; each case in a fresh interpreter, since
+    OpenBLAS reads the variable when it loads."""
+
+    @staticmethod
+    def counts_after_import(first: str, variable=None) -> tuple[dict, str]:
+        script = (
+            f"import json, os, sys; sys.path.insert(0, {SRC!r}); {first}"
+            "import magspec; from magspec.spectra import blas_thread_counts; "
+            "print(json.dumps([blas_thread_counts(), os.environ['OPENBLAS_NUM_THREADS']]))"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if variable is not None:
+            env["OPENBLAS_NUM_THREADS"] = variable
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        counts, setting = json.loads(proc.stdout)
+        if not counts:
             pytest.skip("no OpenBLAS thread control found in this process")
-        before = [(set_, get()) for _, get, set_ in controls]
-        for set_, _ in before:
-            set_(2)
-        yield
-        for set_, count in before:
-            set_(count)
+        return counts, setting
 
-    def test_every_openblas_reports_one_thread_inside(self, two_threads):
-        with one_blas_thread():
-            counts = blas_thread_counts()
-        assert counts and all(c == 1 for c in counts.values()), counts
+    def test_magspec_imported_first(self):
+        counts, setting = self.counts_after_import("")
+        assert set(counts.values()) == {1}, counts
+        assert setting == "1"
 
-    def test_counts_restored_on_exit(self, two_threads):
-        before = blas_thread_counts()
-        assert set(before.values()) == {2}
-        with one_blas_thread():
-            pass
-        assert blas_thread_counts() == before
+    def test_numpy_and_scipy_imported_first(self):
+        counts, _ = self.counts_after_import("import numpy, scipy.linalg; ")
+        assert set(counts.values()) == {1}, counts
 
-    def test_counts_restored_after_exception(self, two_threads):
-        before = blas_thread_counts()
-        with pytest.raises(KeyError):
-            with one_blas_thread():
-                raise KeyError("body failed")
-        assert blas_thread_counts() == before
-
-    def test_oracle_factors_on_one_thread(self, two_threads, monkeypatch):
-        import magspec.checks as checks
-
-        seen = []
-        factor = checks.inertia_count_leq
-
-        def recording(A, lam):
-            seen.append(blas_thread_counts())
-            return factor(A, lam)
-
-        monkeypatch.setattr(checks, "inertia_count_leq", recording)
-        before = blas_thread_counts()
-        res = check_inertia_oracle(np.random.default_rng(5), instances=5)
-        assert res.passed, res.detail
-        assert len(seen) == res.diagnostics["points_tested"] > 0
-        assert all(set(counts.values()) == {1} for counts in seen), seen
-        assert blas_thread_counts() == before
+    def test_user_set_variable(self):
+        counts, setting = self.counts_after_import("", variable="4")
+        assert set(counts.values()) == {1}, counts
+        assert setting == "4"  # read, not overwritten
 
 
 @pytest.mark.parametrize("seed", [1, 5, 42])

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +38,12 @@ from magspec.experiments import (
 )
 from magspec.exhaustion import folner_box, window_subgraph
 from magspec.floquet import Band
-from magspec.spectra import assemble_dirichlet, assemble_neumann
+from magspec.spectra import (
+    _openblas_controls,
+    assemble_dirichlet,
+    assemble_neumann,
+    blas_thread_counts,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -410,8 +416,10 @@ oracle: {grid_n: 16}
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
 
-    def test_points_near_a_band_edge_have_no_oracle_entry_values(self):
-        # the lowest band edge of the flux-1/2 Laplacian is 4 - 2 sqrt(2)
+    def test_points_near_a_band_edge_get_the_exact_value(self):
+        # the lowest band edge of the flux-1/2 Laplacian is 4 - 2 sqrt(2),
+        # where F = 0; the exact oracle is continuous there and excludes
+        # nothing
         edge = 4 - 2 * 2**0.5
         text = SQUARE_YAML.replace(
             "lambdas: {kind: auto, count: 5, margin: 0.1}",
@@ -419,7 +427,22 @@ oracle: {grid_n: 16}
         )
         rows, info = run_converge(parse_config(text))
         near, far = info["oracle"]
-        assert near == {"lambda": edge, "method": "chambers", "value": None, "error_bound": None}
+        assert (near["lambda"], near["method"]) == (edge, "chambers")
+        assert near["value"] == pytest.approx(0.0, abs=1e-12) and near["error_bound"] > 0
+        assert far["lambda"] == 2.5 and far["value"] is not None and far["error_bound"] > 0
+        assert {r.f_oracle for r in rows if r.lam == edge} == {near["value"]}
+
+    def test_grid_path_points_near_a_band_edge_have_no_oracle_entry_values(self):
+        # a zero-turn perturbation leaves the weights as they are but takes
+        # the model off the exact path; the grid oracle keeps the exclusion
+        edge = 4 - 2 * 2**0.5
+        text = SQUARE_YAML.replace(
+            "lambdas: {kind: auto, count: 5, margin: 0.1}",
+            f"lambdas: {{kind: explicit, values: [{edge!r}, 2.5]}}",
+        ).replace('flux: "1/2"}', 'flux: "1/2", perturb: {template: 0, shift: [0, 0], turns: 0}}')
+        rows, info = run_converge(parse_config(text))
+        near, far = info["oracle"]
+        assert near == {"lambda": edge, "method": "grid", "value": None, "error_bound": None}
         assert far["lambda"] == 2.5 and far["value"] is not None and far["error_bound"] > 0
         assert {r.f_oracle for r in rows if r.lam == edge} == {None}
 
@@ -469,16 +492,53 @@ oracle: {grid_n: 16}
         assert info["threads"] == len(os.sched_getaffinity(0))
 
     def test_thread_count_changes_nothing_but_timings(self, monkeypatch):
-        # band windows (m = 32) and dense ones, on one pool thread and on two
-        runs = []
-        for threads in (1, 2):
+        # band windows (m = 32) and dense ones, on one pool thread and on
+        # two, with every loaded OpenBLAS pinned to one thread (as at
+        # import) and then on two; jumps on dense windows likewise.  The
+        # dense solver's eigenvalues move in the last bits with the BLAS
+        # thread count, so the diagnostics' distances to them agree to
+        # rounding; every count, table row and other diagnostic is equal
+        runs, distances = [], []
+        for threads, blas in ((1, 1), (2, 1), (2, 2)):
             monkeypatch.setattr(magspec.experiments, "_usable_cpus", lambda threads=threads: threads)
-            rows, info = run_converge(parse_config(CONVERGE_THREADS_YAML))
+            with openblas_threads(blas):
+                rows, info = run_converge(parse_config(CONVERGE_THREADS_YAML))
+                jumps, _ = run_jumps(parse_config(JUMPS_THREADS_YAML))
             assert info["threads"] == threads
-            diags = [{k: v for k, v in d.items() if k != "seconds"} for d in info["diagnostics"]]
-            runs.append((rows, diags, info["oracle"]))
+            diags = [
+                {k: v for k, v in d.items() if k not in ("seconds", "eigenvalue_distance")}
+                for d in info["diagnostics"]
+            ]
+            runs.append((rows, diags, info["oracle"], jumps))
+            distances.append([d["eigenvalue_distance"] for d in info["diagnostics"]])
         assert {d["solver"] for d in runs[0][1]} == {"dense", "banded"}
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
+        assert distances[0] == distances[1]
+        assert np.allclose(distances[0], distances[2], rtol=0, atol=1e-12)
+        assert set(blas_thread_counts().values()) <= {1}
+
+    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch):
+        # macOS and Windows have no sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert magspec.experiments._usable_cpus() == os.cpu_count()
+        _, info = run_converge(parse_config(TRIANGLE_YAML))
+        assert info["threads"] == os.cpu_count()
+
+
+@contextmanager
+def openblas_threads(count):
+    """Every loaded OpenBLAS on ``count`` threads for the body, then each
+    library back on its previous count."""
+    controls = _openblas_controls()
+    before = [(set_, get()) for _, get, set_ in controls]
+    for set_, _ in before:
+        set_(count)
+    try:
+        assert set(blas_thread_counts().values()) <= {count}
+        yield
+    finally:
+        for set_, previous in before:
+            set_(previous)
 
 
 CONVERGE_THREADS_YAML = """
@@ -490,6 +550,17 @@ boundary: both
 windows: [8, 16, 32]
 lambdas: {kind: auto, count: 9, margin: 0.1}
 oracle: {grid_n: 32}
+"""
+
+# dense windows (n up to 576) and their interior kernels; lambda = 4 is a
+# 4-fold window eigenvalue at m = 8
+JUMPS_THREADS_YAML = """
+label: sq-jumps-threads
+graph: {dimension: 2, orbits: 1, templates: [[0, 0, [1, 0]], [0, 0, [0, 1]]]}
+weights: {kind: hofstadter, flux: "1/3"}
+operator: dml
+windows: [8, 16, 24]
+lambdas: {kind: explicit, values: [2.0, 4.0]}
 """
 
 
@@ -857,6 +928,24 @@ verify: {inertia_instances: 2, window_sizes: [3]}
             assert next(csv.reader(fh)) == ["p", "q", "alpha", "band", "lo", "hi"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert [(d["p"], d["q"]) for d in manifest["diagnostics"]] == [(0, 1), (1, 2), (1, 1)]
+
+    @pytest.mark.parametrize("command, text", [
+        ("converge", TRIANGLE_YAML),
+        ("jumps", TRIANGLE_YAML),
+        ("butterfly", "label: bf\nbutterfly: {q_max: 2}\n"),
+        ("verify", TRIANGLE_YAML + "verify: {inertia_instances: 2, window_sizes: [3]}\n"),
+    ])
+    def test_manifest_records_blas_threads(self, tmp_path, command, text):
+        # every command runs on one BLAS thread per loaded OpenBLAS, and
+        # says so in its manifest
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        proc = run_cli([command, str(cfg), "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["blas_threads"]) == set(blas_thread_counts())
+        assert set(manifest["blas_threads"].values()) <= {1}
 
     def test_missing_config_is_config_error(self, tmp_path):
         proc = run_cli(["converge", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])

@@ -26,12 +26,14 @@ SQUARE_GRAPH = "graph: {dimension: 2, orbits: 1, templates: [[0, 0, [1, 0]], [0,
 
 class TestBandEdgeHandling:
     def test_band_edge_lambda_flagged_not_failed(self):
-        # lambda = 4 touches both bands at half flux: the row must appear
-        # with empty oracle columns instead of aborting the run
+        # lambda = 4 touches both bands at half flux: on the grid oracle's
+        # path (a zero-turn perturbation keeps the weights but leaves the
+        # exact path) the row must appear with empty oracle columns
+        # instead of aborting the run
         text = f"""
 label: edgecase
 {SQUARE_GRAPH}
-weights: {{kind: hofstadter, flux: "1/2"}}
+weights: {{kind: hofstadter, flux: "1/2", perturb: {{template: 0, shift: [0, 0], turns: 0}}}}
 operator: dml
 windows: [4, 8]
 lambdas: {{kind: explicit, values: [4.0]}}
@@ -44,10 +46,11 @@ oracle: {{grid_n: 32}}
             assert r.f_m is not None
 
     def test_band_edge_override_computes_value(self):
+        # on the grid oracle's path, as above
         text = f"""
 label: edgecase
 {SQUARE_GRAPH}
-weights: {{kind: hofstadter, flux: "1/2"}}
+weights: {{kind: hofstadter, flux: "1/2", perturb: {{template: 0, shift: [0, 0], turns: 0}}}}
 operator: dml
 windows: [4]
 lambdas: {{kind: explicit, values: [4.0]}}
