@@ -386,16 +386,17 @@ def check_inertia_oracle(
     points within 1e-9 of the norm bound of an eigenvalue are excluded.
 
     Both backends take the same window matrix.  The reference spectrum is
-    the one ``count_leq`` counts on (``spectral_density``: per connected
-    block, in band storage when the band is narrow, dense otherwise), so
-    the check reads "inertia backend == eigh backend".  Like every LAPACK
+    the window's ``spectral_density``: per connected block, in band
+    storage when the band is narrow (real band storage when the window's
+    mirror makes the matrix real), dense otherwise, so the check reads
+    "inertia backend == eigh backend".  Like every LAPACK
     call in the package, the loop runs on one OpenBLAS thread (the
     process-wide pin, see ``spectra``).  The result's ``diagnostics``
     count the instances per reference solver, the largest dimension, the
     points tested and excluded, and the OpenBLAS thread counts read after
     the loop."""
     mismatches = tested = excluded = largest = 0
-    solvers = dict.fromkeys(("blocks", "banded", "dense"), 0)
+    solvers = dict.fromkeys(("blocks", "banded", "banded-real", "dense"), 0)
     for _ in range(instances):
         _, win, A = random_stencil_window(rng, max_dim)
         spec = spectral_density(A, win)

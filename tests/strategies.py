@@ -2,8 +2,9 @@
 graphs and shifts, the group action on vertices and the orientation
 class of edges, the edgeless graph, the counting function of a jump
 list, the vertex list of a window, the set-based collar reference, the
-two-orbit decorated square lattice, the dense window matrices and
-dense-copy band solver that the triplet band path is checked against, and
+two-orbit decorated square lattice, the dense window matrices, the
+vertex-by-vertex window mirror and the dense-copy band solvers (complex
+and real) that the triplet band paths are checked against, and
 ``from_dense``, which hands a dense test matrix to the counting layer."""
 
 import hypothesis.strategies as st
@@ -156,6 +157,53 @@ def dense_band_spectrum(M):
     )
     assert info == 0
     return np.sort(evals), int(np.count_nonzero(M)), b
+
+
+def window_mirror(window):
+    """Position of each vertex's mirror image across the last axis of the
+    window's translates (orbit kept), -1 off the window, found vertex by
+    vertex in a dict index."""
+    verts = vertices(window)
+    index = {v: j for j, v in enumerate(verts)}
+    lo = min(v.shift[-1] for v in verts)
+    hi = max(v.shift[-1] for v in verts)
+    return np.array([
+        index.get(Vertex(v.orbit, v.shift[:-1] + (lo + hi - v.shift[-1],)), -1) for v in verts
+    ])
+
+
+def dense_real_band_spectrum(M, mirror):
+    """The real band solver reading a dense matrix: the half-bandwidth b
+    from its nonzeros, each of the b + 1 lower diagonals of the real form
+    U^* M U (U: s = (e_i + e_Ri)/sqrt 2 at the lower index of a mirror
+    pair, t = i (e_i - e_Ri)/sqrt 2 at the upper one, e_i at a fixed
+    point) computed position by position off M, zeros written as +0.0, and
+    the sorted ``dsbevd`` eigenvalues of scipy's f2py ``sbevd``.  Returns
+    (eigenvalues, b)."""
+    n = M.shape[0]
+    rows, cols = np.nonzero(M)
+    b = int(np.abs(rows - cols).max())
+    rep = np.minimum(np.arange(n), mirror)
+    upper = np.arange(n) != rep  # the t column of a pair
+    weight = np.where(mirror == np.arange(n), np.sqrt(0.5), 1.0)
+    ab = np.zeros((b + 1, n), order="F")
+    for k in range(b + 1):
+        p = np.arange(k, n)
+        q = p - k
+        i, j = rep[p], rep[q]
+        a, a_mirror = M[i, j], M[i, mirror[j]]
+        plus, minus = a + a_mirror, a - a_mirror
+        value = np.select(
+            [~upper[p] & ~upper[q], ~upper[p] & upper[q], upper[p] & ~upper[q]],
+            [plus.real, -minus.imag, plus.imag],
+            minus.real,
+        ) * (weight[i] * weight[j])
+        ab[k, q] = np.where(value != 0, value, 0.0)
+    evals, _, info = get_lapack_funcs("sbevd", dtype=np.float64)(
+        ab, compute_v=0, lower=1, overwrite_ab=1
+    )
+    assert info == 0
+    return np.sort(evals), b
 
 
 def from_dense(M) -> WindowMatrix:

@@ -215,7 +215,7 @@ class TestGlobalChecks:
     def test_inertia_oracle_diagnostics(self):
         res = check_inertia_oracle(np.random.default_rng(5), instances=12)
         diag = res.diagnostics
-        assert set(diag["solvers"]) == {"blocks", "banded", "dense"}
+        assert set(diag["solvers"]) == {"blocks", "banded", "banded-real", "dense"}
         assert sum(diag["solvers"].values()) == 12
         assert diag["points_tested"] + diag["points_excluded"] == 4 * 12
         assert res.detail.startswith(f"{diag['points_tested']} counting points")

@@ -511,7 +511,7 @@ oracle: {grid_n: 16}
             ]
             runs.append((rows, diags, info["oracle"], jumps))
             distances.append([d["eigenvalue_distance"] for d in info["diagnostics"]])
-        assert {d["solver"] for d in runs[0][1]} == {"dense", "banded"}
+        assert {d["solver"] for d in runs[0][1]} == {"dense", "banded-real"}
         assert runs[0] == runs[1] == runs[2]
         assert distances[0] == distances[1]
         assert np.allclose(distances[0], distances[2], rtol=0, atol=1e-12)

@@ -26,6 +26,7 @@ from magspec.operators import (
     harper_dml,
     hofstadter_weights,
     landau_phase,
+    local_operator,
     perturbed_weights,
     uniform_weights,
     unit_phase,
@@ -42,6 +43,9 @@ from magspec.spectra import (
     _block_singular_values,
     _block_spectrum,
     _band_eigvals,
+    _mirror,
+    _real_band_eigvals,
+    _real_band_storage,
     _block_stacks,
     _components,
     _inertia,
@@ -64,8 +68,10 @@ from strategies import (
     dense_band_spectrum,
     dense_dirichlet,
     dense_neumann,
+    dense_real_band_spectrum,
     from_dense,
     vertices,
+    window_mirror,
 )
 
 PATH3 = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], dtype=complex)
@@ -668,16 +674,21 @@ def assert_stacks_match_dense_gather(M, row_labels, col_labels, count):
     return want
 
 
-def box_matrix(graph, weights, boundary, m):
-    """Dirichlet or Neumann box window of the magnetic Laplacian, with the
-    auto counting points of the converge driver (9 points, margin 0.1)."""
-    _, D = harper_dml(graph, weights)
+def box_matrix(graph, weights, boundary, m, operator="dml"):
+    """Dirichlet or Neumann box window of the magnetic Laplacian, or the
+    Dirichlet window of the Harper operator, with the auto counting points
+    of the converge driver (9 points, margin 0.1; none at a float flux,
+    which has no magnetic cell)."""
+    harper, dml = harper_dml(graph, weights)
+    op = dml if operator == "dml" else harper
     w = window_subgraph(graph, folner_box(graph.dimension, m))
     if boundary == "dirichlet":
-        A = dirichlet_matrix(D, w)
+        A = dirichlet_matrix(op, w)
     else:
         A = neumann_matrix(graph, weights, w)
-    cell = magnetic_cell(graph, D, weights.flux)
+    if not isinstance(weights.flux, Fraction):
+        return A, w, []
+    cell = magnetic_cell(graph, op, weights.flux)
     return A, w, select_probe_lambdas(band_edges(cell), 9, 0.1)
 
 
@@ -697,15 +708,21 @@ def on_eigenvalue(evals, lam):
     return any(issubclass(c.category, CountingPointOnEigenvalueWarning) for c in caught)
 
 
-def assert_band_path_matches_dense(A, w, bandwidth, points, seed):
+FLUXES = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7)]
+GOLDEN = (5**0.5 - 1) / 2  # a float flux
+
+
+def assert_band_path_matches_dense(A, w, bandwidth, points, seed, solver="banded-real"):
     """The band solver's spectrum agrees with dense eigvalsh to 1e-12 of
-    the norm bound, and its counts agree exactly at the given points and
-    at 50 seeded random points, wherever no eigenvalue of either spectrum
-    lies within the bracketing shift."""
+    the norm bound, and its counts agree exactly with the dense ones and
+    with the complex band kernel's at the given points and at 50 seeded
+    random points, wherever no eigenvalue of either spectrum lies within
+    the bracketing shift."""
     spec = spectral_density(A, w)
-    assert (spec.solver, spec.blocks, spec.bandwidth) == ("banded", 1, bandwidth)
+    assert (spec.solver, spec.blocks, spec.bandwidth) == (solver, 1, bandwidth)
     dense = np.linalg.eigvalsh(A.dense())
     assert np.abs(spec.eigenvalues - dense).max() <= 1e-12 * A.norm_bound
+    complex_kernel = np.sort(_band_eigvals(A, bandwidth))
     rng = np.random.default_rng(seed)
     random_points = rng.uniform(dense[0] - 0.5, dense[-1] + 0.5, 50)
     checked = 0
@@ -713,6 +730,8 @@ def assert_band_path_matches_dense(A, w, bandwidth, points, seed):
         if on_eigenvalue(dense, lam) or on_eigenvalue(spec.eigenvalues, lam):
             continue
         assert spec.count_leq(lam) == int(np.count_nonzero(dense <= lam)), lam
+        if not on_eigenvalue(complex_kernel, lam):
+            assert spec.count_leq(lam) == int(np.count_nonzero(complex_kernel <= lam)), lam
         checked += 1
     assert checked >= 50
 
@@ -755,11 +774,18 @@ class TestBlockPath:
 
     @pytest.mark.parametrize("m", [32, 48])
     @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
-    @pytest.mark.parametrize("flux", [Fraction(0), Fraction(1, 2), Fraction(1, 3)])
+    @pytest.mark.parametrize("flux", [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), GOLDEN])
     def test_hofstadter_box_band_path_matches_dense(self, flux, boundary, m):
         # half-bandwidth m (the x-neighbour) and n = m^2, so BAND_RATIO * m <= n
         g = square_lattice()
         A, w, points = box_matrix(g, hofstadter_weights(g, flux), boundary, m)
+        assert_band_path_matches_dense(A, w, m, points, seed=m)
+
+    @pytest.mark.parametrize("m", [32, 48])
+    @pytest.mark.parametrize("flux", [*FLUXES, GOLDEN])
+    def test_harper_box_band_path_matches_dense(self, flux, m):
+        g = square_lattice()
+        A, w, points = box_matrix(g, hofstadter_weights(g, flux), "dirichlet", m, "harper")
         assert_band_path_matches_dense(A, w, m, points, seed=m)
 
     def test_two_orbit_window_band_path_matches_dense(self):
@@ -775,7 +801,9 @@ class TestBlockPath:
     def test_count_leq_eigh_shares_the_band_path(self):
         _, D, w = line_window(200)
         A = dirichlet_matrix(D, w)
+        # without a window there is no mirror: count_leq takes zhbevd
         assert _block_spectrum(A)[3] == "banded"
+        assert _block_spectrum(A, w)[3] == "banded-real"
         dense = np.linalg.eigvalsh(A.dense())
         for lam in (-1.0, 0.7, 2.1, 3.3, 5.0):
             assert count_leq(A, lam) == int(np.count_nonzero(dense <= lam))
@@ -840,8 +868,6 @@ class TestBlockPath:
         assert np.array_equal(_block_singular_values(A), np.concatenate(reference))
 
 
-FLUXES = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7)]
-
 # (operator, flux, boundary, m): every flux and boundary at m = 32, and the
 # m = 48 windows of the converge benchmark
 BIT_IDENTITY_CASES = (
@@ -862,18 +888,20 @@ windows: [48]
 
 def assert_triplet_band_matches_dense_copy(A, M, w):
     """The window matrix built from triplets equals the dense scatter, and
-    its band spectrum, nnz and half-bandwidth equal those the band solver
-    got by copying the diagonals off the dense matrix, bit for bit."""
+    its band spectrum, nnz and half-bandwidth equal those the real band
+    solver got by computing the real form's diagonals off the dense matrix
+    in the vertex-by-vertex mirror's basis, bit for bit."""
     assert np.array_equal(A.dense(), M)
-    evals, nnz, b = dense_band_spectrum(M)
+    evals, b = dense_real_band_spectrum(M, window_mirror(w))
     spec = spectral_density(A, w)
-    assert (spec.solver, spec.bandwidth, A.nnz) == ("banded", b, nnz)
+    assert (spec.solver, spec.bandwidth, A.nnz) == ("banded-real", b, int(np.count_nonzero(M)))
     assert np.array_equal(spec.eigenvalues, evals)
 
 
 class TestTripletBandPath:
     """Band windows are diagonalized from their COO triplets, without an
-    n x n array; the eigenvalues are those of the dense-copy band path."""
+    n x n array; the eigenvalues are those of the dense-copy band path
+    through the same (real) kernel."""
 
     @pytest.mark.parametrize("operator,flux,boundary,m", BIT_IDENTITY_CASES)
     def test_square_box_bit_identical_to_dense_copy(self, operator, flux, boundary, m):
@@ -896,6 +924,24 @@ class TestTripletBandPath:
         assert_triplet_band_matches_dense_copy(A, M, w)
 
     @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    def test_refused_box_bit_identical_to_dense_copy(self, boundary):
+        # a perturbed box fails the mirror check and keeps zhbevd: its
+        # band spectrum is that of the diagonals copied off the dense matrix
+        g = square_lattice()
+        weights = perturbed_weights(hofstadter_weights(g, Fraction(1, 3)), 1, (1, 2), 0.3)
+        w = window_subgraph(g, folner_box(2, 32))
+        if boundary == "dirichlet":
+            dml = harper_dml(g, weights)[1]
+            A, M = dirichlet_matrix(dml, w), dense_dirichlet(dml, w)
+        else:
+            A, M = neumann_matrix(g, weights, w), dense_neumann(g, weights, w)
+        assert np.array_equal(A.dense(), M)
+        evals, nnz, b = dense_band_spectrum(M)
+        spec = spectral_density(A, w)
+        assert (spec.solver, spec.bandwidth, A.nnz) == ("banded", b, nnz)
+        assert np.array_equal(spec.eigenvalues, evals)
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
     def test_converge_window_allocates_no_dense_matrix(self, boundary):
         # a dense m = 48 window is n^2 * 16 bytes (85 MB); the band path
         # must peak below a quarter of that
@@ -907,7 +953,7 @@ class TestTripletBandPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert diag["solver"] == "banded" and diag["dim"] == n
+        assert diag["solver"] == "banded-real" and diag["dim"] == n
         assert peak < n * n * 16 / 4, peak
 
     def test_line_window_past_the_dense_cap(self):
@@ -917,7 +963,7 @@ class TestTripletBandPath:
         assert n > MAX_DENSE_DIM
         _, D, w = line_window(n)
         spec = spectral_density(dirichlet_matrix(D, w), w)
-        assert (spec.solver, spec.bandwidth, spec.eigenvalues.size) == ("banded", 1, n)
+        assert (spec.solver, spec.bandwidth, spec.eigenvalues.size) == ("banded-real", 1, n)
         exact = 2 - 2 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
         checked = 0
         for lam in [-0.5, 0.001, 0.3, 1.0, 2.0, 2.7, 3.999, 4.5, *np.linspace(0.01, 3.99, 41)]:
@@ -1017,6 +1063,222 @@ class TestBandKernel:
             gap, last = max(gap, now - last), now
         worker.join()
         assert gap < solve_s[0] / 4, (gap, solve_s)
+
+
+def f2py_real_band_eigvals(ab):
+    """The reference real band kernel: scipy's f2py ``sbevd`` on the same
+    lower band storage."""
+    evals, _, info = scipy.linalg.get_lapack_funcs("sbevd", dtype=np.float64)(
+        ab, compute_v=0, lower=1, overwrite_ab=0
+    )
+    assert info == 0
+    return evals
+
+
+def real_storage(A, w):
+    """The real band storage of a window matrix at its own half-bandwidth."""
+    b = int(np.abs(A.rows - A.cols).max())
+    return _real_band_storage(A, _mirror(w), b), b
+
+
+def dense_real_form(A, mirror):
+    """U^* A U on the dense copy, with U built column by column: e_i at a
+    fixed point, s = (e_i + e_r)/sqrt 2 at the lower index i of a pair
+    (i, r) and t = i (e_i - e_r)/sqrt 2 at its upper index r."""
+    n = A.dim
+    U = np.zeros((n, n), dtype=complex)
+    for c, r in enumerate(mirror):
+        if r == c:
+            U[c, c] = 1.0
+        elif c < r:
+            U[c, c] = U[r, c] = np.sqrt(0.5)
+        else:
+            U[r, c], U[c, c] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+    return U.conj().T @ A.dense() @ U
+
+
+def small_real_window(case):
+    """Window matrices small enough for a dense real form U^* A U."""
+    g = square_lattice()
+    if case == "line-201":
+        _, D, w = line_window(201)
+        return dirichlet_matrix(D, w), w
+    if case == "two-orbit-12":
+        g, weights = decorated_square_lattice()
+        w = window_subgraph(g, folner_box(2, 12))
+        return neumann_matrix(g, weights, w), w
+    if case == "neumann-two-sevenths-16":
+        w = window_subgraph(g, folner_box(2, 16))
+        return neumann_matrix(g, hofstadter_weights(g, Fraction(2, 7)), w), w
+    if case == "dml-third-17":
+        w = window_subgraph(g, folner_box(2, 17))
+        return dirichlet_matrix(harper_dml(g, hofstadter_weights(g, Fraction(1, 3)))[1], w), w
+    assert case == "harper-golden-15"
+    w = window_subgraph(g, folner_box(2, 15))
+    return dirichlet_matrix(harper_dml(g, hofstadter_weights(g, GOLDEN))[0], w), w
+
+
+def symmetric_gauge_box(m):
+    """A box window whose east edges carry e^{i theta(y)} with
+    theta(m - 1 - y) = -theta(y): R A R = conj(A) holds, but the real form
+    couples s and t vectors of neighbouring slabs up to 2m - 1 places
+    apart, outside the half-bandwidth m."""
+    g = square_lattice()
+    east = lambda s: np.exp(0.3j * (2 * s[:, 1] - (m - 1)))  # noqa: E731
+    _, D = harper_dml(g, WeightFunction(g, [east, 1.0]))
+    w = window_subgraph(g, folner_box(2, m))
+    return dirichlet_matrix(D, w), w
+
+
+def random_two_orbit_line(seed, cells=200):
+    """A random Hermitian two-orbit stencil on Z with a complex on-site
+    inter-orbit coupling, on a line window of ``cells`` translates."""
+    rng = np.random.default_rng(seed)
+    g = periodic_graph(1, 2, [(0, 1, (0,)), (0, 0, (1,))])
+    c = lambda: complex(rng.normal(), rng.normal())  # noqa: E731
+    raw = [(0, 0, (0,), complex(rng.normal())), (1, 1, (0,), complex(rng.normal()))]
+    for a, b, off in [(0, 1, (0,)), (0, 1, (1,)), (0, 0, (1,)), (1, 1, (1,))]:
+        v = c()
+        raw += [(a, b, off, v), (b, a, tuple(-x for x in off), v.conjugate())]
+    w = window_subgraph(g, folner_box(1, cells))
+    return dirichlet_matrix(local_operator(g, raw), w), w
+
+
+class TestRealBandKernel:
+    """A band window that is real in the basis of its mirror (Theta = R
+    conj, R the reflection of the window's last axis) is diagonalized in
+    real band storage by LAPACK dsbevd, through scipy's Cython LAPACK
+    table; every other band window keeps zhbevd."""
+
+    @pytest.mark.parametrize("m", [32, 48])
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("flux", [Fraction(0), Fraction(1, 2), Fraction(1, 3)])
+    def test_square_box_bit_identical_to_f2py(self, flux, boundary, m):
+        w = window_subgraph(square_lattice(), folner_box(2, m))
+        ab, b = real_storage(square_box_matrix(flux, boundary, m), w)
+        assert b == m
+        assert np.array_equal(_real_band_eigvals(ab.copy(order="F")), f2py_real_band_eigvals(ab))
+
+    def test_two_orbit_box_bit_identical_to_f2py(self):
+        g, weights = decorated_square_lattice()
+        w = window_subgraph(g, folner_box(2, 32))
+        ab, _ = real_storage(neumann_matrix(g, weights, w), w)
+        assert np.array_equal(_real_band_eigvals(ab.copy(order="F")), f2py_real_band_eigvals(ab))
+
+    def test_solve_releases_the_gil(self):
+        # as for zhbevd: the main thread keeps ticking while a worker solves
+        w = window_subgraph(square_lattice(), folner_box(2, 48))
+        ab, _ = real_storage(square_box_matrix(Fraction(1, 3), "dirichlet", 48), w)
+        solve_s = []
+
+        def solve():
+            t = time.perf_counter()
+            _real_band_eigvals(ab)
+            solve_s.append(time.perf_counter() - t)
+
+        worker = threading.Thread(target=solve)
+        worker.start()
+        last, gap = time.perf_counter(), 0.0
+        while worker.is_alive():
+            now = time.perf_counter()
+            gap, last = max(gap, now - last), now
+        worker.join()
+        assert gap < solve_s[0] / 4, (gap, solve_s)
+
+    @pytest.mark.parametrize(
+        "case", ["dml-third-17", "harper-golden-15", "neumann-two-sevenths-16", "two-orbit-12", "line-201"]
+    )
+    def test_storage_is_the_lower_band_of_the_dense_real_form(self, case):
+        # odd sides and the odd line have fixed points on the mirror axis
+        A, w = small_real_window(case)
+        mirror = _mirror(w)
+        assert np.array_equal(mirror, window_mirror(w))
+        ab, b = real_storage(A, w)
+        B = dense_real_form(A, mirror)
+        tol = 1e-14 * A.norm_bound
+        assert np.abs(B.imag).max() <= tol
+        n = A.dim
+        offsets = np.subtract.outer(np.arange(n), np.arange(n))
+        assert np.abs(B.real[offsets > b]).max() <= tol
+        for k in range(b + 1):
+            assert np.abs(ab[k, : n - k] - B.real.diagonal(-k)).max() <= tol, k
+            assert not ab[k, n - k :].any()
+
+    def test_storage_of_a_wider_real_form(self):
+        # the symmetric-gauge box couples s and t vectors across slabs in
+        # both directions; written at the real form's own half-bandwidth
+        # 2m - 1, the storage is the lower band of the dense real form
+        A, w = symmetric_gauge_box(9)
+        mirror = _mirror(w)
+        b = 2 * 9 - 1
+        ab = _real_band_storage(A, mirror, b)
+        B = dense_real_form(A, mirror).real
+        assert ab[b].any()
+        for k in range(b + 1):
+            assert np.abs(ab[k, : A.dim - k] - B.diagonal(-k)).max() <= 1e-14 * A.norm_bound, k
+
+    def test_mirror_must_be_an_involution(self):
+        # three-orbit columns joined as triangles, and each orbit to itself
+        # in the next column: cycling the orbits maps every entry to an
+        # equal real one, but it is no reflection
+        g = periodic_graph(1, 3, [(0, 1, (0,)), (1, 2, (0,)), (0, 2, (0,))]
+                           + [(k, k, (1,)) for k in range(3)])
+        _, D = harper_dml(g, uniform_weights(g))
+        w = window_subgraph(g, folner_box(1, 40))
+        A = dirichlet_matrix(D, w)
+        cycled = w.positions((w.orbits + 1) % 3, w.shifts)
+        keys = A.rows * A.dim + A.cols
+        assert np.array_equal(np.sort(cycled[A.rows] * A.dim + cycled[A.cols]), keys)
+        assert _real_band_storage(A, cycled, 3) is None
+        assert _real_band_storage(A, _mirror(w), 3) is not None
+
+    def refused(self, A, w):
+        """The window keeps zhbevd, with exactly its eigenvalues."""
+        b = int(np.abs(A.rows - A.cols).max())
+        assert _real_band_storage(A, _mirror(w), b) is None
+        spec = spectral_density(A, w)
+        assert (spec.solver, spec.bandwidth) == ("banded", b)
+        assert np.array_equal(spec.eigenvalues, np.sort(_band_eigvals(A, b)))
+
+    def test_gauge_transformed_weights_keep_the_complex_kernel(self):
+        g = square_lattice()
+        w = window_subgraph(g, folner_box(2, 32))
+        phases = np.exp(2j * np.pi * np.random.default_rng(8).uniform(size=len(w)))
+        gauged = gauge_transformed(
+            hofstadter_weights(g, Fraction(1, 3)), lambda orbit, s: phases[w.positions(orbit, s)]
+        )
+        self.refused(dirichlet_matrix(harper_dml(g, gauged)[1], w), w)
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    def test_perturbed_weights_keep_the_complex_kernel(self, boundary):
+        g = square_lattice()
+        weights = perturbed_weights(hofstadter_weights(g, Fraction(1, 3)), 1, (1, 2), 0.3)
+        w = window_subgraph(g, folner_box(2, 32))
+        if boundary == "dirichlet":
+            A = dirichlet_matrix(harper_dml(g, weights)[1], w)
+        else:
+            A = neumann_matrix(g, weights, w)
+        self.refused(A, w)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_complex_two_orbit_stencil_keeps_the_complex_kernel(self, seed):
+        self.refused(*random_two_orbit_line(seed))
+
+    def test_non_box_window_keeps_the_complex_kernel(self):
+        # a 40 x 32 box without its corner (0, 0): the mirror of (0, 31) is
+        # off the window
+        g = square_lattice()
+        box = [(x, y) for x in range(40) for y in range(32) if (x, y) != (0, 0)]
+        w = window_subgraph(g, box)
+        assert (_mirror(w) < 0).sum() == 1
+        self.refused(dirichlet_matrix(harper_dml(g, hofstadter_weights(g, Fraction(1, 3)))[1], w), w)
+
+    def test_real_form_outside_the_band_keeps_the_complex_kernel(self):
+        A, w = symmetric_gauge_box(32)
+        mirror = _mirror(w)
+        # the symmetry itself holds, and the real form is 2m - 1 wide
+        assert np.abs(dense_real_form(A, mirror).imag).max() <= 1e-14 * A.norm_bound
+        self.refused(A, w)
 
 
 JUMPS_BLOCK_YAML = """
