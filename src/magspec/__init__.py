@@ -4,7 +4,7 @@ Builds Harper-type hopping operators and magnetic Laplacians on periodic
 graphs with a free Z^d action, restricts them to Folner windows with
 Dirichlet or Neumann boundary conditions, and compares the normalized
 eigenvalue counting functions against Bloch-Floquet ground truth at
-rational flux, including the jump (flat-band / block) structure.
+rational flux, including the jump (flat-band) structure.
 """
 
 __version__ = "0.1.0"
@@ -27,6 +27,7 @@ from .exhaustion import (
 from .floquet import (
     Band,
     BandEdgeError,
+    Jump,
     MagneticCell,
     OracleUnavailableError,
     band_edges,

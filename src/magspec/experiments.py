@@ -20,7 +20,8 @@ converge adds the wall time of its two stages to ``timings_s``
 window's build and solve), and records ``oracle``, the ground-truth value,
 its error bound and its ``method`` (``chambers``, exact on the square
 lattice, or ``grid``, the fiber-grid quadrature) per counting point, and
-``threads``, the size of its window pool.
+``threads``, the size of its window pool; jumps records its exact jumps'
+evidence (``floquet.jump_oracle``) or the oracle's refusal as ``oracle``.
 
 Converge and jumps build and solve each window with one routine,
 ``_window_spectrum``.  Converge runs it with ``ordered_parallel``, one
@@ -64,6 +65,7 @@ from .exhaustion import Window, folner_box, interior_vertices, window_subgraph
 from .floquet import (
     Band,
     IdsEstimate,
+    JUMP_PROBE_K,
     MagneticCell,
     OracleUnavailableError,
     band_edge_distance,
@@ -344,8 +346,10 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
 
 def run_jumps(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     """Jump table: window jumps D_m, interior jumps D'_m, and exact jumps
-    where the model admits them.  The two kernel inequalities
-    D'_m <= D_m and D'_m <= D are enforced rowwise at integer level."""
+    D at the model's flat bands (``jump_oracle`` on its magnetic cell), or
+    at the config's explicit lambdas, with no D, when it has none.  The two
+    kernel inequalities D'_m <= D_m and D'_m <= D are enforced rowwise at
+    integer level."""
     if cfg.model is None:
         raise ConfigError("jumps needs a model section")
     t0 = time.perf_counter()
@@ -357,24 +361,20 @@ def run_jumps(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
             f"interior_radius {radius} is below the operator's propagation bound {propagation}"
         )
     try:
-        cell = _oracle_cell(model)
-    except OracleUnavailableError:
-        cell = None
-    try:
-        jumps = jump_oracle(model.graph, model.operator, cell)
-    except OracleUnavailableError:
-        jumps = None
-
-    if jumps is not None:
-        lams = [lam for lam, _ in jumps]
-        oracle_map = {lam: d for lam, d in jumps}
-    elif cfg.lambdas.kind == "explicit":
-        lams = sorted(cfg.lambdas.values)
-        oracle_map = None
+        jumps = jump_oracle(_oracle_cell(model))
+    except OracleUnavailableError as exc:
+        if cfg.lambdas.kind != "explicit":
+            raise ConfigError("model admits no exact jump oracle; provide explicit lambdas") from None
+        jumps, lams, oracle = [], sorted(cfg.lambdas.values), {"unavailable": str(exc)}
     else:
-        raise ConfigError(
-            "model admits no exact jump oracle; provide explicit lambdas"
-        )
+        lams = [j.lam for j in jumps]
+        momenta = [list(k[: model.graph.dimension]) for k in JUMP_PROBE_K]
+        oracle = {"momenta": momenta, "jumps": [
+            {"lambda": j.lam, "dimension": str(j.dimension),
+             "multiplicities": list(j.multiplicities), "spread": j.spread}
+            for j in jumps
+        ]}
+    oracle_map = {j.lam: j.dimension for j in jumps}
 
     windows, diagnostics = [], []
     for m in cfg.windows:
@@ -384,7 +384,7 @@ def run_jumps(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
         diagnostics.append(diag)
     rows = []
     for lam in lams:
-        d_oracle = None if oracle_map is None else oracle_map[lam]
+        d_oracle = oracle_map.get(lam)
         for m, win, spec, split, tol in windows:
             norm = spec.normalization
             d_count = spec.jump_count(lam, tol)
@@ -405,6 +405,7 @@ def run_jumps(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     return rows, {
         "timings_s": {"total": time.perf_counter() - t0},
         "diagnostics": diagnostics,
+        "oracle": oracle,
     }
 
 

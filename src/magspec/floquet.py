@@ -4,13 +4,13 @@ For flux p/q the Landau-gauge phases are exactly periodic under the
 sublattice that stretches the first axis by q, so the operator decomposes
 over the torus into finite Hermitian fibers of dimension q * #orbits.
 Band integrals of the fiber counting function give the limiting spectral
-density (normalized so it saturates at #orbits), block and flat-band
-models have exact jump lists, and fiber trace moments cross-check the
-walk-based trace through an independent computation.  Band edges come
-from a refined fiber grid search, or, on the Landau-gauge square
-lattice, in closed form from two fibers (Chambers' relation), which
-there also gives the spectral density exactly as a one-dimensional
-integral over the flux-0 law.
+density (normalized so it saturates at #orbits), the eigenvalues that
+every fiber shares (the flat bands) give the exact jump list, and fiber
+trace moments cross-check the walk-based trace through an independent
+computation.  Band edges come from a refined fiber grid search, or, on
+the Landau-gauge square lattice, in closed form from two fibers
+(Chambers' relation), which there also gives the spectral density
+exactly as a one-dimensional integral over the flux-0 law.
 """
 
 from __future__ import annotations
@@ -18,24 +18,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .exhaustion import distinct_rows, window_subgraph
+from .exhaustion import distinct_rows
 from .lattice import PeriodicGraph, Shift
 from .operators import LocalOperator, gamma_trace_power
-from .spectra import dirichlet_matrix, spectral_density
 
 PERIODICITY_TOL = 1e-13
 BAND_EDGE_MARGIN = 1e-6
-FLAT_BAND_TOL = 1e-10
-FLAT_GRID_N = 32       # fiber grid per axis on which flat bands are detected
 BAND_JOIN_TOL = 1e-9   # gap below which merged_intervals joins two bands
 CHAMBERS_NODES = 64    # Gauss-Legendre nodes per smooth piece of the flux-0 law
 CHAMBERS_ROUNDING = 1e-14  # rounding of the quadrature sums, added to the bound
 CHAMBERS_TOL = 1e-9    # relative characteristic-polynomial residual of the relation
 CHAMBERS_PROBE_K = (0.7123, 0.3217)  # generic momentum at which the relation is checked
+# generic momenta (first d components) at which jump_oracle reads the fiber
+# multiplicities: a dispersive band meets one value at all three only by chance
+JUMP_PROBE_K = ((0.7123, 0.3217, 0.5309), (1.9371, 2.4607, 1.1173), (4.1593, 5.3029, 3.7311))
+JUMP_CLUSTER_TOL = 1e-9  # eigenvalue cluster gap, relative to the largest |eigenvalue|
 # Complex entries per stack of fibers diagonalized at once: 4 MiB, plus
 # eigvalsh's copy.  The grid chunks used to be 16 times larger, which for
 # 3 x 3 fibers held a whole 512^2 grid (64 MiB) at once and ran no faster.
@@ -43,7 +44,8 @@ FIBER_CHUNK_ENTRIES = 1 << 18
 
 
 class OracleUnavailableError(RuntimeError):
-    """Model outside the oracle's domain (irrational flux, no block/flat structure)."""
+    """Model outside the oracle's domain (irrational flux, a stencil that is
+    not periodic, no flat band)."""
 
 
 class BandEdgeError(RuntimeError):
@@ -419,50 +421,49 @@ def merged_intervals(bands) -> list[tuple[float, float]]:
     return [(a, b) for a, b in out]
 
 
-def jump_oracle(
-    graph: PeriodicGraph,
-    op: LocalOperator,
-    cell: Optional[MagneticCell] = None,
-) -> list[tuple[float, Fraction]]:
-    """Exact jump list (lam, D(lam)) for models that admit one.
+class Jump(NamedTuple):
+    """An exact jump of F at lam: D(lam) = mu / q, the multiplicity of lam
+    at each JUMP_PROBE_K momentum (mu is the least) and the spread of its
+    cluster across the three fibers."""
 
-    Block-diagonal models (all templates have zero offset) get the
-    spectrum of the one-cell window; models whose fibers on the
-    FLAT_GRID_N grid are k-independent within FLAT_BAND_TOL get flat-band
-    multiplicities divided by q.  Anything else has no exact jump oracle
-    and is rejected.
-    """
-    if graph.offset_reach == 0 and op.offset_reach == 0:
-        window = window_subgraph(graph, [(0,) * graph.dimension])
-        A = dirichlet_matrix(op, window)
-        return _cluster_jumps(spectral_density(A, window).eigenvalues, Fraction(1), A.norm_bound)
-    if cell is not None:
-        eigs = fiber_grid_eigs(cell, FLAT_GRID_N)
-        spread = (eigs.max(axis=0) - eigs.min(axis=0)).max() if eigs.size else 0.0
-        if spread < FLAT_BAND_TOL:
-            values = eigs.mean(axis=0)
-            scale = max(1.0, float(np.abs(values).max()) if values.size else 1.0)
-            return _cluster_jumps(np.sort(values), Fraction(1, cell.q), scale)
+    lam: float
+    dimension: Fraction
+    multiplicities: tuple[int, ...]
+    spread: float
+
+
+def jump_oracle(cell: MagneticCell) -> list[Jump]:
+    """Exact jumps of a rational-flux periodic operator.
+
+    F jumps at lam by D(lam) = mu(lam) / q, with mu(lam) the multiplicity
+    of lam in the fiber H(k) at almost every k: exactly at the flat bands,
+    where compactly supported eigenfunctions live (Kuchment, Bull. AMS 53,
+    343, 2016).  The fibers at the generic momenta JUMP_PROBE_K are
+    diagonalized, and each one's eigenvalues cut into clusters where
+    neighbours lie more than tol apart, tol = JUMP_CLUSTER_TOL * max(1,
+    largest |eigenvalue|).  A cluster of the first fiber whose mean lies within tol of a
+    cluster mean of each other fiber is a jump, at the first mean, with mu
+    the least cluster size.  Raises OracleUnavailableError when the three
+    fibers share no value."""
+    d = cell.graph.dimension
+    eigs = _fiber_eigs(cell, np.array(JUMP_PROBE_K)[:, :d])
+    tol = JUMP_CLUSTER_TOL * max(1.0, float(np.abs(eigs).max()))
+    first, *others = [np.split(e, np.flatnonzero(np.diff(e) > tol) + 1) for e in eigs]
+    jumps = []
+    for cluster in first:
+        lam = float(np.mean(cluster))
+        members = [cluster] + [
+            next((c for c in clusters if abs(np.mean(c) - lam) <= tol), None) for clusters in others
+        ]
+        if any(c is None for c in members):
+            continue
+        counts = tuple(len(c) for c in members)
+        spread = float(np.ptp(np.concatenate(members)))
+        jumps.append(Jump(lam, Fraction(min(counts), cell.q), counts, spread))
+    if not jumps:
         raise OracleUnavailableError(
-            f"no exact jump oracle: fiber spread {spread:.3e} exceeds {FLAT_BAND_TOL}"
+            "no exact jump oracle: the fibers at JUMP_PROBE_K share no eigenvalue"
         )
-    raise OracleUnavailableError("no exact jump oracle for this model")
-
-
-def _cluster_jumps(
-    sorted_values: np.ndarray, unit: Fraction, scale: float
-) -> list[tuple[float, Fraction]]:
-    tol = 1e-9 * max(scale, 1.0)
-    jumps: list[tuple[float, Fraction]] = []
-    i = 0
-    n = len(sorted_values)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_values[j + 1] - sorted_values[j] <= tol:
-            j += 1
-        lam = float(np.mean(sorted_values[i : j + 1]))
-        jumps.append((lam, unit * (j + 1 - i)))
-        i = j + 1
     return jumps
 
 

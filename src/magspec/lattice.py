@@ -80,11 +80,6 @@ class PeriodicGraph:
     templates: tuple[EdgeTemplate, ...]
     generators: tuple[Shift, ...]
 
-    @property
-    def offset_reach(self) -> int:
-        """Largest l1 offset of any template (0 for purely intra-cell graphs)."""
-        return max((word_length(t.offset) for t in self.templates), default=0)
-
     def template_edge(self, index: int, shift: Shift) -> OrientedEdge:
         """The E+ edge of template ``index`` anchored at origin translate ``shift``."""
         t = self.templates[index]

@@ -7,9 +7,9 @@ nonzero entries (``WindowMatrix``: sorted COO triplets, each position
 once) up to the solvers: ``dirichlet_matrix`` and ``neumann_matrix``
 build the square ones, ``interior_restriction`` the rectangular
 A' - lam i'.  ``spectral_density`` is the one way a window matrix becomes
-eigenvalues: the drivers, the named checks and the block jump oracle all
-read their window spectra from it, and the tolerances they scale by the
-matrix's norm from ``WindowMatrix.norm_bound``.  ``WindowMatrix.dense``
+eigenvalues: the drivers and the named checks read their window spectra
+from it, and the tolerances they scale by the matrix's norm from
+``WindowMatrix.norm_bound``.  ``WindowMatrix.dense``
 is the one place one becomes a dense array, capped at MAX_DENSE_DIM: the
 dense solver, the inertia backend's factorization, the SVD of a connected
 interior restriction and the checks that read matrix entries call it.
@@ -100,13 +100,14 @@ PROJECTION_TOL = 1e-10    # projection test of projection_window_dim, relative
 SHIFT_SCALE = 1e-10       # bracketing shift, relative to the norm bound
 ZERO_PIVOT_SCALE = 5e-14  # relative block-eigenvalue size treated as singular
 # A connected matrix of half-bandwidth b >= 1 is diagonalized in band
-# storage when BAND_RATIO * b <= n.  Band hbevd against dense heevd, wall
-# time on 2 cores (OpenBLAS): Hofstadter boxes (n, b) = (2304, 48) 0.74 s
-# vs 1.27 s and (1024, 32) 0.10 s vs 0.14 s; random band matrices break
-# even near n / b = 20 ((1024, 48) 1.02x the dense time) and lose below it
-# ((1024, 64) 1.32x, (256, 32) 1.22x).  32 keeps a margin over the
-# crossover; the table is in the README.  The real kernel (dsbevd) shares
-# the threshold: the entry check that picks it runs after this choice.
+# storage when BAND_RATIO * b <= n.  Band hbevd against dense heevd, best
+# of 3 on one OpenBLAS thread: Hofstadter boxes (n, b) = (2304, 48) 1.06 s
+# vs 3.21 s, (1024, 32) 0.13 s vs 0.30 s, (256, 16) 5.3 ms vs 6.4 ms;
+# random band matrices win down to n / b = 16 ((1024, 64) 0.89x the dense
+# time) and lose from about 12 ((2304, 192) 1.24x, (1024, 96) 1.20x), so
+# 32 is about twice the crossover; the table is in the README.  The real
+# kernel (dsbevd) shares the threshold: the entry check that picks it runs
+# after this choice.
 BAND_RATIO = 32
 
 _HETRF, _HETRF_LWORK = get_lapack_funcs(("hetrf", "hetrf_lwork"), dtype=np.complex128)

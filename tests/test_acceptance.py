@@ -139,10 +139,10 @@ def test_jump_convergence_on_block_model():
     g = triangle_cells()
     w = uniform_weights(g)
     _, dml = harper_dml(g, w)
-    jumps = jump_oracle(g, dml)
-    assert [d for _, d in jumps] == [Fraction(1), Fraction(2)]
-    assert jumps[0][0] == pytest.approx(0.0, abs=1e-12)
-    assert jumps[1][0] == pytest.approx(3.0, abs=1e-12)
+    jumps = jump_oracle(magnetic_cell(g, dml, w.flux))
+    assert [j.dimension for j in jumps] == [Fraction(1), Fraction(2)]
+    assert jumps[0].lam == pytest.approx(0.0, abs=1e-12)
+    assert jumps[1].lam == pytest.approx(3.0, abs=1e-12)
     oracle = {0.0: Fraction(1), 3.0: Fraction(2)}
     radius = dml.propagation
     orbits = g.num_orbits

@@ -37,7 +37,7 @@ from magspec.experiments import (
     verify_report,
 )
 from magspec.exhaustion import folner_box, window_subgraph
-from magspec.floquet import Band
+from magspec.floquet import JUMP_PROBE_K, Band
 from magspec.spectra import (
     _openblas_controls,
     assemble_dirichlet,
@@ -68,6 +68,16 @@ windows: [4, 8]
 lambdas: {kind: auto, count: 5, margin: 0.1}
 oracle: {grid_n: 32}
 seed: 7
+"""
+
+# triangle cells with one cell's weight turned: not periodic, so no
+# magnetic cell and no exact jump oracle
+PERTURBED_TRIANGLE_YAML = """
+label: tri-perturbed
+graph: {dimension: 1, orbits: 3, templates: [[0, 1, [0]], [1, 2, [0]], [0, 2, [0]]]}
+weights: {kind: uniform, perturb: {template: 0, shift: [0], turns: 0.25}}
+operator: dml
+windows: [2, 4]
 """
 
 # one value out of range per entry; each must be a ConfigError, not a crash
@@ -635,6 +645,52 @@ windows: [2, 4, 8]
         with pytest.raises(ConfigError):
             run_jumps(parse_config(bad))
 
+    def test_manifest_records_the_oracle(self):
+        _, info = run_jumps(parse_config(TRIANGLE_YAML))
+        oracle = info["oracle"]
+        assert oracle["momenta"] == [[k[0]] for k in JUMP_PROBE_K]
+        jumps = oracle["jumps"]
+        assert [j["lambda"] for j in jumps] == pytest.approx([0.0, 3.0], abs=1e-12)
+        assert [(j["dimension"], j["multiplicities"]) for j in jumps] == [
+            ("1", [1, 1, 1]), ("2", [2, 2, 2])
+        ]
+        assert all(0.0 <= j["spread"] <= 1e-12 for j in jumps)
+
+    def test_perturbed_cells_have_no_oracle(self):
+        # the one turned cell has its own spectrum; the model's jumps are
+        # unknown, so no row may carry an exact jump
+        rows, info = run_jumps(parse_config(
+            PERTURBED_TRIANGLE_YAML + "lambdas: {kind: explicit, values: [0.0, 3.0]}\n"
+        ))
+        assert [(r.m, r.lam) for r in rows] == [(2, 0.0), (4, 0.0), (2, 3.0), (4, 3.0)]
+        assert all(r.d_oracle is None and r.d_prime_m <= r.d_m for r in rows)
+        assert "not periodic" in info["oracle"]["unavailable"]
+        with pytest.raises(ConfigError):
+            run_jumps(parse_config(PERTURBED_TRIANGLE_YAML))
+
+
+JUMP_CONFIGS = sorted(CONFIG_DIR.glob("jumps_*.yaml"))
+# D_m and D'_m in closed form at the flat band of the shipped connected
+# models: the window's and the interior's compactly supported eigenvectors
+CLOSED_FORM_JUMPS = {
+    "jumps_kagome": (lambda m: ((m - 1) / m) ** 2, lambda m: ((m - 2) / m) ** 2),
+    "jumps_lieb": (lambda m: 1.0, lambda m: ((m - 1) / m) ** 2),
+}
+
+
+@pytest.mark.parametrize("path", JUMP_CONFIGS, ids=[p.stem for p in JUMP_CONFIGS])
+def test_shipped_jump_config(path):
+    rows, _ = run_jumps(load_config(path))
+    assert rows
+    for r in rows:
+        assert r.d_oracle is not None
+        assert r.d_prime_m <= r.d_m and r.d_prime_m <= r.d_oracle
+    if path.stem in CLOSED_FORM_JUMPS:
+        d_m, d_prime = CLOSED_FORM_JUMPS[path.stem]
+        assert {r.d_oracle for r in rows} == {1.0}
+        assert [r.d_m for r in rows] == pytest.approx([d_m(r.m) for r in rows], abs=1e-15)
+        assert [r.d_prime_m for r in rows] == pytest.approx([d_prime(r.m) for r in rows], abs=1e-15)
+
 
 class TestRunButterfly:
     def test_flux_list(self):
@@ -880,6 +936,24 @@ verify: {inertia_instances: 2, window_sizes: [3]}
         assert proc.stderr == (
             "config error: model admits no exact jump oracle; provide explicit lambdas\n"
         )
+
+    def test_perturbed_cells_jumps(self, tmp_path):
+        # without explicit lambdas there are no counting points (exit 2);
+        # with them the rows carry no exact jump
+        cfg = tmp_path / "j.yaml"
+        cfg.write_text(PERTURBED_TRIANGLE_YAML)
+        proc = run_cli(["jumps", str(cfg), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "config error: model admits no exact jump oracle; provide explicit lambdas\n"
+        )
+        assert not (tmp_path / "out" / "jumps.csv").exists()
+        cfg.write_text(PERTURBED_TRIANGLE_YAML + "lambdas: {kind: explicit, values: [3.0]}\n")
+        proc = run_cli(["jumps", str(cfg), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 0, proc.stderr
+        with (tmp_path / "out" / "jumps.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 and all(r["d_oracle"] == "" for r in rows)
 
     @pytest.mark.parametrize("command", ["converge", "jumps"])
     @pytest.mark.parametrize("line", OUT_OF_RANGE)

@@ -1,6 +1,6 @@
 """Driver-level invariants: band-edge flagging, oracle availability,
-error-column monotonicity across window sizes, and agreement of the two
-exact-jump routes."""
+error-column monotonicity across window sizes, and agreement of the
+exact-jump rule with the flat bands of a fiber grid."""
 
 from fractions import Fraction
 
@@ -17,8 +17,8 @@ from magspec.floquet import (
     jump_oracle,
     magnetic_cell,
 )
-from magspec.lattice import square_lattice, triangle_cells
-from magspec.operators import harper_dml, hofstadter_weights, uniform_weights
+from magspec.lattice import line_graph, square_lattice, triangle_cells
+from magspec.operators import harper_dml, hofstadter_weights, uniform_weights, zero_operator
 from magspec.spectra import dirichlet_matrix, neumann_matrix, spectral_density
 
 SQUARE_GRAPH = "graph: {dimension: 2, orbits: 1, templates: [[0, 0, [1, 0]], [0, 0, [0, 1]]]}"
@@ -139,18 +139,29 @@ class TestErrorColumnMonotonicity:
         assert len(rises) <= 1 and all(r < 1e-3 for r in rises), errs
 
 
+def flat_band_reading(cell, N=16):
+    """(lambda, D) from the N^d fiber grid of a model whose fibers are all
+    constant: each distinct fiber value, with its multiplicity over q."""
+    eigs = fiber_grid_eigs(cell, N)
+    assert float((eigs.max(axis=0) - eigs.min(axis=0)).max()) < 1e-10
+    values = np.sort(eigs.mean(axis=0))
+    clusters = np.split(values, np.flatnonzero(np.diff(values) > 1e-9) + 1)
+    return [(float(c.mean()), Fraction(len(c), cell.q)) for c in clusters]
+
+
 class TestJumpRouteAgreement:
-    def test_flat_band_data_matches_block_spectrum(self):
-        # the block route's per-cell jumps must agree with the flat-band
-        # picture read off the fibers (which are constant in k here)
-        g = triangle_cells()
-        _, dml = harper_dml(g, uniform_weights(g))
-        block = jump_oracle(g, dml)
-        cell = magnetic_cell(g, dml, Fraction(0))
-        eigs = fiber_grid_eigs(cell, 16)
-        spread = float((eigs.max(axis=0) - eigs.min(axis=0)).max())
-        assert spread < 1e-10  # fibers are k-independent
-        flat_values = np.sort(eigs.mean(axis=0))
-        for lam, mult in block:
-            matches = int(np.count_nonzero(np.abs(flat_values - lam) < 1e-9))
-            assert Fraction(matches, cell.q) == mult
+    @pytest.mark.parametrize("model", ["triangle-cells", "line-zero"])
+    def test_rule_matches_the_flat_band_grid(self, model):
+        # the three generic momenta give the jumps that a 16^d grid of
+        # fibers shows on models whose bands are all flat
+        if model == "triangle-cells":
+            g = triangle_cells()
+            _, op = harper_dml(g, uniform_weights(g))
+        else:
+            g = line_graph()
+            op = zero_operator(g)
+        cell = magnetic_cell(g, op, Fraction(0))
+        jumps = jump_oracle(cell)
+        grid = flat_band_reading(cell)
+        assert [j.dimension for j in jumps] == [d for _, d in grid]
+        assert [j.lam for j in jumps] == pytest.approx([lam for lam, _ in grid], abs=1e-12)

@@ -12,6 +12,7 @@ from magspec.floquet import (
     CHAMBERS_NODES,
     CHAMBERS_ROUNDING,
     FIBER_CHUNK_ENTRIES,
+    JUMP_PROBE_K,
     BandEdgeError,
     OracleUnavailableError,
     _distinct_fiber_eigs,
@@ -481,59 +482,70 @@ class TestHofstadterIds:
             hofstadter_ids(make_cell(), 1.0)
 
 
+KAGOME = [(0, 1, (0, 0)), (0, 2, (0, 0)), (1, 2, (0, 0)), (0, 1, (-1, 0)), (0, 2, (0, -1)), (1, 2, (1, -1))]
+LIEB = [(0, 1, (0, 0)), (1, 0, (1, 0)), (0, 2, (0, 0)), (2, 0, (0, 1))]
+
+
+def uniform_dml_cell(templates):
+    g = periodic_graph(2, 3, templates)
+    _, D = harper_dml(g, uniform_weights(g))
+    return magnetic_cell(g, D, Fraction(0))
+
+
+def pairs(jumps):
+    return [(j.lam, j.dimension) for j in jumps]
+
+
 class TestJumpOracle:
     def test_triangle_exact_jumps(self):
-        g = triangle_cells()
-        _, D = harper_dml(g, uniform_weights(g))
-        jumps = jump_oracle(g, D)
-        lams = [lam for lam, _ in jumps]
-        mults = [d for _, d in jumps]
-        assert lams == pytest.approx([0.0, 3.0], abs=1e-12)
-        assert mults == [Fraction(1), Fraction(2)]
+        jumps = jump_oracle(triangle_cell())
+        assert [j.lam for j in jumps] == pytest.approx([0.0, 3.0], abs=1e-12)
+        assert [j.dimension for j in jumps] == [Fraction(1), Fraction(2)]
+        assert [j.multiplicities for j in jumps] == [(1, 1, 1), (2, 2, 2)]
+        assert all(j.spread <= 1e-12 for j in jumps)
 
-    def test_block_path_reads_spectral_density(self, monkeypatch):
-        import magspec.floquet as floquet
-
-        dims = []
-        solve = floquet.spectral_density
-
-        def counting(A, win):
-            dims.append(A.dim)
-            return solve(A, win)
-
-        monkeypatch.setattr(floquet, "spectral_density", counting)
-        g = triangle_cells()
-        _, D = harper_dml(g, uniform_weights(g))
-        assert [d for _, d in jump_oracle(g, D)] == [Fraction(1), Fraction(2)]
-        assert dims == [3]
+    def test_triangle_values_are_the_first_fibers(self):
+        # lambda is the cluster mean at the first probe momentum, bit for bit
+        cell = triangle_cell()
+        first = _fiber_eigs(cell, np.array(JUMP_PROBE_K)[:, :1])[0]
+        assert [j.lam for j in jump_oracle(cell)] == [float(np.mean(first[:1])), float(np.mean(first[1:]))]
 
     def test_isolated_vertices_zero_operator(self):
         g = isolated_cells(1, 1)
-        jumps = jump_oracle(g, zero_operator(g))
-        assert jumps == [(0.0, Fraction(1))]
+        assert pairs(jump_oracle(magnetic_cell(g, zero_operator(g), Fraction(0)))) == [
+            (0.0, Fraction(1))
+        ]
+
+    def test_zero_operator_on_the_connected_line(self):
+        # the line has inter-cell edges, but the zero operator's fibers
+        # are constant: one flat band at 0
+        g = line_graph()
+        assert pairs(jump_oracle(magnetic_cell(g, zero_operator(g), Fraction(0)))) == [
+            (0.0, Fraction(1))
+        ]
+
+    def test_multiplicity_is_divided_by_q(self):
+        # on the cell of flux 1/3 the zero operator's fiber is 3 x 3: a
+        # threefold eigenvalue at every momentum, a jump of 3/3
+        g = square_lattice()
+        jumps = jump_oracle(magnetic_cell(g, zero_operator(g), Fraction(1, 3)))
+        assert pairs(jumps) == [(0.0, Fraction(1))]
+        assert jumps[0].multiplicities == (3, 3, 3)
+
+    @pytest.mark.parametrize("templates, lam", [(KAGOME, 6.0), (LIEB, 2.0)], ids=["kagome", "lieb"])
+    def test_one_flat_band_among_dispersive_ones(self, templates, lam):
+        jumps = jump_oracle(uniform_dml_cell(templates))
+        assert [j.dimension for j in jumps] == [Fraction(1)]
+        assert jumps[0].lam == pytest.approx(lam, abs=1e-12)
+        assert jumps[0].multiplicities == (1, 1, 1)
 
     def test_dispersive_model_rejected(self):
-        g = square_lattice()
-        w = hofstadter_weights(g, Fraction(1, 2))
-        _, D = harper_dml(g, w)
-        cell = magnetic_cell(g, D, Fraction(1, 2))
         with pytest.raises(OracleUnavailableError):
-            jump_oracle(g, D, cell)
+            jump_oracle(square_cell(Fraction(1, 2)))
 
-    def test_flat_band_route_on_connected_graph(self):
-        # the zero operator on the connected line is not block-diagonal
-        # (the graph has inter-cell edges) but its fibers are constant, so
-        # the flat-band branch applies and finds the single atom at 0
-        g = line_graph()
-        Z = zero_operator(g)
-        cell = magnetic_cell(g, Z, Fraction(0))
-        assert jump_oracle(g, Z, cell) == [(0.0, Fraction(1))]
-
-    def test_dispersive_model_without_cell_rejected(self):
-        g = square_lattice()
-        _, D = harper_dml(g, uniform_weights(g))
+    def test_flux_free_dispersive_model_rejected(self):
         with pytest.raises(OracleUnavailableError):
-            jump_oracle(g, D)
+            jump_oracle(square_cell(Fraction(0)))
 
     def test_exact_ids_from_jumps(self):
         jumps = [(0.0, Fraction(1)), (3.0, Fraction(2))]
