@@ -70,7 +70,6 @@ from .operators import (
     zero_operator,
 )
 from .spectra import (
-    CountingPointOnEigenvalueWarning,
     UnresolvedClusterError,
     WindowSpectrum,
     WindowTooLargeError,

@@ -382,35 +382,29 @@ def check_inertia_oracle(
     rng: np.random.Generator, instances: int = 200, max_dim: int = 400
 ) -> CheckResult:
     """Inertia-based counting equals full-eigendecomposition counting on
-    random Hermitian stencil restrictions, exactly, away from eigenvalues:
-    points within 1e-9 of the norm bound of an eigenvalue are excluded.
+    random Hermitian stencil restrictions, exactly, at every point: both
+    count the eigenvalues <= lam + delta, delta the matrix's
+    ``counting_shift``.
 
-    Both backends take the same window matrix.  The reference spectrum is
-    the window's ``spectral_density``: per connected block, in band
+    Both backends take the same window matrix.  The reference count is the
+    window's ``spectral_density`` count: per connected block, in band
     storage when the band is narrow (real band storage when the window's
     mirror makes the matrix real), dense otherwise, so the check reads
     "inertia backend == eigh backend".  Like every LAPACK
     call in the package, the loop runs on one OpenBLAS thread (the
     process-wide pin, see ``spectra``).  The result's ``diagnostics``
     count the instances per reference solver, the largest dimension, the
-    points tested and excluded, and the OpenBLAS thread counts read after
-    the loop."""
-    mismatches = tested = excluded = largest = 0
+    points tested, and the OpenBLAS thread counts read after the loop."""
+    mismatches = tested = largest = 0
     solvers = dict.fromkeys(("blocks", "banded", "banded-real", "dense"), 0)
     for _ in range(instances):
         _, win, A = random_stencil_window(rng, max_dim)
         spec = spectral_density(A, win)
-        evals = spec.eigenvalues
         solvers[spec.solver] += 1
         largest = max(largest, A.dim)
-        norm = max(A.norm_bound, 1e-12)
-        for lam in oracle_points(rng, evals, norm):
-            if np.abs(evals - lam).min() <= 1e-9 * norm:
-                excluded += 1  # counting at an eigenvalue is ambiguous
-                continue
+        for lam in oracle_points(rng, spec.eigenvalues, max(A.norm_bound, 1e-12)):
             tested += 1
-            expected = int(np.count_nonzero(evals <= lam))
-            if inertia_count_leq(A, lam) != expected:
+            if inertia_count_leq(A, lam) != spec.count_leq(lam):
                 mismatches += 1
     threads = blas_thread_counts()
     return CheckResult(
@@ -421,7 +415,6 @@ def check_inertia_oracle(
             "solvers": solvers,
             "max_dim": largest,
             "points_tested": tested,
-            "points_excluded": excluded,
             "blas_threads": threads,
         },
     )

@@ -10,7 +10,8 @@ instead (they cannot be deterministic), together with per-window
 diagnostics (dimension, nonzeros, connected blocks, half-bandwidth and
 eigenvalue solver of each window matrix and the seconds the window took
 to build and solve; for converge also the distance from each counting
-point to the window's nearest eigenvalue), per-flux
+point to the window's nearest eigenvalue and the window's counting shift
+delta, so a point within delta of an eigenvalue shows), per-flux
 butterfly diagnostics (fiber dimension and the fibers diagonalized, two
 per flux for the closed-form band edges) or the inertia oracle's run
 facts for verify.  Every driver returns its rows plus a dict of the
@@ -65,6 +66,7 @@ from .exhaustion import Window, folner_box, interior_vertices, window_subgraph
 from .floquet import (
     Band,
     IdsEstimate,
+    JUMP_CLUSTER_TOL,
     JUMP_PROBE_K,
     MagneticCell,
     OracleUnavailableError,
@@ -267,8 +269,10 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     and error column when the oracle applies: exact by Chambers' relation
     (``hofstadter_ids``) where ``_chambers_applies``, else the fiber-grid
     quadrature ``ids_oracle`` at ``oracle.grid_n``; the manifest's oracle
-    entries name the ``method``.  Rows sorted by (lambda, m, boundary).
-    On the grid path, counting points inside the default band-edge
+    entries name the ``method``.  Auto counting points avoid the band
+    edges: the closed-form ``hofstadter_band_edges`` on the exact path, the
+    fiber grid's ``band_edges`` on the other.  Rows sorted by (lambda, m,
+    boundary).  On the grid path, counting points inside the default band-edge
     exclusion are flagged (their oracle columns stay empty) rather than
     failed, unless the config opts in to band-edge evaluation; the exact
     oracle is continuous at the edges and needs no exclusion."""
@@ -292,15 +296,14 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
             raise ConfigError(
                 f"oracle comparison requested but unavailable: {exc}"
             ) from None
+    method = "chambers" if _chambers_applies(cfg.model) else "grid"
     if cfg.lambdas.kind == "explicit":
         lams = sorted(cfg.lambdas.values)
     else:
         if cell is None:
             raise ConfigError("auto lambda selection needs the oracle")
-        lams = select_probe_lambdas(
-            band_edges(cell), cfg.lambdas.count, cfg.lambdas.margin
-        )
-    method = "chambers" if _chambers_applies(cfg.model) else "grid"
+        edges = hofstadter_band_edges(cell) if method == "chambers" else band_edges(cell)
+        lams = select_probe_lambdas(edges, cfg.lambdas.count, cfg.lambdas.margin)
     if cell is not None:
         def oracle_at(lam: float) -> Optional[IdsEstimate]:
             if method == "chambers":
@@ -332,6 +335,7 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
                 rows.append(ResultRow(cfg.label, bc, m, lam, f_m, f_star, err))
     for spec, diag in results:
         diag["eigenvalue_distance"] = [spec.distance(lam) for lam in lams]
+        diag["counting_shift"] = spec.shift
     return rows, {
         "timings_s": {"total": time.perf_counter() - t0, **timings},
         "threads": _usable_cpus(),
@@ -346,8 +350,10 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
 
 def run_jumps(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     """Jump table: window jumps D_m, interior jumps D'_m, and exact jumps
-    D at the model's flat bands (``jump_oracle`` on its magnetic cell), or
-    at the config's explicit lambdas, with no D, when it has none.  The two
+    D, at the config's explicit lambdas when it gives them, else at the
+    model's flat bands (``jump_oracle`` on its magnetic cell).  D is the
+    oracle's jump where a lambda lies within JUMP_CLUSTER_TOL * max(1,
+    |lambda|) of one, and empty elsewhere or without an oracle.  The two
     kernel inequalities D'_m <= D_m and D'_m <= D are enforced rowwise at
     integer level."""
     if cfg.model is None:
@@ -365,16 +371,19 @@ def run_jumps(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     except OracleUnavailableError as exc:
         if cfg.lambdas.kind != "explicit":
             raise ConfigError("model admits no exact jump oracle; provide explicit lambdas") from None
-        jumps, lams, oracle = [], sorted(cfg.lambdas.values), {"unavailable": str(exc)}
+        jumps, oracle = [], {"unavailable": str(exc)}
     else:
-        lams = [j.lam for j in jumps]
         momenta = [list(k[: model.graph.dimension]) for k in JUMP_PROBE_K]
         oracle = {"momenta": momenta, "jumps": [
             {"lambda": j.lam, "dimension": str(j.dimension),
              "multiplicities": list(j.multiplicities), "spread": j.spread}
             for j in jumps
         ]}
-    oracle_map = {j.lam: j.dimension for j in jumps}
+    lams = sorted(cfg.lambdas.values) if cfg.lambdas.kind == "explicit" else [j.lam for j in jumps]
+
+    def exact_jump(lam: float) -> Optional[Fraction]:
+        tol = JUMP_CLUSTER_TOL * max(1.0, abs(lam))
+        return next((j.dimension for j in jumps if abs(j.lam - lam) <= tol), None)
 
     windows, diagnostics = [], []
     for m in cfg.windows:
@@ -384,7 +393,7 @@ def run_jumps(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
         diagnostics.append(diag)
     rows = []
     for lam in lams:
-        d_oracle = oracle_map.get(lam)
+        d_oracle = exact_jump(lam)
         for m, win, spec, split, tol in windows:
             norm = spec.normalization
             d_count = spec.jump_count(lam, tol)

@@ -19,20 +19,20 @@ package calls them.  The Neumann Laplacian is the Dirichlet compression
 of the magnetic Laplacian minus a diagonal, so their difference is a
 nonnegative diagonal on the boundary collar by construction.
 
-Two counting backends count the eigenvalues <= lam of a WindowMatrix:
-full diagonalization (``count_leq``) and LDL-inertia counting
-(``inertia_count_leq``), which calls LAPACK ``hetrf`` (Bunch-Kaufman)
-in place on the dense copy of A - lam I and reads the inertia off the
-eigenvalues of the factor's 1x1 and 2x2 diagonal blocks D, by
-Sylvester's law; the triangular factor is never formed.  The backends
-agree away from eigenvalues; they differ when the counting point
-essentially hits one.  The inertia backend then brackets it with a shift
-of SHIFT_SCALE times ``WindowMatrix.norm_bound`` and returns the upper
-count, matching the right-continuity of the eigenvalue counting
-function.  The diagonalization paths (``count_leq`` and
-``WindowSpectrum``) keep the plain count of computed eigenvalues <= lam,
-which there depends on rounding, and raise
-``CountingPointOnEigenvalueWarning`` instead.
+There is one counting rule: count(lam) = #{eigenvalues <= lam + delta},
+the right-continuous eigenvalue count read with one shift delta =
+``WindowMatrix.counting_shift`` (SHIFT_SCALE times the Gershgorin bound
+``WindowMatrix.norm_bound``, at least 1e-14), the only place delta is
+computed.  A cluster of eigenvalues at lam that rounding splits by far
+less than delta is then counted whole, whichever kernel split it.  Two
+backends apply the rule to a WindowMatrix: full diagonalization
+(``count_leq``, and ``WindowSpectrum`` from ``spectral_density``, which
+stores delta as ``shift``) and LDL-inertia counting
+(``inertia_count_leq``), which calls LAPACK ``hetrf`` (Bunch-Kaufman) in
+place on the dense copy of A - (lam + delta) I and reads the inertia off
+the eigenvalues of the factor's 1x1 and 2x2 diagonal blocks D, by
+Sylvester's law; the triangular factor is never formed.  A zero pivot at
+lam + delta raises ``UnresolvedClusterError``.
 
 Window spectra (``spectral_density`` and ``count_leq``) and interior
 kernels (``rect_kernel_dim``) are computed one connected block of the
@@ -64,8 +64,8 @@ the flops, 2.7 times faster on the m = 48 converge windows.  Landau-gauge
 Hofstadter boxes pass at every flux, Dirichlet and Neumann; gauge-
 transformed or perturbed weights, complex on-site couplings between
 orbits and windows that are not mirror-symmetric keep ``zhbevd``.  The
-two kernels' eigenvalues differ in the last bits, so only counts at
-points within the bracketing shift of an eigenvalue can differ.
+two kernels' eigenvalues differ in the last bits, far less than the
+counting shift, so the counts agree.
 
 Jumps and kernel dimensions are floating-point notions here, so both are
 defined through clusters with a validated gap, judged over the union of
@@ -84,9 +84,8 @@ solve.
 from __future__ import annotations
 
 import ctypes
-import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cython_lapack
@@ -97,7 +96,7 @@ from .operators import HERMITIAN_TOL, LocalOperator, WeightFunction, dml_operato
 
 MAX_DENSE_DIM = 5000
 PROJECTION_TOL = 1e-10    # projection test of projection_window_dim, relative
-SHIFT_SCALE = 1e-10       # bracketing shift, relative to the norm bound
+SHIFT_SCALE = 1e-10       # counting shift, relative to the norm bound
 ZERO_PIVOT_SCALE = 5e-14  # relative block-eigenvalue size treated as singular
 # A connected matrix of half-bandwidth b >= 1 is diagonalized in band
 # storage when BAND_RATIO * b <= n.  Band hbevd against dense heevd, best
@@ -204,29 +203,6 @@ class UnresolvedClusterError(RuntimeError):
     """Eigenvalue or singular-value cluster without the required gap."""
 
 
-class CountingPointOnEigenvalueWarning(RuntimeWarning):
-    """Counting point within the bracketing shift of a computed eigenvalue:
-    the diagonalization count there depends on rounding."""
-
-
-def _warn_if_on_eigenvalue(evals: np.ndarray, lam: float) -> None:
-    """Warn when an ascending spectrum has an eigenvalue within the
-    bracketing shift of lam: SHIFT_SCALE times the largest |eigenvalue|,
-    floored at 1e-14 (inertia_bracket scales it by the norm bound)."""
-    if evals.size == 0:
-        return
-    eps = max(SHIFT_SCALE * max(abs(evals[0]), abs(evals[-1])), 1e-14)
-    lo = int(np.searchsorted(evals, lam - eps, side="left"))
-    hi = int(np.searchsorted(evals, lam + eps, side="right"))
-    if hi > lo:
-        warnings.warn(
-            f"counting point {float(lam)!r} is within {eps:.1e} of {hi - lo} eigenvalue(s); "
-            f"the count there lies between {lo} and {hi} and depends on rounding",
-            CountingPointOnEigenvalueWarning,
-            stacklevel=3,
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class WindowMatrix:
     """A matrix of shape ``shape`` held as its nonzero entries: ``rows``,
@@ -270,6 +246,12 @@ class WindowMatrix:
         """Gershgorin bound on the spectral radius, the largest absolute
         row sum of the entries (0 for an empty matrix)."""
         return float(np.bincount(self.rows, np.abs(self.vals), minlength=self.dim).max(initial=0.0))
+
+    @property
+    def counting_shift(self) -> float:
+        """delta of the counting rule: eigenvalues <= lam + delta count at
+        lam (SHIFT_SCALE of the norm bound, at least 1e-14)."""
+        return max(SHIFT_SCALE * self.norm_bound, 1e-14)
 
     def dense(self, order: str = "C") -> np.ndarray:
         """The dense matrix in memory order ``order``; capped at MAX_DENSE_DIM."""
@@ -347,20 +329,14 @@ def _assert_hermitian(A: WindowMatrix) -> None:
         raise AssertionError(f"restriction matrix is not Hermitian: residual {resid:.3e}")
 
 
-def count_leq(A: WindowMatrix, lam: float) -> int:
-    """Number of eigenvalues <= lam, counting multiplicity, by
-    diagonalization as spectral_density does (per connected block, in band
-    storage when the band is narrow); warns when lam is within the
-    bracketing shift of an eigenvalue.  ``inertia_count_leq`` is the
-    factorization backend.  Without a window there is no mirror, so a
-    band matrix always takes the complex kernel here ("banded"), where
-    spectral_density may take the real one ("banded-real"); the two
-    spectra differ in the last bits, so at a warned point the counts can
-    differ too.
-    """
+def count_leq(A: WindowMatrix, lam: float | Sequence[float]) -> int | list[int]:
+    """Number of eigenvalues <= lam + ``A.counting_shift``, counting
+    multiplicity, by diagonalization as spectral_density does (per
+    connected block, in band storage when the band is narrow); for a
+    sequence of points, their counts from the one diagonalization.
+    ``inertia_count_leq`` is the factorization backend."""
     evals = _block_spectrum(A)[0]
-    _warn_if_on_eigenvalue(evals, lam)
-    return int(np.searchsorted(evals, lam, side="right"))
+    return np.searchsorted(evals, np.asarray(lam) + A.counting_shift, side="right").tolist()
 
 
 def _inertia(A: WindowMatrix, lam: float, zero_tol: float) -> tuple[int, int, int]:
@@ -394,12 +370,12 @@ def _inertia(A: WindowMatrix, lam: float, zero_tol: float) -> tuple[int, int, in
 
 
 def inertia_bracket(A: WindowMatrix, lam: float) -> tuple[int, int]:
-    """Counts at lam -/+ the bracketing shift (SHIFT_SCALE of the norm
-    bound ``A.norm_bound``, at least 1e-14).  The two agree except when
-    lam sits essentially on an eigenvalue."""
-    norm = A.norm_bound
-    eps = max(SHIFT_SCALE * norm, 1e-14)
-    zero_tol = ZERO_PIVOT_SCALE * max(norm, 1e-300)
+    """Counts at lam -/+ the counting shift ``A.counting_shift``; the two
+    agree except when lam sits essentially on an eigenvalue.  Nothing in
+    the package calls it; it stays for the tests and as a name the
+    benchmark's tracer wraps."""
+    eps = A.counting_shift
+    zero_tol = ZERO_PIVOT_SCALE * max(A.norm_bound, 1e-300)
     lo_neg, lo_zero, _ = _inertia(A, lam - eps, zero_tol)
     hi_neg, hi_zero, _ = _inertia(A, lam + eps, zero_tol)
     if lo_zero or hi_zero:
@@ -410,17 +386,17 @@ def inertia_bracket(A: WindowMatrix, lam: float) -> tuple[int, int]:
 
 
 def inertia_count_leq(A: WindowMatrix, lam: float) -> int:
-    """Number of eigenvalues <= lam by the inertia of A - lam I; a point
-    that is numerically an eigenvalue is bracketed (``inertia_bracket``)."""
+    """Number of eigenvalues <= lam + ``A.counting_shift``: the negative
+    inertia of A - (lam + delta) I, one factorization.  A zero pivot there
+    (an eigenvalue within the pivot tolerance of lam + delta) raises
+    UnresolvedClusterError."""
     if A.dim == 0:
         return 0
-    neg, zero, _ = _inertia(A, lam, ZERO_PIVOT_SCALE * max(A.norm_bound, 1e-300))
-    if zero == 0:
-        return neg
-    # lam is numerically an eigenvalue: bracket and take the upper count,
-    # which is the right-continuous reading of "eigenvalues <= lam"
-    _, hi = inertia_bracket(A, lam)
-    return hi
+    at = lam + A.counting_shift
+    neg, zero, _ = _inertia(A, at, ZERO_PIVOT_SCALE * max(A.norm_bound, 1e-300))
+    if zero:
+        raise UnresolvedClusterError(f"factorization breakdown at {at}: {zero} zero pivot(s)")
+    return neg
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[int, np.ndarray]:
@@ -631,19 +607,21 @@ def _block_singular_values(R: WindowMatrix) -> np.ndarray:
 @dataclass(eq=False)
 class WindowSpectrum:
     """Sorted spectrum of one window restriction plus the Folner
-    normalization; evaluates the normalized counting function and its
-    jumps.  ``blocks``, ``bandwidth`` and ``solver`` say how the spectrum
-    was computed (see _block_spectrum)."""
+    normalization and the matrix's counting shift; evaluates the
+    normalized counting function and its jumps.  ``blocks``, ``bandwidth``
+    and ``solver`` say how the spectrum was computed (see _block_spectrum)."""
 
     eigenvalues: np.ndarray
     normalization: int
+    shift: float
     blocks: int = 1
     bandwidth: int = 0
     solver: str = "dense"
 
     def count_leq(self, lam: float) -> int:
-        _warn_if_on_eigenvalue(self.eigenvalues, lam)
-        return int(np.searchsorted(self.eigenvalues, lam, side="right"))
+        """Number of eigenvalues <= lam + ``shift``, the matrix's
+        ``counting_shift``."""
+        return int(np.searchsorted(self.eigenvalues, lam + self.shift, side="right"))
 
     def distance(self, lam: float) -> float:
         """Distance from lam to the nearest eigenvalue, read off the sorted
@@ -653,9 +631,8 @@ class WindowSpectrum:
         return float(np.abs(near - lam).min(initial=np.inf))
 
     def ids(self, lam: float) -> float:
-        """F_m(lam) = #{eigenvalues <= lam} / #Lambda_m.  Not bracketed:
-        when lam is within the bracketing shift of an eigenvalue the value
-        depends on rounding, and CountingPointOnEigenvalueWarning is raised."""
+        """F_m(lam) = #{eigenvalues <= lam + shift} / #Lambda_m, the
+        right-continuous count of ``count_leq``."""
         return self.count_leq(lam) / self.normalization
 
     def jump_count(self, lam: float, tol: float) -> int:
@@ -685,7 +662,7 @@ def spectral_density(A: WindowMatrix, window: Window) -> WindowSpectrum:
     The window also supplies the mirror that lets a band matrix take the
     real kernel (see _block_spectrum)."""
     evals, blocks, bandwidth, solver = _block_spectrum(A, window)
-    return WindowSpectrum(evals, len(window.elements), blocks, bandwidth, solver)
+    return WindowSpectrum(evals, len(window.elements), A.counting_shift, blocks, bandwidth, solver)
 
 
 def interior_restriction(

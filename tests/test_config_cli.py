@@ -37,8 +37,9 @@ from magspec.experiments import (
     verify_report,
 )
 from magspec.exhaustion import folner_box, window_subgraph
-from magspec.floquet import JUMP_PROBE_K, Band
+from magspec.floquet import JUMP_PROBE_K, Band, band_edges, hofstadter_band_edges
 from magspec.spectra import (
+    SHIFT_SCALE,
     _openblas_controls,
     assemble_dirichlet,
     assemble_neumann,
@@ -389,18 +390,23 @@ oracle: {grid_n: 16}
             assert o["value"] == f_oracle[o["lambda"]]
             assert o["error_bound"] > 0
 
-    def test_square_lattice_oracle_is_exact_on_the_band_edge_grid_only(self, monkeypatch):
-        # Chambers' relation replaces the N and 2N quadrature grids: the
-        # only fiber grid built is band_edges' N = 64, for probe selection
-        # and the band-edge exclusion
+    def test_square_lattice_oracle_builds_no_fiber_grid(self, monkeypatch):
+        # Chambers' relation replaces the N and 2N quadrature grids, and its
+        # closed-form band edges replace band_edges' N = 64 grid for probe
+        # selection
         sizes = []
         grid = magspec.floquet.fiber_grid_eigs
         monkeypatch.setattr(
             magspec.floquet, "fiber_grid_eigs", lambda cell, N: sizes.append(N) or grid(cell, N)
         )
         _, info = run_converge(parse_config(SQUARE_YAML.replace("grid_n: 32", "grid_n: 256")))
-        assert set(sizes) == {64}
+        assert sizes == []
         assert {o["method"] for o in info["oracle"]} == {"chambers"}
+
+    def test_exact_probes_lie_within_rounding_of_the_grid_probes(self):
+        cell = magspec.experiments._oracle_cell(build_model(parse_config(SQUARE_YAML).model))
+        exact = select_probe_lambdas(hofstadter_band_edges(cell), 5, 0.1)
+        assert exact == pytest.approx(select_probe_lambdas(band_edges(cell), 5, 0.1), abs=1e-11)
 
     def test_other_models_keep_the_grid_oracle(self):
         _, info = run_converge(parse_config(TRIANGLE_YAML))
@@ -477,6 +483,9 @@ oracle: {grid_n: 16}
                 M = assemble_neumann(model.graph, model.weights, win)
             evals = np.linalg.eigvalsh(M)
             assert d["eigenvalue_distance"] == [float(np.abs(evals - lam).min()) for lam in lams]
+            # next to it the counting shift delta, from the Gershgorin bound
+            gershgorin = np.abs(M).sum(axis=1).max()
+            assert d["counting_shift"] == pytest.approx(SHIFT_SCALE * gershgorin, rel=1e-15)
 
     def test_neumann_rejected_for_non_laplacian(self):
         text = SQUARE_YAML.replace("operator: dml", "operator: harper")
@@ -644,6 +653,17 @@ windows: [2, 4, 8]
         bad = SQUARE_YAML  # auto lambdas but no jump oracle for 1/2 flux
         with pytest.raises(ConfigError):
             run_jumps(parse_config(bad))
+
+    def test_explicit_lambdas_are_kept_beside_an_oracle(self):
+        rows, info = run_jumps(parse_config(TRIANGLE_YAML))
+        assert sorted({r.lam for r in rows}) == [-0.5, 0.5, 1.5, 3.5]
+        assert all(r.d_oracle is None for r in rows)
+        assert len(info["oracle"]["jumps"]) == 2
+
+    def test_explicit_lambdas_at_an_oracle_jump_carry_it(self):
+        text = TRIANGLE_YAML.replace("values: [-0.5, 0.5, 1.5, 3.5]", "values: [1e-12, 1.5, 3.0]")
+        rows, _ = run_jumps(parse_config(text))
+        assert {(r.lam, r.d_oracle) for r in rows} == {(1e-12, 1.0), (1.5, None), (3.0, 2.0)}
 
     def test_manifest_records_the_oracle(self):
         _, info = run_jumps(parse_config(TRIANGLE_YAML))
@@ -836,6 +856,17 @@ def run_cli(args):
         text=True,
         cwd=Path(__file__).resolve().parent.parent,
     )
+
+
+CONVERGE_CONFIGS = sorted(CONFIG_DIR.glob("converge_*.yaml"))
+
+
+@pytest.mark.parametrize("path", CONVERGE_CONFIGS, ids=[p.stem for p in CONVERGE_CONFIGS])
+def test_shipped_converge_config_runs_silently(path, tmp_path):
+    # in a fresh interpreter: nothing on stderr, no warning either
+    proc = run_cli(["converge", str(path), "--out", str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 class TestCli:

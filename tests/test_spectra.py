@@ -4,7 +4,6 @@ and the window-normalized subspace dimension."""
 import threading
 import time
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -33,8 +32,8 @@ from magspec.operators import (
     zero_operator,
 )
 from magspec.spectra import (
-    CountingPointOnEigenvalueWarning,
     MAX_DENSE_DIM,
+    SHIFT_SCALE,
     ZERO_PIVOT_SCALE,
     UnresolvedClusterError,
     WindowMatrix,
@@ -49,7 +48,6 @@ from magspec.spectra import (
     _block_stacks,
     _components,
     _inertia,
-    _warn_if_on_eigenvalue,
     assemble_dirichlet,
     assemble_neumann,
     count_leq,
@@ -243,6 +241,13 @@ class TestCountLeq:
         assert count_leq(A, -bound - 1e-9) == 0
         assert count_leq(A, bound + 1e-9) == 7
 
+    def test_a_sequence_of_points_shares_one_diagonalization(self):
+        A = from_dense(PATH3)
+        lams = [0.0, 2.0, 3.0, 5.0]
+        counts = count_leq(A, lams)
+        assert counts == [count_leq(A, lam) for lam in lams] == [0, 2, 2, 3]
+        assert all(type(c) is int for c in [*counts, count_leq(A, 2.0)])
+
     def test_norm_bound_is_the_dense_gershgorin_bound(self):
         # row sums added entry by entry instead of over dense rows: equal
         # up to summation order
@@ -261,13 +266,10 @@ class TestCountLeq:
             evals = np.linalg.eigvalsh(A)
             lam = float(rng.uniform(evals[0] - 1, evals[-1] + 1))
             A = from_dense(A)
-            if np.abs(evals - lam).min() <= 1e-9 * A.norm_bound:
-                continue
             assert count_leq(A, lam) == inertia_count_leq(A, lam)
 
     def test_inertia_bracket_at_eigenvalue(self):
-        # counting exactly on an eigenvalue brackets it and keeps the
-        # right-continuous upper count
+        # the bracket splits an eigenvalue; the one rule counts it
         A = from_dense(PATH3)
         lo, hi = inertia_bracket(A, 2.0)
         assert (lo, hi) == (1, 2)
@@ -436,37 +438,44 @@ LINE9_EIGS = 2.0 - 2.0 * np.cos(np.arange(1, 10) * np.pi / 10)
 
 
 def line9_counter(path):
-    """The window matrix and its count through one of the two eigh paths."""
+    """The window matrix and its count through one of the three paths."""
     _, D, w = line_window(9)
     A = dirichlet_matrix(D, w)
     if path == "count_leq":
         return A, lambda lam: count_leq(A, lam)
+    if path == "inertia":
+        return A, lambda lam: inertia_count_leq(A, lam)
     return A, spectral_density(A, w).count_leq
 
 
-class TestCountingPointOnEigenvalueWarning:
-    @pytest.mark.parametrize("path", ["count_leq", "WindowSpectrum"])
-    def test_warns_at_eigenvalue_and_keeps_count(self, path):
+class TestCountingRule:
+    """Every backend counts the eigenvalues <= lam + delta, with delta the
+    matrix's counting_shift."""
+
+    @pytest.mark.parametrize("path", ["count_leq", "WindowSpectrum", "inertia"])
+    def test_an_eigenvalue_is_counted_and_delta_resolves_it(self, path):
         A, counter = line9_counter(path)
+        delta = A.counting_shift
+        assert delta == SHIFT_SCALE * A.norm_bound
         lam = float(LINE9_EIGS[2])
-        plain = int(np.count_nonzero(np.linalg.eigvalsh(A.dense()) <= lam))
-        assert plain in (2, 3)
-        with pytest.warns(CountingPointOnEigenvalueWarning, match="between 2 and 3"):
-            assert counter(lam) == plain
+        assert counter(lam) == 3
+        assert counter(lam - 2 * delta) == 2
+        assert counter(0.5 * (LINE9_EIGS[2] + LINE9_EIGS[3])) == 3
 
-    @pytest.mark.parametrize("path", ["count_leq", "WindowSpectrum"])
-    def test_silent_midway_between_eigenvalues(self, path):
-        _, counter = line9_counter(path)
-        lam = float(0.5 * (LINE9_EIGS[2] + LINE9_EIGS[3]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CountingPointOnEigenvalueWarning)
-            assert counter(lam) == 3
-
-    def test_inertia_brackets_without_warning(self):
+    def test_spectrum_stores_the_shift(self):
         A, _ = line9_counter("count_leq")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CountingPointOnEigenvalueWarning)
-            assert inertia_count_leq(A, float(LINE9_EIGS[2])) == 3
+        _, _, w = line_window(9)
+        assert spectral_density(A, w).shift == A.counting_shift
+
+    def test_shift_is_floored(self):
+        for M in (np.zeros((3, 3), dtype=complex), 1e-9 * PATH3):
+            assert from_dense(M).counting_shift == 1e-14
+
+    def test_zero_pivot_at_the_shifted_point_is_unresolved(self):
+        # lam + delta lands exactly on the eigenvalue 2 of PATH3
+        A = from_dense(PATH3)
+        with pytest.raises(UnresolvedClusterError):
+            inertia_count_leq(A, 2.0 - A.counting_shift)
 
 
 class TestJumpDim:
@@ -701,39 +710,52 @@ def decorated_square_lattice():
     return graph, WeightFunction(graph, [1.0, 1.0, phase, phase], flux=alpha)
 
 
-def on_eigenvalue(evals, lam):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _warn_if_on_eigenvalue(evals, lam)
-    return any(issubclass(c.category, CountingPointOnEigenvalueWarning) for c in caught)
-
-
 FLUXES = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7)]
 GOLDEN = (5**0.5 - 1) / 2  # a float flux
+
+
+def counts_under_the_rule(evals, lams, delta):
+    """#{evals <= lam + delta} at each lam, for an ascending spectrum."""
+    return np.searchsorted(evals, np.asarray(lams) + delta, side="right").tolist()
 
 
 def assert_band_path_matches_dense(A, w, bandwidth, points, seed, solver="banded-real"):
     """The band solver's spectrum agrees with dense eigvalsh to 1e-12 of
     the norm bound, and its counts agree exactly with the dense ones and
-    with the complex band kernel's at the given points and at 50 seeded
-    random points, wherever no eigenvalue of either spectrum lies within
-    the bracketing shift."""
+    with the complex band kernel's under the counting rule, at the given
+    points and at 50 seeded random points."""
     spec = spectral_density(A, w)
     assert (spec.solver, spec.blocks, spec.bandwidth) == (solver, 1, bandwidth)
     dense = np.linalg.eigvalsh(A.dense())
     assert np.abs(spec.eigenvalues - dense).max() <= 1e-12 * A.norm_bound
     complex_kernel = np.sort(_band_eigvals(A, bandwidth))
     rng = np.random.default_rng(seed)
-    random_points = rng.uniform(dense[0] - 0.5, dense[-1] + 0.5, 50)
-    checked = 0
-    for lam in [*points, *random_points]:
-        if on_eigenvalue(dense, lam) or on_eigenvalue(spec.eigenvalues, lam):
-            continue
-        assert spec.count_leq(lam) == int(np.count_nonzero(dense <= lam)), lam
-        if not on_eigenvalue(complex_kernel, lam):
-            assert spec.count_leq(lam) == int(np.count_nonzero(complex_kernel <= lam)), lam
-        checked += 1
-    assert checked >= 50
+    lams = [*points, *rng.uniform(dense[0] - 0.5, dense[-1] + 0.5, 50)]
+    counts = [spec.count_leq(lam) for lam in lams]
+    assert counts == counts_under_the_rule(dense, lams, spec.shift)
+    assert counts == counts_under_the_rule(complex_kernel, lams, spec.shift)
+
+
+class TestBackendsAgreeAtClusters:
+    """Every counting backend gives the same count under the one rule,
+    also inside a cluster: the Hofstadter boxes at flux 1/3 and 1/2 have
+    many-fold eigenvalues at 4 and 4 +- sqrt 2, which the real and complex
+    band kernels and dense eigvalsh split differently in the last bits."""
+
+    @pytest.mark.parametrize("m", [16, 32])
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("flux", [Fraction(1, 3), Fraction(1, 2)])
+    def test_counts_agree_at_probes_clusters_and_eigenvalues(self, flux, boundary, m):
+        g = square_lattice()
+        A, w, probes = box_matrix(g, hofstadter_weights(g, flux), boundary, m)
+        spec = spectral_density(A, w)
+        assert spec.solver == ("banded-real" if m == 32 else "dense")
+        seeded = np.random.default_rng(m).choice(spec.eigenvalues, 20, replace=False)
+        lams = [*probes, 4.0, 4.0 - 2**0.5, 4.0 + 2**0.5, *seeded]
+        counts = [spec.count_leq(lam) for lam in lams]
+        assert counts == count_leq(A, lams)
+        assert counts == counts_under_the_rule(np.linalg.eigvalsh(A.dense()), lams, spec.shift)
+        assert counts == [inertia_count_leq(A, lam) for lam in lams]
 
 
 class TestBlockPath:
