@@ -27,13 +27,13 @@ from .exhaustion import (
 from .floquet import (
     Band,
     BandEdgeError,
+    ChambersLaw,
     Jump,
     MagneticCell,
     OracleUnavailableError,
     band_edges,
     bloch_fiber,
-    hofstadter_band_edges,
-    hofstadter_ids,
+    chambers_law,
     ids_oracle,
     jump_oracle,
     magnetic_cell,

@@ -12,17 +12,18 @@ eigenvalue solver of each window matrix and the seconds the window took
 to build and solve; for converge also the distance from each counting
 point to the window's nearest eigenvalue and the window's counting shift
 delta, so a point within delta of an eigenvalue shows), per-flux
-butterfly diagnostics (fiber dimension and the fibers diagonalized, two
-per flux for the closed-form band edges) or the inertia oracle's run
-facts for verify.  Every driver returns its rows plus a dict of the
-manifest sections the run adds: ``timings_s`` and ``diagnostics``;
-converge adds the wall time of its two stages to ``timings_s``
-(``oracle``: counting points and ground truth; ``windows``: every
-window's build and solve), and records ``oracle``, the ground-truth value,
-its error bound and its ``method`` (``chambers``, exact on the square
-lattice, or ``grid``, the fiber-grid quadrature) per counting point, and
-``threads``, the size of its window pool; jumps records its exact jumps'
-evidence (``floquet.jump_oracle``) or the oracle's refusal as ``oracle``.
+butterfly diagnostics (fiber dimension and the fibers diagonalized) or
+the inertia oracle's run facts for verify.  Every driver returns its
+rows plus a dict of the manifest sections the run adds: ``timings_s``
+and ``diagnostics``; converge adds the wall time of its two stages to
+``timings_s`` (``oracle``: counting points and ground truth;
+``windows``: every window's build and solve), and records ``oracle``,
+the ground-truth value, its error bound and its ``method`` (``chambers``
+where ``chambers_law`` accepts the cell, else ``grid``) per counting
+point, ``chambers``, that check's residual, tolerances and c or its
+refusal as ``unavailable``, and ``threads``, the size of its window
+pool; jumps records its exact jumps' evidence (``floquet.jump_oracle``)
+or the oracle's refusal as ``oracle``.
 
 Converge and jumps build and solve each window with one routine,
 ``_window_spectrum``.  Converge runs it with ``ordered_parallel``, one
@@ -32,7 +33,7 @@ only parallelism: OpenBLAS runs on one thread (see ``spectra``), as every
 manifest's ``blas_threads`` records.  Everything else is
 serial: the oracle's first counting point fills the fiber-grid caches
 the others read, the stacks of small ``eigvalsh`` calls in jumps gain
-nothing from a second thread, and butterfly diagonalizes two fibers per
+nothing from a second thread, and butterfly diagonalizes four fibers per
 flux.  Rows come out in a fixed order whatever the thread count.
 """
 
@@ -65,15 +66,14 @@ from .config import (
 from .exhaustion import Window, folner_box, interior_vertices, window_subgraph
 from .floquet import (
     Band,
+    BandEdgeError,
     IdsEstimate,
     JUMP_CLUSTER_TOL,
     JUMP_PROBE_K,
     MagneticCell,
     OracleUnavailableError,
-    band_edge_distance,
     band_edges,
-    hofstadter_band_edges,
-    hofstadter_ids,
+    chambers_law,
     ids_oracle,
     jump_oracle,
     magnetic_cell,
@@ -227,14 +227,8 @@ def _oracle_cell(model: BuiltModel) -> MagneticCell:
 
 def _square_family(spec: ModelSpec) -> bool:
     """Whether the model is the Harper or DML operator on
-    ``square_lattice()``, the family that Chambers' relation covers."""
+    ``square_lattice()``, the family that butterfly sweeps."""
     return spec.operator in ("harper", "dml") and build_graph(spec.graph) == square_lattice()
-
-
-def _chambers_applies(spec: ModelSpec) -> bool:
-    """Whether converge takes the exact oracle (``hofstadter_ids``): the
-    square family with plain Hofstadter weights, no fault-injection knob."""
-    return _square_family(spec) and spec.weights == WeightSpec("hofstadter", spec.weights.flux)
 
 
 def _window_spectrum(
@@ -261,21 +255,16 @@ def _boundaries(cfg: ExperimentConfig) -> list[str]:
     return ["dirichlet", "neumann"] if cfg.boundary == "both" else [cfg.boundary]
 
 
-BAND_EDGE_EXCLUSION = 1e-3  # counting points closer than this are flagged
-
-
 def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     """Counting-function table F_m(lambda) per window, with ground truth
-    and error column when the oracle applies: exact by Chambers' relation
-    (``hofstadter_ids``) where ``_chambers_applies``, else the fiber-grid
-    quadrature ``ids_oracle`` at ``oracle.grid_n``; the manifest's oracle
-    entries name the ``method``.  Auto counting points avoid the band
-    edges: the closed-form ``hofstadter_band_edges`` on the exact path, the
-    fiber grid's ``band_edges`` on the other.  Rows sorted by (lambda, m,
-    boundary).  On the grid path, counting points inside the default band-edge
-    exclusion are flagged (their oracle columns stay empty) rather than
-    failed, unless the config opts in to band-edge evaluation; the exact
-    oracle is continuous at the edges and needs no exclusion."""
+    and error column when the oracle applies: exact (``ChambersLaw.ids``)
+    wherever ``chambers_law`` accepts the model's cell, else the
+    fiber-grid quadrature ``ids_oracle`` at ``oracle.grid_n``, whose
+    band-edge refusals leave the oracle columns empty (unless
+    ``oracle.allow_band_edge``).  The manifest records the relation check
+    once (``chambers``) and each point's ``method``.  Auto counting points
+    avoid the band edges: the law's ``bands``, else ``band_edges``.  Rows
+    sorted by (lambda, m, boundary)."""
     if cfg.model is None:
         raise ConfigError("converge needs a model section")
     if cfg.boundary != "dirichlet" and cfg.model.operator != "dml":
@@ -287,7 +276,8 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     model = build_model(cfg.model)
     t_oracle = time.perf_counter()
 
-    cell = None
+    cell = law = None
+    check: dict = {}
     estimates: dict[float, Optional[IdsEstimate]] = {}
     if cfg.oracle.compare:
         try:
@@ -296,24 +286,30 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
             raise ConfigError(
                 f"oracle comparison requested but unavailable: {exc}"
             ) from None
-    method = "chambers" if _chambers_applies(cfg.model) else "grid"
+        try:
+            law = chambers_law(cell)
+            check = law.check
+        except OracleUnavailableError as exc:
+            check = {"unavailable": str(exc)}
+    method = "grid" if law is None else "chambers"
     if cfg.lambdas.kind == "explicit":
         lams = sorted(cfg.lambdas.values)
     else:
         if cell is None:
             raise ConfigError("auto lambda selection needs the oracle")
-        edges = hofstadter_band_edges(cell) if method == "chambers" else band_edges(cell)
+        edges = band_edges(cell) if law is None else law.bands
         lams = select_probe_lambdas(edges, cfg.lambdas.count, cfg.lambdas.margin)
     if cell is not None:
         def oracle_at(lam: float) -> Optional[IdsEstimate]:
-            if method == "chambers":
-                return hofstadter_ids(cell, lam)
-            if not cfg.oracle.allow_band_edge and band_edge_distance(cell, lam) < BAND_EDGE_EXCLUSION:
+            if law is not None:
+                return law.ids(lam)
+            try:
+                return ids_oracle(
+                    cell, lam, cfg.oracle.grid_n,
+                    allow_band_edge=cfg.oracle.allow_band_edge,
+                )
+            except BandEdgeError:
                 return None
-            return ids_oracle(
-                cell, lam, cfg.oracle.grid_n,
-                allow_band_edge=cfg.oracle.allow_band_edge,
-            )
 
         # serial: the first point fills the cell's fiber-grid caches
         estimates = {lam: oracle_at(lam) for lam in lams}
@@ -340,6 +336,7 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[ResultRow], dict]:
         "timings_s": {"total": time.perf_counter() - t0, **timings},
         "threads": _usable_cpus(),
         "diagnostics": [diag for _, diag in results],
+        "chambers": check,
         "oracle": [
             {"lambda": lam, "method": method, "value": None, "error_bound": None} if est is None
             else {"lambda": lam, "method": method, "value": est.value, "error_bound": est.error_bound}
@@ -429,8 +426,10 @@ def hofstadter_flux_list(q_max: int) -> list[Fraction]:
 
 def run_butterfly(cfg: ExperimentConfig) -> tuple[list[tuple], dict]:
     """Band intervals of the square-lattice family per rational flux, in
-    closed form from two fibers per flux (``hofstadter_band_edges``).
-    The operator is the DML unless the model section asks for ``harper``.
+    closed form (``ChambersLaw.bands``) from the four fibers on which
+    ``chambers_law`` checks the relation; a flux whose cell fails the check
+    raises OracleUnavailableError naming it.  The operator is the DML
+    unless the model section asks for ``harper``.
     A model outside ``_square_family``, or one with a weights section
     other than the default, is a ConfigError: the flux is swept, so
     weights (fault-injection knobs included) would be dropped unread.
@@ -454,7 +453,10 @@ def run_butterfly(cfg: ExperimentConfig) -> tuple[list[tuple], dict]:
 
     def bands_at(flux: Fraction) -> tuple[list[Band], dict]:
         cell = magnetic_cell(graph, build(graph, hofstadter_weights(graph, flux)), flux)
-        bands = list(hofstadter_band_edges(cell))
+        try:
+            bands = list(chambers_law(cell).bands)
+        except OracleUnavailableError as exc:
+            raise OracleUnavailableError(f"flux {flux}: {exc}") from None
         diag = {
             "p": flux.numerator, "q": flux.denominator, "dim": cell.dim,
             "fibers": cell.fibers_diagonalized,

@@ -7,9 +7,9 @@ Band integrals of the fiber counting function give the limiting spectral
 density (normalized so it saturates at #orbits), the eigenvalues that
 every fiber shares (the flat bands) give the exact jump list, and fiber
 trace moments cross-check the walk-based trace through an independent
-computation.  Band edges come from a refined fiber grid search, or, on
-the Landau-gauge square lattice, in closed form from two fibers
-(Chambers' relation), which there also gives the spectral density
+computation.  Band edges come from a refined fiber grid search, or, where
+``chambers_law`` accepts the cell (the Landau-gauge square lattice), in
+closed form from two fibers, which there also give the spectral density
 exactly as a one-dimensional integral over the flux-0 law.
 """
 
@@ -27,7 +27,7 @@ from .lattice import PeriodicGraph, Shift
 from .operators import LocalOperator, gamma_trace_power
 
 PERIODICITY_TOL = 1e-13
-BAND_EDGE_MARGIN = 1e-6
+BAND_EDGE_EXCLUSION = 1e-3  # ids_oracle refuses counting points this close to an edge
 BAND_JOIN_TOL = 1e-9   # gap below which merged_intervals joins two bands
 CHAMBERS_NODES = 64    # Gauss-Legendre nodes per smooth piece of the flux-0 law
 CHAMBERS_ROUNDING = 1e-14  # rounding of the quadrature sums, added to the bound
@@ -206,7 +206,7 @@ class IdsEstimate:
     """A value of the limiting spectral density and its error bound, with
     the coarse and fine values behind the bound and the coarse resolution
     (grid side N for ``ids_oracle``, Gauss nodes per piece for
-    ``hofstadter_ids``)."""
+    ``ChambersLaw.ids``)."""
 
     value: float
     error_bound: float
@@ -223,14 +223,15 @@ def ids_oracle(
     Uses the N and 2N midpoint grids; the reported bound is the
     Richardson-style difference (doubled, plus one grid point's weight) so
     the two grid values always differ by less than it.  Counting points
-    within 1e-6 of a band edge are refused unless allow_band_edge is set,
-    because the integrand is discontinuous there.
+    within BAND_EDGE_EXCLUSION of a ``band_edges`` edge raise BandEdgeError
+    unless allow_band_edge is set, because the integrand is discontinuous
+    there.
     """
     if N < 8:
         raise ValueError("grid must have N >= 8")
     if not allow_band_edge:
-        dist = band_edge_distance(cell, lam)
-        if dist < BAND_EDGE_MARGIN:
+        dist = min(abs(lam - e) for band in band_edges(cell) for e in (band.lo, band.hi))
+        if dist < BAND_EDGE_EXCLUSION:
             raise BandEdgeError(f"band-edge lambda: {lam} is {dist:.2e} from an edge")
     coarse = grid_ids(cell, lam, N)
     fine = grid_ids(cell, lam, 2 * N)
@@ -292,33 +293,6 @@ def band_edges(cell: MagneticCell, N: int = 64) -> tuple[Band, ...]:
     return out
 
 
-def hofstadter_band_edges(cell: MagneticCell) -> tuple[Band, ...]:
-    """Exact per-band intervals of a Landau-gauge Hofstadter cell on the
-    square lattice, from two fibers.
-
-    Chambers' relation (Phys. Rev. 140, A135, 1965) separates the
-    determinant of the Harper fiber: det(lam - H(k)) = P(lam) - 2 cos k1
-    - 2 cos(q k2), with k1 the momentum of the q-stretched axis and P a
-    degree-q polynomial that does not depend on k; the DML fiber is
-    4 - H(k).  So the j-th fiber eigenvalue is a monotone function of
-    s = 2 cos k1 + 2 cos(q k2) alone, and band j is swept out between
-    s = 4 at k = (0, 0) and s = -4 at k = (pi, pi/q) (Hofstadter, PRB 14,
-    2239, 1976): [min, max] of the j-th eigenvalue of those two fibers.
-    Bands are sorted as ``band_edges`` sorts them.
-
-    Precondition: the cell is ``magnetic_cell`` of the Harper or DML
-    operator of ``hofstadter_weights`` on ``square_lattice()``.  Other
-    stencils break the relation and get wrong edges without an error; a
-    cell that is not two-dimensional with one orbit is refused."""
-    if cell.graph.dimension != 2 or cell.graph.num_orbits != 1:
-        raise OracleUnavailableError(
-            "closed-form band edges need the square lattice: two dimensions, one orbit"
-        )
-    eigs = _fiber_eigs(cell, np.array([[0.0, 0.0], [np.pi, np.pi / cell.q]]))
-    bands = [Band(float(lo), float(hi)) for lo, hi in zip(eigs.min(axis=0), eigs.max(axis=0))]
-    return tuple(sorted(bands, key=lambda band: (band.lo, band.hi)))
-
-
 @lru_cache(maxsize=None)
 def _clustered_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes on [0, 1] mapped by u -> (1 - cos(pi u)) / 2,
@@ -347,66 +321,88 @@ def flux_zero_law(t: np.ndarray, nodes: int = CHAMBERS_NODES) -> np.ndarray:
     return (g * w * width).sum(axis=(1, 2)) / np.pi
 
 
-def hofstadter_ids(cell: MagneticCell, lam: float) -> IdsEstimate:
-    """Exact limiting spectral density at lam of a Landau-gauge Hofstadter
-    cell on the square lattice, Harper or DML (Chambers' relation; see
-    ``hofstadter_band_edges``).
+@dataclass(frozen=True, eq=False)
+class ChambersLaw:
+    """Chambers' relation on a cell that passed ``chambers_law``: the
+    fibers' eigenvalues at s = +4 (``top``), -4 (``bottom``) and 0
+    (``zero``), and the ``check``'s residual, tol, c and c_tol."""
 
-    With D(lam) = det(lam - H) at a momentum where s = 2 cos k1 +
-    2 cos(q k2) vanishes, the relation reads det(lam - H(k)) = D(lam) -
-    c s(k), so lam lies on band j at s = t_j = 4 D(lam) / D(e_j(+4)), with
-    e_j(+4) the j-th eigenvalue at s = 4.  s has the flux-0 law G, and
-    band j is swept upward in s when e_j(+4) > e_j(-4), so band j adds
-    G(t_j) (else 1 - G(t_j)) when lam lies inside it, and 1 when lam lies
-    above it; F is the sum over q.  Needs no band-edge exclusion: F is
-    continuous there.  The error bound is the difference between the
-    values at CHAMBERS_NODES and at half as many nodes, plus
-    CHAMBERS_ROUNDING.
+    top: np.ndarray
+    bottom: np.ndarray
+    zero: np.ndarray
+    check: dict
 
-    Raises OracleUnavailableError for a cell that is not two-dimensional
-    with one orbit, and for one whose fibers break the relation: the
-    characteristic polynomials at s = +4, -4 and at the generic momentum
-    CHAMBERS_PROBE_K must differ from D only in the constant term, by
-    -c s with one c != 0."""
+    @property
+    def bands(self) -> tuple[Band, ...]:
+        """Exact per-band intervals, sorted as ``band_edges`` sorts them:
+        the j-th fiber eigenvalue is monotone in s, so band j is swept out
+        between s = 4 and s = -4 (Hofstadter, PRB 14, 2239, 1976)."""
+        lo, hi = np.minimum(self.top, self.bottom), np.maximum(self.top, self.bottom)
+        return tuple(sorted(map(Band, lo.tolist(), hi.tolist()), key=lambda b: (b.lo, b.hi)))
+
+    def ids(self, lam: float) -> IdsEstimate:
+        """Exact limiting spectral density at lam.  With D(lam) = det(lam -
+        H) at s = 0, lam lies on band j at s = t_j = 4 D(lam) / D(e_j(+4)),
+        e_j(+4) the j-th eigenvalue at s = 4.  s has the flux-0 law G, and
+        band j is swept upward in s when e_j(+4) > e_j(-4), so it adds
+        G(t_j) (else 1 - G(t_j)) when lam lies inside it and 1 when lam
+        lies above it; F is the sum over q, continuous at the band edges.
+        The error bound is the difference between the values at
+        CHAMBERS_NODES and at half as many nodes, plus CHAMBERS_ROUNDING."""
+        top, bottom, zero, q = self.top, self.bottom, self.zero, len(self.zero)
+
+        def det(x) -> np.ndarray:
+            return np.prod(np.subtract.outer(x, zero), axis=-1)
+
+        lo, hi = np.minimum(top, bottom), np.maximum(top, bottom)
+        inside = (lo < lam) & (lam < hi)
+        t = np.clip(4.0 * det(lam) / det(top[inside]), -4.0, 4.0)
+        rising = top[inside] > bottom[inside]
+        below = np.count_nonzero(hi <= lam)
+
+        def value(nodes: int) -> tuple[float, np.ndarray]:
+            law = flux_zero_law(t, nodes)
+            return float(below + np.where(rising, law, 1.0 - law).sum()) / q, law
+
+        fine, law_fine = value(CHAMBERS_NODES)
+        coarse, law_coarse = value(CHAMBERS_NODES // 2)
+        bound = float(np.abs(law_fine - law_coarse).sum()) / q + CHAMBERS_ROUNDING
+        return IdsEstimate(fine, bound, coarse, fine, CHAMBERS_NODES // 2)
+
+
+def chambers_law(cell: MagneticCell) -> ChambersLaw:
+    """Check Chambers' relation (Phys. Rev. 140, A135, 1965) on the cell:
+    det(lam - H(k)) = D(lam) - c s(k), s(k) = 2 cos k1 + 2 cos(q k2), k1
+    the momentum of the q-stretched axis.  The fibers at s = 4, -4, 0
+    (k = (0, 0), (pi, pi/q), (pi/2, pi/2q)) and CHAMBERS_PROBE_K are
+    diagonalized as one stack; their characteristic polynomials about the
+    mean eigenvalue at s = 0 (which keeps c, and the constant terms O(1))
+    must differ from the one at s = 0 by -c s alone, within tol =
+    CHAMBERS_TOL * max(1, largest coefficient), with |c| > c_tol =
+    CHAMBERS_TOL * max(1, largest constant term).  On the square lattice
+    it passes at every p/q with q <= 36 by a factor of 500 (and to q = 58
+    with numpy 2.4).  Raises OracleUnavailableError on a cell that is not
+    2D with one orbit or whose fibers break the relation."""
     if cell.graph.dimension != 2 or cell.graph.num_orbits != 1:
-        raise OracleUnavailableError(
-            "the exact oracle needs the square lattice: two dimensions, one orbit"
-        )
+        raise OracleUnavailableError("Chambers' relation needs two dimensions and one orbit")
     q = cell.q
     k1, k2 = CHAMBERS_PROBE_K
     kpts = np.array([[0.0, 0.0], [np.pi, np.pi / q], [np.pi / 2, np.pi / (2 * q)], [k1, k2]])
-    top, bottom, zero, probe = _fiber_eigs(cell, kpts)
-    base = np.poly(zero)
-    shifts = np.array([np.poly(e) for e in (top, bottom, probe)]) - base
-    s = np.array([4.0, -4.0, 2.0 * np.cos(k1) + 2.0 * np.cos(q * k2)])
-    c = -shifts[0, -1] / 4.0
-    shifts[:, -1] += c * s
-    tol = CHAMBERS_TOL * max(1.0, float(np.abs(base).max()))
-    if not abs(c) > tol or np.abs(shifts).max() > tol:
-        raise OracleUnavailableError("the fibers break Chambers' relation; no exact oracle")
-
-    def det(x) -> np.ndarray:
-        return np.prod(np.subtract.outer(x, zero), axis=-1)
-
-    lo, hi = np.minimum(top, bottom), np.maximum(top, bottom)
-    inside = (lo < lam) & (lam < hi)
-    t = np.clip(4.0 * det(lam) / det(top[inside]), -4.0, 4.0)
-    rising = top[inside] > bottom[inside]
-    below = np.count_nonzero(hi <= lam)
-
-    def value(nodes: int) -> tuple[float, np.ndarray]:
-        law = flux_zero_law(t, nodes)
-        return float(below + np.where(rising, law, 1.0 - law).sum()) / q, law
-
-    fine, law_fine = value(CHAMBERS_NODES)
-    coarse, law_coarse = value(CHAMBERS_NODES // 2)
-    bound = float(np.abs(law_fine - law_coarse).sum()) / q + CHAMBERS_ROUNDING
-    return IdsEstimate(fine, bound, coarse, fine, CHAMBERS_NODES // 2)
-
-
-def band_edge_distance(cell: MagneticCell, lam: float) -> float:
-    """Distance from lam to the nearest edge of ``band_edges(cell)``."""
-    return min(abs(lam - e) for band in band_edges(cell) for e in (band.lo, band.hi))
+    eigs = _fiber_eigs(cell, kpts)
+    top, bottom, zero, _ = eigs
+    coeffs = np.zeros((q + 1, 4))  # column i: np.poly(eigs[i] - mean), as one recursion
+    coeffs[0] = 1.0
+    for j, r in enumerate((eigs - zero.mean()).T):
+        coeffs[1 : j + 2] -= r * coeffs[: j + 1]
+    shifts = coeffs[:, [0, 1, 3]] - coeffs[:, 2:3]
+    c = -shifts[-1, 0] / 4.0
+    shifts[-1] += c * np.array([4.0, -4.0, 2.0 * np.cos(k1) + 2.0 * np.cos(q * k2)])
+    check = {"residual": float(np.abs(shifts).max()), "c": float(c),
+             "tol": CHAMBERS_TOL * max(1.0, float(np.abs(coeffs[:, 2]).max())),
+             "c_tol": CHAMBERS_TOL * max(1.0, float(np.abs(coeffs[-1]).max()))}
+    if check["residual"] > check["tol"] or not abs(c) > check["c_tol"]:
+        raise OracleUnavailableError(f"the fibers break Chambers' relation {check}; no exact oracle")
+    return ChambersLaw(top, bottom, zero, check)
 
 
 def merged_intervals(bands) -> list[tuple[float, float]]:

@@ -37,7 +37,9 @@ from magspec.experiments import (
     verify_report,
 )
 from magspec.exhaustion import folner_box, window_subgraph
-from magspec.floquet import JUMP_PROBE_K, Band, band_edges, hofstadter_band_edges
+from magspec.floquet import (
+    JUMP_PROBE_K, Band, OracleUnavailableError, _fiber_eigs, band_edges, chambers_law,
+)
 from magspec.spectra import (
     SHIFT_SCALE,
     _openblas_controls,
@@ -105,6 +107,21 @@ FLOQUET_OUT_OF_RANGE = [
 
 
 SQUARE_GRAPH = "graph: {dimension: 2, orbits: 1, templates: [[0, 0, [1, 0]], [0, 0, [0, 1]]]}"
+
+# nearest-neighbour hops plus a 0.3 hop along (+-2, 0) on the square
+# lattice at flux 0: F(lam) = P(2 cos x + 0.6 cos 2x + 2 cos y <= lam),
+# one band [-103/30, 4.6].  The (2, 0) hop breaks Chambers' relation, so
+# converge takes the grid oracle
+LONG_HOP_YAML = f"""
+label: sq-long-hop
+{SQUARE_GRAPH}
+operator: custom
+custom_stencil: [[0, 0, [1, 0], 1.0], [0, 0, [-1, 0], 1.0], [0, 0, [0, 1], 1.0],
+                 [0, 0, [0, -1], 1.0], [0, 0, [2, 0], 0.3], [0, 0, [-2, 0], 0.3]]
+windows: [4, 8]
+lambdas: {{kind: explicit, values: [4.6, 2.5]}}
+oracle: {{grid_n: 32}}
+"""
 
 # model sections outside the family butterfly sweeps (the Harper or DML
 # operator on square_lattice()): each must be a ConfigError, not the
@@ -405,16 +422,53 @@ oracle: {grid_n: 16}
 
     def test_exact_probes_lie_within_rounding_of_the_grid_probes(self):
         cell = magspec.experiments._oracle_cell(build_model(parse_config(SQUARE_YAML).model))
-        exact = select_probe_lambdas(hofstadter_band_edges(cell), 5, 0.1)
+        exact = select_probe_lambdas(chambers_law(cell).bands, 5, 0.1)
         assert exact == pytest.approx(select_probe_lambdas(band_edges(cell), 5, 0.1), abs=1e-11)
 
     def test_other_models_keep_the_grid_oracle(self):
-        _, info = run_converge(parse_config(TRIANGLE_YAML))
-        assert {o["method"] for o in info["oracle"]} == {"grid"}
-        perturbed = SQUARE_YAML.replace(
-            'flux: "1/2"}', 'flux: "1/2", perturb: {template: 0, shift: [0, 0], turns: 0.5}}'
-        )
-        assert not magspec.experiments._chambers_applies(parse_config(perturbed).model)
+        # models the relation check refuses: off the square lattice, and on
+        # it with a (2, 0) hop
+        for text in (TRIANGLE_YAML, LONG_HOP_YAML):
+            _, info = run_converge(parse_config(text))
+            assert {o["method"] for o in info["oracle"]} == {"grid"}
+            assert set(info["chambers"]) == {"unavailable"}
+
+    @pytest.mark.parametrize("weights", [
+        'weights: {kind: hofstadter, flux: "1/2", perturb: {template: 0, shift: [0, 0], turns: 0}}',
+        "weights: {kind: uniform}",
+    ], ids=["zero-turn-perturb", "uniform"])
+    def test_models_that_pass_the_check_take_the_exact_oracle(self, weights):
+        # the relation check, not the config's spelling, picks the oracle: a
+        # zero-turn perturbation leaves the weights as they are, and uniform
+        # weights are flux 0
+        text = SQUARE_YAML.replace('weights: {kind: hofstadter, flux: "1/2"}', weights)
+        _, info = run_converge(parse_config(text))
+        assert {o["method"] for o in info["oracle"]} == {"chambers"}
+        assert info["chambers"]["residual"] <= info["chambers"]["tol"]
+
+    def test_exact_path_diagonalizes_four_fibers(self, monkeypatch):
+        cells = []
+        build = magspec.experiments._oracle_cell
+
+        def recording(model):
+            cells.append(build(model))
+            return cells[-1]
+
+        monkeypatch.setattr(magspec.experiments, "_oracle_cell", recording)
+        _, info = run_converge(parse_config(SQUARE_YAML))
+        assert {o["method"] for o in info["oracle"]} == {"chambers"}
+        assert [cell.fibers_diagonalized for cell in cells] == [4]
+
+    def test_manifest_records_the_relation_check(self):
+        _, info = run_converge(parse_config(SQUARE_YAML))
+        check = info["chambers"]
+        assert set(check) == {"residual", "tol", "c", "c_tol"}
+        assert check["residual"] <= check["tol"] and abs(check["c"]) > check["c_tol"]
+        assert abs(check["c"]) == pytest.approx(1.0, abs=1e-12)
+        text = SQUARE_YAML.replace(
+            "lambdas: {kind: auto, count: 5, margin: 0.1}", "lambdas: {kind: explicit, values: [2.5]}"
+        ).replace("oracle: {grid_n: 32}", "oracle: {grid_n: 32, compare: false}")
+        assert run_converge(parse_config(text))[1]["chambers"] == {}
 
     def test_square_lattice_converge_loads_no_quadrature_modules(self, tmp_path):
         # scipy.integrate alone would cost more start-up time and memory
@@ -449,15 +503,11 @@ oracle: {grid_n: 16}
         assert {r.f_oracle for r in rows if r.lam == edge} == {near["value"]}
 
     def test_grid_path_points_near_a_band_edge_have_no_oracle_entry_values(self):
-        # a zero-turn perturbation leaves the weights as they are but takes
-        # the model off the exact path; the grid oracle keeps the exclusion
-        edge = 4 - 2 * 2**0.5
-        text = SQUARE_YAML.replace(
-            "lambdas: {kind: auto, count: 5, margin: 0.1}",
-            f"lambdas: {{kind: explicit, values: [{edge!r}, 2.5]}}",
-        ).replace('flux: "1/2"}', 'flux: "1/2", perturb: {template: 0, shift: [0, 0], turns: 0}}')
-        rows, info = run_converge(parse_config(text))
-        near, far = info["oracle"]
+        # 4.6 is the top edge of the long-hop model, which the grid oracle
+        # excludes
+        edge = 4.6
+        rows, info = run_converge(parse_config(LONG_HOP_YAML))
+        far, near = info["oracle"]
         assert near == {"lambda": edge, "method": "grid", "value": None, "error_bound": None}
         assert far["lambda"] == 2.5 and far["value"] is not None and far["error_bound"] > 0
         assert {r.f_oracle for r in rows if r.lam == edge} == {None}
@@ -741,8 +791,38 @@ class TestRunButterfly:
         assert [(d["p"], d["q"]) for d in diags] == [
             (f.numerator, f.denominator) for f in hofstadter_flux_list(3)
         ]
-        # two fibers per flux, at k = (0, 0) and (pi, pi/q)
-        assert all(d == {"p": d["p"], "q": d["q"], "dim": d["q"], "fibers": 2} for d in diags)
+        # four fibers per flux, on which the relation is checked; the edges
+        # come from two of them, at k = (0, 0) and (pi, pi/q)
+        assert all(d == {"p": d["p"], "q": d["q"], "dim": d["q"], "fibers": 4} for d in diags)
+
+    @pytest.mark.parametrize("operator", ["dml", "harper"])
+    def test_edges_are_the_two_fiber_extrema_up_to_q_36(self, operator):
+        text = f"label: bf\n{SQUARE_GRAPH}\noperator: {operator}\nbutterfly: {{q_max: 36}}\n"
+        records, _ = run_butterfly(parse_config(text))
+        table = {}
+        for p, q, _, band, lo, hi in records:
+            table.setdefault(Fraction(p, q), []).append((lo, hi))
+        assert list(table) == hofstadter_flux_list(36)
+        for flux, bands in table.items():
+            model = build_model(parse_config(
+                f"label: c\n{SQUARE_GRAPH}\nweights: {{kind: hofstadter, flux: \"{flux}\"}}\n"
+                f"operator: {operator}\n"
+            ).model)
+            cell = magspec.experiments._oracle_cell(model)
+            two = _fiber_eigs(cell, np.array([[0.0, 0.0], [np.pi, np.pi / flux.denominator]]))
+            assert bands == sorted(zip(two.min(axis=0).tolist(), two.max(axis=0).tolist()))
+
+    def test_refused_flux_is_named(self, monkeypatch):
+        law = magspec.experiments.chambers_law
+
+        def refuse_thirds(cell):
+            if cell.q == 3:
+                raise OracleUnavailableError("the fibers break Chambers' relation")
+            return law(cell)
+
+        monkeypatch.setattr(magspec.experiments, "chambers_law", refuse_thirds)
+        with pytest.raises(OracleUnavailableError, match="^flux 1/3: the fibers break"):
+            run_butterfly(parse_config("label: bf\nbutterfly: {q_max: 4}\n"))
 
     def test_harper_butterfly(self):
         text = f"label: bf\n{SQUARE_GRAPH}\noperator: harper\nbutterfly: {{q_max: 6}}\n"
@@ -924,6 +1004,20 @@ class TestCli:
         assert run_cli(["converge", str(cfg), "--out", str(out1)]).returncode == 0
         assert run_cli(["converge", str(cfg), "--out", str(out2), "--workers", "3"]).returncode == 0
         assert (out1 / "converge.csv").read_bytes() == (out2 / "converge.csv").read_bytes()
+
+    def test_square_dml_at_flux_1_15_takes_the_exact_oracle(self, tmp_path):
+        # the DML spectrum is centred at 4: about 0 its characteristic
+        # coefficients grow like 4^q, and the check would refuse it from
+        # q = 15 on; it takes them about the mean eigenvalue instead
+        cfg = tmp_path / "c.yaml"
+        shipped = (CONFIG_DIR / "converge_square_third.yaml").read_text()
+        cfg.write_text(shipped.replace('flux: "1/3"', 'flux: "1/15"'))
+        out = tmp_path / "out"
+        proc = run_cli(["converge", str(cfg), "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {o["method"] for o in manifest["oracle"]} == {"chambers"}
+        assert manifest["chambers"]["residual"] <= manifest["chambers"]["tol"]
 
     def test_verify_fault_exits_nonzero(self, tmp_path):
         cfg = tmp_path / "bad.yaml"

@@ -24,40 +24,50 @@ from magspec.spectra import dirichlet_matrix, neumann_matrix, spectral_density
 SQUARE_GRAPH = "graph: {dimension: 2, orbits: 1, templates: [[0, 0, [1, 0]], [0, 0, [0, 1]]]}"
 
 
+# nearest-neighbour hops plus a 0.3 hop along (+-2, 0): one band
+# [-103/30, 4.6] at flux 0, off Chambers' relation, so converge takes the
+# grid oracle
+LONG_HOP_STENCIL = (
+    "operator: custom\n"
+    "custom_stencil: [[0, 0, [1, 0], 1.0], [0, 0, [-1, 0], 1.0], [0, 0, [0, 1], 1.0], "
+    "[0, 0, [0, -1], 1.0], [0, 0, [2, 0], 0.3], [0, 0, [-2, 0], 0.3]]"
+)
+
+
 class TestBandEdgeHandling:
     def test_band_edge_lambda_flagged_not_failed(self):
-        # lambda = 4 touches both bands at half flux: on the grid oracle's
-        # path (a zero-turn perturbation keeps the weights but leaves the
-        # exact path) the row must appear with empty oracle columns
-        # instead of aborting the run
+        # lambda = 4.6 is the top band edge: on the grid oracle's path the
+        # row must appear with empty oracle columns instead of aborting the
+        # run
         text = f"""
 label: edgecase
 {SQUARE_GRAPH}
-weights: {{kind: hofstadter, flux: "1/2", perturb: {{template: 0, shift: [0, 0], turns: 0}}}}
-operator: dml
+{LONG_HOP_STENCIL}
 windows: [4, 8]
-lambdas: {{kind: explicit, values: [4.0]}}
+lambdas: {{kind: explicit, values: [4.6]}}
 oracle: {{grid_n: 32}}
 """
-        rows, _ = run_converge(parse_config(text))
+        rows, info = run_converge(parse_config(text))
+        assert {o["method"] for o in info["oracle"]} == {"grid"}
         assert len(rows) == 2
         for r in rows:
             assert r.f_oracle is None and r.abs_err is None
             assert r.f_m is not None
 
     def test_band_edge_override_computes_value(self):
-        # on the grid oracle's path, as above
+        # on the grid oracle's path, as above: every midpoint-grid
+        # eigenvalue lies below the top edge, so F = 1 there
         text = f"""
 label: edgecase
 {SQUARE_GRAPH}
-weights: {{kind: hofstadter, flux: "1/2", perturb: {{template: 0, shift: [0, 0], turns: 0}}}}
-operator: dml
+{LONG_HOP_STENCIL}
 windows: [4]
-lambdas: {{kind: explicit, values: [4.0]}}
+lambdas: {{kind: explicit, values: [4.6]}}
 oracle: {{grid_n: 32, allow_band_edge: true}}
 """
-        rows, _ = run_converge(parse_config(text))
-        assert rows[0].f_oracle == pytest.approx(0.5, abs=1e-12)
+        rows, info = run_converge(parse_config(text))
+        assert {o["method"] for o in info["oracle"]} == {"grid"}
+        assert rows[0].f_oracle == 1.0
 
     def test_irrational_flux_with_comparison_is_config_error(self):
         text = f"""

@@ -2,6 +2,7 @@
 moment cross-check."""
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -20,11 +21,10 @@ from magspec.floquet import (
     _fibers,
     band_edges,
     bloch_fiber,
+    chambers_law,
     fiber_grid_eigs,
     flux_zero_law,
     grid_ids,
-    hofstadter_band_edges,
-    hofstadter_ids,
     ids_oracle,
     jump_oracle,
     magnetic_cell,
@@ -370,8 +370,8 @@ class TestHofstadterBandEdges:
     @pytest.mark.parametrize("alpha,operator", BUTTERFLY_CASES)
     def test_edges_enclose_the_refined_bands_and_every_fiber(self, alpha, operator):
         cell = square_cell(alpha, operator)
-        exact = edge_array(hofstadter_band_edges(cell))
-        assert cell.fibers_diagonalized == 2
+        exact = edge_array(chambers_law(cell).bands)
+        assert cell.fibers_diagonalized == 4  # the check's four fibers give the edges too
         refined = edge_array(band_edges(cell, 64))
         assert exact.shape == refined.shape == (cell.q, 2)
         assert np.abs(exact - refined).max() <= REFINEMENT_ERROR
@@ -383,7 +383,7 @@ class TestHofstadterBandEdges:
         assert np.all(eigs <= exact[:, 1] + 1e-12)
 
     def test_flux_free_band(self):
-        edges = edge_array(hofstadter_band_edges(square_cell(Fraction(0))))
+        edges = edge_array(chambers_law(square_cell(Fraction(0))).bands)
         np.testing.assert_allclose(edges, [[0.0, 8.0]], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("make_cell", [line_cell, decorated_cell, cubic_cell],
@@ -391,7 +391,7 @@ class TestHofstadterBandEdges:
     def test_non_square_cell_rejected(self, make_cell):
         cell = make_cell()
         with pytest.raises(OracleUnavailableError):
-            hofstadter_band_edges(cell)
+            chambers_law(cell)
         assert cell.fibers_diagonalized == 0
 
 
@@ -399,7 +399,8 @@ CHAMBERS_FLUXES = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 7), Fraction(5, 1
 
 
 def exact_ids(cell, lams):
-    return np.array([hofstadter_ids(cell, lam).value for lam in lams])
+    law = chambers_law(cell)
+    return np.array([law.ids(lam).value for lam in lams])
 
 
 def relation_breaking_cell():
@@ -413,6 +414,13 @@ def relation_breaking_cell():
     return magnetic_cell(g, op, Fraction(1, 3))
 
 
+def zero_square_cell():
+    """The zero operator at flux 1/3: every fiber is the same, so the
+    relation holds only with c = 0."""
+    g = square_lattice()
+    return magnetic_cell(g, zero_operator(g), Fraction(1, 3))
+
+
 class TestHofstadterIds:
     """The exact spectral density of the Landau-gauge square lattice from
     Chambers' relation, against the flux-0 law, the gap labels, the
@@ -420,20 +428,21 @@ class TestHofstadterIds:
 
     def test_flux_free_half_filling(self):
         assert flux_zero_law(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-15)
-        est = hofstadter_ids(square_cell(Fraction(0), "harper"), 0.0)
+        est = chambers_law(square_cell(Fraction(0), "harper")).ids(0.0)
         assert est.value == pytest.approx(0.5, abs=1e-14)
         assert 0 < est.error_bound < 1e-12
 
     @pytest.mark.parametrize("alpha,operator", BUTTERFLY_CASES)
     def test_gaps_hold_the_band_count_over_q(self, alpha, operator):
         cell = square_cell(alpha, operator)
-        edges = edge_array(hofstadter_band_edges(cell))
+        law = chambers_law(cell)
+        edges = edge_array(law.bands)
         q = cell.q
-        assert hofstadter_ids(cell, edges[0, 0] - 0.5).value == 0.0
-        assert hofstadter_ids(cell, edges[-1, 1] + 0.5).value == 1.0
+        assert law.ids(edges[0, 0] - 0.5).value == 0.0
+        assert law.ids(edges[-1, 1] + 0.5).value == 1.0
         for k in range(1, q):
             if edges[k, 0] - edges[k - 1, 1] > 1e-9:
-                assert hofstadter_ids(cell, 0.5 * (edges[k - 1, 1] + edges[k, 0])).value == k / q
+                assert law.ids(0.5 * (edges[k - 1, 1] + edges[k, 0])).value == k / q
 
     @pytest.mark.parametrize("alpha", [Fraction(0)] + CHAMBERS_FLUXES + [Fraction(5, 7)])
     def test_dml_is_the_reflected_harper(self, alpha):
@@ -448,7 +457,7 @@ class TestHofstadterIds:
     @pytest.mark.parametrize("alpha", CHAMBERS_FLUXES)
     def test_nondecreasing_and_continuous_at_band_edges(self, alpha):
         cell = square_cell(alpha)
-        edges = np.unique(edge_array(hofstadter_band_edges(cell)))
+        edges = np.unique(edge_array(chambers_law(cell).bands))
         lams = np.sort(np.concatenate([
             np.linspace(-0.5, 8.5, 1501), edges, edges - 1e-9, edges + 1e-9,
         ]))
@@ -474,12 +483,62 @@ class TestHofstadterIds:
         assert bound.max() < 1e-9
 
     @pytest.mark.parametrize(
-        "make_cell", [triangle_cell, decorated_cell, cubic_cell, relation_breaking_cell],
-        ids=["triangle", "decorated", "cubic", "relation-breaking"],
+        "make_cell",
+        [triangle_cell, decorated_cell, cubic_cell, relation_breaking_cell, zero_square_cell],
+        ids=["triangle", "decorated", "cubic", "relation-breaking", "zero"],
     )
     def test_cells_outside_the_relation_rejected(self, make_cell):
         with pytest.raises(OracleUnavailableError):
-            hofstadter_ids(make_cell(), 1.0)
+            chambers_law(make_cell())
+
+
+def off_relation_cell(alpha, stencil):
+    """The Harper stencil at alpha with its (0, +-1) hops scaled by 0.7
+    (``anisotropic``), or plus a 0.3 hop along (+-2, 0) (``long-hop``):
+    periodic and Hermitian, but off Chambers' relation with s = 2 cos k1 +
+    2 cos(q k2)."""
+    g = square_lattice()
+    H = harper_operator(g, hofstadter_weights(g, alpha))
+    raw = [(0, e.target_orbit, e.offset, e.coeff) for e in H.entries[0]]
+    if stencil == "anisotropic":
+        raw = [(a, b, off, (lambda s, f=f: 0.7 * f(s)) if off[0] == 0 else f) for a, b, off, f in raw]
+    else:
+        raw += [(0, 0, (2, 0), 0.3), (0, 0, (-2, 0), 0.3)]
+    return magnetic_cell(g, local_operator(g, raw), alpha)
+
+
+class TestChambersCheck:
+    """The relation check that decides where the exact oracle and the
+    closed-form edges apply."""
+
+    @pytest.mark.parametrize("stencil", ["anisotropic", "long-hop"])
+    @pytest.mark.parametrize(
+        "alpha", [Fraction(0), Fraction(1, 3), Fraction(2, 7), Fraction(1, 12), Fraction(5, 12)]
+    )
+    def test_off_relation_stencils_refused(self, alpha, stencil):
+        with pytest.raises(OracleUnavailableError, match="break Chambers' relation"):
+            chambers_law(off_relation_cell(alpha, stencil))
+
+    def test_two_fiber_edges_are_wrong_off_the_relation(self):
+        # why the edges need the check: off the relation the band extrema
+        # leave k = (0, 0) and (pi, pi/q)
+        cell = off_relation_cell(Fraction(1, 3), "long-hop")
+        two = _fiber_eigs(cell, np.array([[0.0, 0.0], [np.pi, np.pi / 3]]))
+        two_fiber = np.array(sorted(zip(two.min(axis=0), two.max(axis=0))))
+        assert np.abs(two_fiber - edge_array(band_edges(cell, 64))).max() > 0.1
+
+    @pytest.mark.parametrize("q", range(1, 37))
+    def test_square_lattice_accepted_up_to_q_36(self, q):
+        # the DML spectrum is centred at 4: about 0 its characteristic
+        # coefficients grow like 4^q, and the check would refuse it from
+        # q = 15 on; it takes them about the mean eigenvalue instead
+        for p in range(q):
+            if gcd(p, q) == 1:
+                for operator in ("dml", "harper"):
+                    law = chambers_law(square_cell(Fraction(p, q), operator))
+                    check = law.check
+                    assert check["residual"] <= check["tol"] and abs(check["c"]) > check["c_tol"]
+                    assert abs(check["c"]) == pytest.approx(1.0, abs=1e-4)
 
 
 KAGOME = [(0, 1, (0, 0)), (0, 2, (0, 0)), (1, 2, (0, 0)), (0, 1, (-1, 0)), (0, 2, (0, -1)), (1, 2, (1, -1))]
