@@ -7,11 +7,13 @@ verification report.  All tabular output is written with 17 significant
 digits and assembled in a fixed key order, so identical config + seed
 reproduces byte-identical CSV; wall-clock timings go to the run manifest
 instead (they cannot be deterministic), together with per-window
-diagnostics (dimension, nonzeros, connected blocks, half-bandwidth and
-eigenvalue solver of each window matrix and the seconds the window took
-to build and solve; for converge also the distance from each counting
-point to the window's nearest eigenvalue and the window's counting shift
-delta, so a point within delta of an eigenvalue shows), per-flux
+diagnostics (dimension, nonzeros, connected blocks, half-bandwidth,
+eigenvalue solver, the dimensions of the symmetry sectors it was solved
+in and the residual that accepted that split, of each window matrix, and
+the seconds the window took to build and solve; for converge also the
+distance from each counting point to the window's nearest eigenvalue and
+the window's counting shift delta, so a point within delta of an
+eigenvalue shows), per-flux
 butterfly diagnostics (fiber dimension and the fibers diagonalized) or
 the inertia oracle's run facts for verify.  Every driver returns its
 rows plus a dict of the manifest sections the run adds: ``timings_s``
@@ -247,7 +249,8 @@ def _window_spectrum(
     spec = spectral_density(A, win)
     return win, A, spec, {
         "m": m, "boundary": boundary, "dim": A.dim, "nnz": A.nnz, "blocks": spec.blocks,
-        "bandwidth": spec.bandwidth, "solver": spec.solver, "seconds": time.perf_counter() - t0,
+        "bandwidth": spec.bandwidth, "solver": spec.solver, "sectors": spec.sectors,
+        "symmetry_residual": spec.symmetry_residual, "seconds": time.perf_counter() - t0,
     }
 
 

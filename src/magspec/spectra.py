@@ -42,9 +42,10 @@ stacked straight from the entries.  A connected matrix whose nonzeros
 lie within a narrow band (half-bandwidth b with BAND_RATIO * b <= n, as
 a box window in its natural vertex order has) is diagonalized in LAPACK
 band storage by ``zhbevd``, at O(n^2 b) instead of O(n^3), from its
-(b + 1) n lower-band entries.  Neither builds an n x n or n x k array or
-has a dimension cap.  A connected matrix with a wide band takes the
-plain dense call.  ``zhbevd`` is called through scipy's Cython LAPACK
+(b + 1) n lower-band entries.  Neither builds an n x n or n x k array;
+the band path has no dimension cap, and the blocks path caps each dense
+block at MAX_DENSE_DIM, as ``WindowMatrix.dense`` caps a whole matrix.
+A connected matrix with a wide band takes the plain dense call.  ``zhbevd`` is called through scipy's Cython LAPACK
 table with ctypes (``_HBEVD``): the same routine and OpenBLAS as scipy's
 f2py ``hbevd``, so the same eigenvalues bit for bit, but the call
 releases the GIL, and band windows solved on several threads run side by
@@ -56,16 +57,55 @@ for entry, A commutes with the antiunitary Theta = R conj, and in a
 basis that Theta fixes (pairs (e_i + e_Ri)/sqrt 2 and i (e_i - e_Ri)/sqrt 2,
 placed at the pair's lower and upper index) A is real symmetric.  A pair
 lies in one slab of the box, so the real form keeps the half-bandwidth;
-the check also refuses it if it does not.  Such a window
-(``spectral_density`` knows the window, ``count_leq`` does not) is
-diagonalized from real band storage, written straight from the entries,
-by ``dsbevd`` (``_SBEVD``, called like ``_HBEVD``): about a quarter of
-the flops, 2.7 times faster on the m = 48 converge windows.  Landau-gauge
-Hofstadter boxes pass at every flux, Dirichlet and Neumann; gauge-
-transformed or perturbed weights, complex on-site couplings between
-orbits and windows that are not mirror-symmetric keep ``zhbevd``.  The
-two kernels' eigenvalues differ in the last bits, far less than the
+the check also refuses it if it does not.  Where the mirror fails, R is
+the identity and Theta plain conjugation: a window with real entries
+(the kagome and Lieb Laplacians with uniform weights) is real as it is.
+Such a window (``spectral_density`` knows the window, ``count_leq`` does
+not) is diagonalized from real band storage, written straight from the
+entries, by ``dsbevd`` (``_SBEVD``, called like ``_HBEVD``): about a
+quarter of the flops, 2.7 times faster on the m = 48 converge windows.
+Landau-gauge Hofstadter boxes pass at every flux, Dirichlet and Neumann;
+gauge-transformed or perturbed weights, complex on-site couplings between
+orbits and complex windows that are not mirror-symmetric keep ``zhbevd``.
+The two kernels' eigenvalues differ in the last bits, far less than the
 counting shift, so the counts agree.
+
+A real window can split further.  Let P reflect every axis of the
+window's translates, orbits kept (the 180 degree rotation of a square
+box).  A Landau-gauge box commutes with U = D P for a diagonal of phases
+D, not with P itself; D is read off the entries: A = U A U^* says
+conj(w_r) w_c = A_rc / A_{Pr,Pc} at every entry (w = D's diagonal),
+and the phases are carried from position 0 along each row's entry to
+its smallest column by pointer jumping, in log2(depth) vectorized
+rounds.  U^2 = w_p w_Pp must be one constant c, and U / sqrt c then
+squares to 1.  It commutes with Theta up to a sign: Theta U Theta^-1 =
+(R conj(D) R) P solves the same equations as U, so it is a multiple of
+U (a connected A fixes the phases up to one factor), and it squares to
+what U does, so Theta (U / sqrt c) Theta^-1 = +-U / sqrt c.  The sign is
++ on every box tried (Theta U Theta^-1 = conj(c) U), and the check below
+refuses -, under which Theta would swap the sectors.  D is a product of
+rounded phases, so the split cannot rest on bit equality: w / sqrt c is
+kept at one position per orbit of {1, R, P, RP} and spread over the
+orbit so that the U built from it squares to 1 and commutes with Theta
+exactly, and the split is accepted when the Gershgorin bound G of
+A - U A U^* over the entries, ``symmetry_residual``, is at most
+delta/200.  (A + U A U^*)/2 commutes with U exactly and lies within G/2
+of A; the sector matrices, read off A's entries with U's symmetry,
+differ from its compressions to the two sectors U = +-1 by at most 3G/2
+(each entry by half of two entries of A - U A U^*, summed over a row
+and a column).  So by Weyl's inequality no eigenvalue moves by more
+than 2G <= delta/100.  Each sector vector (e_p +- w_p e_Pp)/sqrt 2 (p < Pp) is
+held at p, so a sector keeps the window order of the lower half and the
+half-bandwidth b: the fold couples only positions near the middle.  Theta
+maps the sector vector at p to the one at min(Rp, PRp), so the sector
+has a real form built as the whole window's is; on the middle slab of an
+odd box, where R maps p across the fold, the vector is first multiplied
+by a square root of the phase Theta gives it.  An odd box has a fixed
+centre, which belongs to the sector of its sign, so the sectors have
+(n + 1)/2 and (n - 1)/2 positions.  Two dsbevd calls of size n/2 take
+about half the time of one of size n (0.19 against 0.37 s at m = 48).
+A window that fails any of these checks, or whose sector storage would
+leave the band, is solved as one sector, exactly as before.
 
 Jumps and kernel dimensions are floating-point notions here, so both are
 defined through clusters with a validated gap, judged over the union of
@@ -85,7 +125,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import cython_lapack
@@ -98,6 +138,7 @@ MAX_DENSE_DIM = 5000
 PROJECTION_TOL = 1e-10    # projection test of projection_window_dim, relative
 SHIFT_SCALE = 1e-10       # counting shift, relative to the norm bound
 ZERO_PIVOT_SCALE = 5e-14  # relative block-eigenvalue size treated as singular
+ROTATION_TOL = SHIFT_SCALE / 100  # spread of U^2 = w_p w_Pp a rotation split accepts
 # A connected matrix of half-bandwidth b >= 1 is diagonalized in band
 # storage when BAND_RATIO * b <= n.  Band hbevd against dense heevd, best
 # of 3 on one OpenBLAS thread: Hofstadter boxes (n, b) = (2304, 48) 1.06 s
@@ -429,9 +470,17 @@ def _block_stacks(A: WindowMatrix, row_labels: np.ndarray, col_labels: np.ndarra
     and the column indices to blocks 0..count-1, and every entry of A lies
     in one block.  Yields, per distinct shape (rows, cols) in ascending
     order, a stack (blocks of that shape, in block order) x rows x cols,
-    written from the entries, each block's indices in ascending order."""
+    written from the entries, each block's indices in ascending order.
+    Each block is a dense array, so a block with more rows or columns than
+    MAX_DENSE_DIM raises WindowTooLargeError before any is written, as
+    ``WindowMatrix.dense`` does."""
     labelings = (row_labels, col_labels)
     shapes = np.stack([np.bincount(labels, minlength=count) for labels in labelings], axis=1)
+    if shapes.max(initial=0) > MAX_DENSE_DIM:
+        raise WindowTooLargeError(
+            f"dense block of shape {tuple(shapes[shapes.max(axis=1).argmax()].tolist())} exceeds the cap "
+            f"{MAX_DENSE_DIM}; choose a smaller window"
+        )
     local = []  # each index's place in its block
     for labels, size in zip(labelings, shapes.T):
         starts = np.cumsum(size) - size
@@ -470,58 +519,164 @@ def _band_eigvals(A: WindowMatrix, b: int) -> np.ndarray:
     return evals
 
 
-def _mirror(window: Window) -> np.ndarray:
-    """Window position of each vertex's mirror image across the last
-    (fastest) axis of the window's translates, y -> lo + hi - y over their
-    range on that axis, orbit kept; -1 where the image is off the window.
-    A vertex and its image differ only in that axis, so on a box both lie
-    in one slab of consecutive positions."""
-    last = window.elements[:, -1]
+def _reflection(window: Window, axes: slice) -> np.ndarray:
+    """Window position of each vertex's image when the window's translates
+    are reflected in the given axes, x -> lo + hi - x over their range on
+    each, orbit kept; -1 where the image is off the window."""
+    box = window.elements[:, axes]
     shifts = window.shifts.copy()
-    shifts[:, -1] = last.min() + last.max() - shifts[:, -1]
+    shifts[:, axes] = box.min(axis=0) + box.max(axis=0) - shifts[:, axes]
     return window.positions(window.orbits, shifts)
 
 
-def _real_band_storage(A: WindowMatrix, mirror: np.ndarray, b: int) -> np.ndarray | None:
-    """Lower band storage (b + 1, n) of the real symmetric U^* A U, or None
-    when A is not real in that basis or the real form leaves the band.
+def _mirror(window: Window) -> np.ndarray:
+    """The mirror R across the last (fastest) axis of the window's
+    translates (``_reflection``).  A vertex and its image differ only in
+    that axis, so on a box both lie in one slab of consecutive positions."""
+    return _reflection(window, slice(-1, None))
 
-    Theta = R conj, with R the permutation ``mirror``, is antiunitary; the
-    check is exact: R must be an involution, and R A R = conj(A) entry for
-    entry (the sorted mirrored positions equal A's, each value the
-    conjugate of its mirror's).  U is real-orthonormal for Theta: at a
-    pair i < Ri it has s = (e_i + e_Ri)/sqrt 2 at column i and
-    t = i (e_i - e_Ri)/sqrt 2 at column Ri, and e_i at a fixed point.  For
-    representatives i, j (the lower index of a pair, or a fixed point)
-    and a = A_ij, a' = A_iRj:
-    (s, s) = Re(a + a'), (s, t) = -Im(a - a'), (t, s) = Im(a + a'),
-    (t, t) = Re(a - a'), each times 1/sqrt 2 per fixed point among i, j.
-    Each band entry is written once, straight from the entries (a' found
-    by binary search on the sorted positions); nothing is summed."""
+
+def _image_order(A: WindowMatrix, perm: np.ndarray) -> np.ndarray | None:
+    """For an involution ``perm`` of the positions that maps A's nonzero
+    pattern onto itself, the order that lines each entry (r, c) up with
+    the entry at (perm r, perm c): A.vals[order] holds A_{perm r, perm c}
+    (the sorted permuted positions equal A's).  None otherwise."""
     n = A.dim
-    ident = np.arange(n)
-    if mirror.shape != (n,) or (mirror < 0).any() or not np.array_equal(mirror[mirror], ident):
+    if perm.shape != (n,) or (perm < 0).any() or not np.array_equal(perm[perm], np.arange(n)):
         return None
     keys = A.rows.astype(np.int64) * n + A.cols
-    image = mirror[A.rows].astype(np.int64) * n + mirror[A.cols]
+    image = perm[A.rows].astype(np.int64) * n + perm[A.cols]
     order = np.argsort(image)
-    if not (np.array_equal(image[order], keys) and np.array_equal(A.vals, A.vals[order].conj())):
-        return None
+    return order if np.array_equal(image[order], keys) else None
 
-    def entry(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+
+def _conjugation_symmetric(A: WindowMatrix, mirror: np.ndarray) -> bool:
+    """Whether A commutes with Theta = R conj, R the permutation
+    ``mirror``, exactly: R must be an involution, and R A R = conj(A)
+    entry for entry (``_image_order``, each value the conjugate of its
+    mirror's)."""
+    order = _image_order(A, mirror)
+    return order is not None and np.array_equal(A.vals, A.vals[order].conj())
+
+
+class _Rotation(NamedTuple):
+    """A unitary U = D P that commutes with A and with Theta and squares to
+    1: U e_p = ``phases[p]`` e_Pp, P the permutation ``point``.
+    ``residual`` is the Gershgorin bound of A - U A U^* over the entries."""
+
+    point: np.ndarray
+    phases: np.ndarray
+    residual: float
+
+
+def _rotation(A: WindowMatrix, mirror: np.ndarray, point: np.ndarray) -> _Rotation | None:
+    """The phases D that make U = D P a symmetry of a connected A, read off
+    the entries, or None.  P (``point``) must be an involution other than
+    the identity that commutes with R (``mirror``) and maps A's positions
+    onto themselves.  A = U A U^* reads conj(w_r) w_c = A_rc / A_{Pr,Pc}
+    at each entry (w = D's diagonal); along the entry to each row's
+    smallest column, which must lie below the row except at position 0
+    (w_0 = 1), the phases are carried down by pointer jumping, log2 of the
+    depth rounds.  U^2 = w_p w_Pp must be one constant c to ROTATION_TOL.
+    Then w / sqrt c is taken at one representative per orbit of
+    {1, R, P, RP} and spread over the orbit as an exact involution that
+    commutes with Theta exactly (w_Pp = w_Rp = conj(w_p), real where the
+    representative is fixed by R or P).  That U is accepted when the
+    Gershgorin bound of A - U A U^* over the entries is at most delta/200,
+    so that no eigenvalue of the split moves by more than delta/100 (see
+    the module docstring)."""
+    n = A.dim
+    ident = np.arange(n)
+    order = _image_order(A, point)
+    if order is None or np.array_equal(point, ident) or not np.array_equal(point[mirror], mirror[point]):
+        return None
+    turned = A.vals[order]  # A_{Pr,Pc} at each entry (r, c)
+    first = np.searchsorted(A.rows, ident)  # each row's smallest column
+    parent = A.cols[first]
+    if (parent[1:] >= ident[1:]).any():
+        return None
+    parent[0] = 0
+    link = (A.vals[first] / turned[first]).conj()  # w_r / w_parent
+    step = np.where(ident == 0, 1.0, link / np.abs(link))
+    while parent.any():
+        step, parent = step * step[parent], parent[parent]
+    square = step * step[point]
+    if np.abs(square - square[0]).max() > ROTATION_TOL:
+        return None
+    w = step / np.sqrt(square[0])
+    rep = np.minimum(np.minimum(ident, mirror), np.minimum(point, mirror[point]))
+    w = w[rep] / np.abs(w[rep])
+    w = np.where((mirror[rep] == rep) | (point[rep] == rep), np.where(w.real >= 0, 1.0, -1.0), w)
+    w = np.where((ident != rep) & ((ident == mirror[rep]) | (ident == point[rep])), w.conj(), w)
+    defect = np.abs(A.vals - w[A.rows].conj() * w[A.cols] * turned)
+    residual = float(np.bincount(A.rows, defect, minlength=n).max())
+    if residual > A.counting_shift / 200:
+        return None
+    return _Rotation(point, w, residual)
+
+
+def _real_form(
+    A: WindowMatrix, mirror: np.ndarray, b: int, rotation: _Rotation | None = None, sign: int = 1
+) -> np.ndarray | None:
+    """Lower band storage (b + 1, k) of a real form of A, or None when it
+    would leave the band.  A must commute with Theta = R conj exactly
+    (``_conjugation_symmetric``, R the permutation ``mirror``).
+
+    Without a rotation the basis is real-orthonormal for Theta over the
+    whole window (k = n): at a pair i < Ri it has s = (e_i + e_Ri)/sqrt 2
+    at column i and t = i (e_i - e_Ri)/sqrt 2 at column Ri, and e_i at a
+    fixed point.  For representatives i, j (the lower index of a pair, or
+    a fixed point) and a = A_ij, a' = A_iRj:
+    (s, s) = Re(a + a'), (s, t) = -Im(a - a'), (t, s) = Im(a + a'),
+    (t, t) = Re(a - a'), each times 1/sqrt 2 per fixed point among i, j.
+
+    With a rotation U (``_rotation``) it is the same construction inside
+    the sector U = ``sign``: f_p = (e_p + sign w_p e_Pp)/sqrt 2 for p < Pp,
+    and e_p at a fixed point of P with w_p = sign, held at p, so that the
+    sector's positions keep their window order.  There, by U's symmetry,
+    <f_i, A f_j> = A_ij + sign w_j A_iPj (times 1/sqrt 2 per fixed point
+    of P): two of its four terms, so that Theta's exact symmetry of the
+    entries keeps the real form's zeros exact.  Theta maps f_p to
+    f_tau(p), tau(p) = min(Rp, PRp); where
+    Rp > PRp (the middle slab of an odd box) it maps f_p to
+    sign conj(w_p) f_tau(p), so f_p is first multiplied by the square root
+    of that phase.  Each band entry is written once, straight from the
+    entries (a', A_iPj found by binary search on the sorted positions);
+    nothing is summed but the two terms of a sector entry."""
+    n = A.dim
+    ident = np.arange(n)
+    keys = A.rows.astype(np.int64) * n + A.cols
+
+    def lookup(r: np.ndarray, c: np.ndarray) -> np.ndarray:
         want = r * n + c
         at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
         return np.where(keys[at] == want, A.vals[at], 0)
 
-    rep = np.minimum(ident, mirror)
-    weight = np.where(mirror == ident, np.sqrt(0.5), 1.0)
-    mine = A.rows == rep[A.rows]
-    pairs = np.unique(A.rows[mine].astype(np.int64) * n + rep[A.cols[mine]])
+    if rotation is None:
+        member, fold, tau, entry = np.ones(n, dtype=bool), ident, mirror, lookup
+    else:
+        point, w = rotation.point, rotation.phases
+        fixed = point == ident
+        member = (ident < point) | (fixed & (w == sign))
+        fold = np.minimum(ident, point)  # the sector position of each window position
+        tau = fold[mirror]
+        phase = np.where(mirror > point[mirror], np.sqrt(sign * w.conj()), 1.0)
+        scale = np.where(fixed, np.sqrt(0.5), 1.0) * phase
+
+        def entry(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+            return scale[r].conj() * scale[c] * (lookup(r, c) + sign * w[c] * lookup(r, point[c]))
+
+    rank = np.cumsum(member) - 1
+    rep = np.minimum(ident, tau)
+    weight = np.where(tau == ident, np.sqrt(0.5), 1.0)
+    cols = fold[A.cols]
+    mine = (A.rows == rep[A.rows]) & member[A.rows] & member[cols]
+    pairs = np.unique(A.rows[mine].astype(np.int64) * n + rep[cols[mine]])
     i, j = pairs // n, pairs % n
-    a, a_mirror = entry(i, j), entry(i, mirror[j])
+    a, a_mirror = entry(i, j), entry(i, tau[j])
     plus, minus = a + a_mirror, a - a_mirror
     scale = weight[i] * weight[j]
-    ri, rj = mirror[i], mirror[j]
+    ri, rj = tau[i], tau[j]
     # the (s, s), (s, t), (t, s) and (t, t) entries of each representative
     # pair; a t row or column exists only where its index is not fixed
     p = np.concatenate([i, i, ri, ri])
@@ -529,12 +684,34 @@ def _real_band_storage(A: WindowMatrix, mirror: np.ndarray, b: int) -> np.ndarra
     v = np.concatenate([plus.real, -minus.imag, plus.imag, minus.real]) * np.tile(scale, 4)
     exists = np.concatenate([i == i, rj != j, ri != i, (ri != i) & (rj != j)])
     keep = exists & (p >= q) & (v != 0)
-    p, q, v = p[keep], q[keep], v[keep]
+    p, q, v = rank[p[keep]], rank[q[keep]], v[keep]
     if v.size and int((p - q).max()) > b:
         return None
-    ab = np.zeros((b + 1, n), order="F")
+    ab = np.zeros((b + 1, int(member.sum())), order="F")
     ab[p - q, q] = v
     return ab
+
+
+def _real_sectors(A: WindowMatrix, window: Window, b: int) -> tuple[list[np.ndarray], float | None] | None:
+    """The real band storages of a band window and the residual that
+    accepted its rotation split (None when unsplit), or None when the
+    window has no real form.  Theta = R conj with R the window's mirror
+    (``_mirror``), else plain conjugation (R the identity); then the
+    rotation U = D P with P the point reflection of every window axis
+    (``_rotation``) splits the real form into the sectors U = 1 and
+    U = -1.  A window that fails the rotation check, or whose sector
+    storage would leave the band, is its one sector."""
+    n = A.dim
+    mirror = next((R for R in (_mirror(window), np.arange(n)) if _conjugation_symmetric(A, R)), None)
+    if mirror is None:
+        return None
+    rotation = _rotation(A, mirror, _reflection(window, slice(None)))
+    if rotation is not None:
+        sectors = [_real_form(A, mirror, b, rotation, sign) for sign in (1, -1)]
+        if all(ab is not None for ab in sectors):
+            return sectors, rotation.residual
+    ab = _real_form(A, mirror, b)
+    return None if ab is None else ([ab], None)
 
 
 def _real_band_eigvals(ab: np.ndarray) -> np.ndarray:
@@ -555,34 +732,50 @@ def _real_band_eigvals(ab: np.ndarray) -> np.ndarray:
     return evals
 
 
-def _block_spectrum(A: WindowMatrix, window: Window | None = None) -> tuple[np.ndarray, int, int, str]:
-    """Sorted eigenvalues of a Hermitian WindowMatrix, the number of
-    connected blocks of its nonzero pattern, its half-bandwidth max |i - j|
-    over the nonzeros (0 without off-diagonal nonzeros) and the solver used.  The
-    spectrum is the union of the blocks' spectra; equal-size blocks are
-    diagonalized in one stacked call ("blocks"), written straight from the
-    entries.  A connected matrix is diagonalized in band storage when
+class _Solve(NamedTuple):
+    """What ``_block_spectrum`` found: the sorted eigenvalues, the number
+    of connected blocks, the half-bandwidth, the solver, the dimensions of
+    the sectors solved apart ([n] when unsplit) and the symmetry residual
+    that accepted the split (None when unsplit)."""
+
+    eigenvalues: np.ndarray
+    blocks: int
+    bandwidth: int
+    solver: str
+    sectors: list[int]
+    residual: float | None = None
+
+
+def _block_spectrum(A: WindowMatrix, window: Window | None = None) -> _Solve:
+    """Sorted eigenvalues of a Hermitian WindowMatrix and how they were
+    found (``_Solve``): the half-bandwidth is max |i - j| over the nonzeros
+    (0 without off-diagonal nonzeros).  The spectrum is the union of the
+    connected blocks' spectra; equal-size blocks are diagonalized in one
+    stacked call ("blocks"), written straight from the entries.  A
+    connected matrix is diagonalized in band storage when
     BAND_RATIO * b <= n, and by the plain dense call otherwise ("dense").
-    In band storage, a matrix over ``window`` that is real in the basis of
-    the window's mirror (``_real_band_storage``: an exact check on the
-    entries) takes the real kernel dsbevd ("banded-real"); every other
-    band matrix, and every one without a window, takes zhbevd ("banded").
-    Only the dense solver builds the dense matrix, so only it is capped at
-    MAX_DENSE_DIM."""
+    In band storage, a matrix over ``window`` with a real form
+    (``_real_sectors``: exact checks on the entries) takes the real kernel
+    dsbevd ("banded-real"), once per sector; every other band matrix, and
+    every one without a window, takes zhbevd ("banded").  Only the dense
+    solver and the stacked blocks build dense matrices, so only they are
+    capped at MAX_DENSE_DIM."""
     n = A.dim
     if n == 0:
-        return np.zeros(0), 0, 0, "dense"
+        return _Solve(np.zeros(0), 0, 0, "dense", [0])
     b = int(np.abs(A.rows - A.cols).max()) if A.nnz else 0
     count, labels = _components(A.rows, A.cols, n)
     if count == 1:
         if 0 < BAND_RATIO * b <= n:
-            ab = None if window is None else _real_band_storage(A, _mirror(window), b)
-            if ab is None:
-                return np.sort(_band_eigvals(A, b)), 1, b, "banded"
-            return np.sort(_real_band_eigvals(ab)), 1, b, "banded-real"
-        return np.sort(np.linalg.eigvalsh(A.dense())), 1, b, "dense"
+            real = None if window is None else _real_sectors(A, window, b)
+            if real is None:
+                return _Solve(np.sort(_band_eigvals(A, b)), 1, b, "banded", [n])
+            sectors, residual = real
+            evals = np.concatenate([_real_band_eigvals(ab) for ab in sectors])
+            return _Solve(np.sort(evals), 1, b, "banded-real", [ab.shape[1] for ab in sectors], residual)
+        return _Solve(np.sort(np.linalg.eigvalsh(A.dense())), 1, b, "dense", [n])
     parts = [np.linalg.eigvalsh(stack).ravel() for stack in _block_stacks(A, labels, labels, count)]
-    return np.sort(np.concatenate(parts)), count, b, "blocks"
+    return _Solve(np.sort(np.concatenate(parts)), count, b, "blocks", [n])
 
 
 def _block_singular_values(R: WindowMatrix) -> np.ndarray:
@@ -608,8 +801,9 @@ def _block_singular_values(R: WindowMatrix) -> np.ndarray:
 class WindowSpectrum:
     """Sorted spectrum of one window restriction plus the Folner
     normalization and the matrix's counting shift; evaluates the
-    normalized counting function and its jumps.  ``blocks``, ``bandwidth``
-    and ``solver`` say how the spectrum was computed (see _block_spectrum)."""
+    normalized counting function and its jumps.  ``blocks``, ``bandwidth``,
+    ``solver``, ``sectors`` and ``symmetry_residual`` say how the spectrum
+    was computed (see _block_spectrum)."""
 
     eigenvalues: np.ndarray
     normalization: int
@@ -617,6 +811,8 @@ class WindowSpectrum:
     blocks: int = 1
     bandwidth: int = 0
     solver: str = "dense"
+    sectors: list[int] | None = None
+    symmetry_residual: float | None = None
 
     def count_leq(self, lam: float) -> int:
         """Number of eigenvalues <= lam + ``shift``, the matrix's
@@ -661,8 +857,11 @@ def spectral_density(A: WindowMatrix, window: Window) -> WindowSpectrum:
     and wrap the sorted spectrum with the window's Folner normalization.
     The window also supplies the mirror that lets a band matrix take the
     real kernel (see _block_spectrum)."""
-    evals, blocks, bandwidth, solver = _block_spectrum(A, window)
-    return WindowSpectrum(evals, len(window.elements), A.counting_shift, blocks, bandwidth, solver)
+    s = _block_spectrum(A, window)
+    return WindowSpectrum(
+        s.eigenvalues, len(window.elements), A.counting_shift, s.blocks, s.bandwidth, s.solver,
+        s.sectors, s.residual,
+    )
 
 
 def interior_restriction(

@@ -3,8 +3,9 @@ graphs and shifts, the group action on vertices and the orientation
 class of edges, the edgeless graph, the counting function of a jump
 list, the vertex list of a window, the set-based collar reference, the
 two-orbit decorated square lattice, the dense window matrices, the
-vertex-by-vertex window mirror and the dense-copy band solvers (complex
-and real) that the triplet band paths are checked against, and
+vertex-by-vertex window mirror and point reflection and the dense-copy
+band solvers (complex, real, and real split by a rotation) that the
+triplet band paths are checked against, and
 ``from_dense``, which hands a dense test matrix to the counting layer."""
 
 import hypothesis.strategies as st
@@ -172,6 +173,19 @@ def window_mirror(window):
     ])
 
 
+def window_point_reflection(window):
+    """Position of each vertex's image when every axis of the window's
+    translates is reflected (orbit kept), -1 off the window, found vertex
+    by vertex in a dict index."""
+    verts = vertices(window)
+    index = {v: j for j, v in enumerate(verts)}
+    lo = np.min([v.shift for v in verts], axis=0)
+    hi = np.max([v.shift for v in verts], axis=0)
+    return np.array([
+        index.get(Vertex(v.orbit, tuple(int(x) for x in lo + hi - np.array(v.shift))), -1) for v in verts
+    ])
+
+
 def dense_real_band_spectrum(M, mirror):
     """The real band solver reading a dense matrix: the half-bandwidth b
     from its nonzeros, each of the b + 1 lower diagonals of the real form
@@ -204,6 +218,56 @@ def dense_real_band_spectrum(M, mirror):
     )
     assert info == 0
     return np.sort(evals), b
+
+
+def dense_sector_band_spectrum(M, mirror, point, phases):
+    """The split real band solver reading a dense matrix.  For each sector
+    U = +1, -1 of the rotation U e_p = phases[p] e_Pp (P = ``point``): its
+    positions (p < Pp, and the fixed points of P with that phase) in
+    window order, and each of the b + 1 lower diagonals of its real form
+    computed position by position off M, from the sector entries
+    <f_i, M f_j> = M_ij + sign w_j M_iPj (f_p rephased by
+    sqrt(sign conj(w_p)) where Rp > PRp, 1/sqrt 2 per fixed point of P)
+    and the mirror tau(p) = min(Rp, PRp) inside the sector, zeros written
+    as +0.0; then the sorted union of the sectors' ``dsbevd`` eigenvalues
+    (scipy's f2py ``sbevd``).  Returns (eigenvalues, sector dimensions)."""
+    n = M.shape[0]
+    rows, cols = np.nonzero(M)
+    b = int(np.abs(rows - cols).max())
+    ident = np.arange(n)
+    fixed = point == ident
+    tau = np.minimum(ident, point)[mirror]
+    rep = np.minimum(ident, tau)
+    upper = ident != rep  # the t column of a pair
+    weight = np.where(tau == ident, np.sqrt(0.5), 1.0)
+    evals, dims = [], []
+    for sign in (1, -1):
+        members = np.flatnonzero((ident < point) | (fixed & (phases == sign)))
+        phase = np.where(mirror > point[mirror], np.sqrt(sign * phases.conj()), 1.0)
+        scale = np.where(fixed, np.sqrt(0.5), 1.0) * phase
+        k = members.size
+        ab = np.zeros((b + 1, k), order="F")
+        for d in range(b + 1):
+            p, q = members[d:], members[: k - d]
+            i, j = rep[p], rep[q]
+            a, a_mirror = (
+                scale[i].conj() * scale[c] * (M[i, c] + sign * phases[c] * M[i, point[c]])
+                for c in (j, tau[j])
+            )
+            plus, minus = a + a_mirror, a - a_mirror
+            value = np.select(
+                [~upper[p] & ~upper[q], ~upper[p] & upper[q], upper[p] & ~upper[q]],
+                [plus.real, -minus.imag, plus.imag],
+                minus.real,
+            ) * (weight[i] * weight[j])
+            ab[d, : k - d] = np.where(value != 0, value, 0.0)
+        got, _, info = get_lapack_funcs("sbevd", dtype=np.float64)(
+            ab, compute_v=0, lower=1, overwrite_ab=1
+        )
+        assert info == 0
+        evals.append(got)
+        dims.append(k)
+    return np.sort(np.concatenate(evals)), dims
 
 
 def from_dense(M) -> WindowMatrix:

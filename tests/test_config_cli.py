@@ -682,7 +682,7 @@ windows: [2, 4, 8]
         _, info = run_jumps(parse_config(TRIANGLE_YAML))
         assert [{k: v for k, v in d.items() if k != "seconds"} for d in info["diagnostics"]] == [
             {"m": m, "boundary": "dirichlet", "dim": 3 * m, "nnz": 9 * m, "blocks": m,
-             "bandwidth": 2, "solver": "blocks"}
+             "bandwidth": 2, "solver": "blocks", "sectors": [3 * m], "symmetry_residual": None}
             for m in (2, 4, 8)
         ]
 

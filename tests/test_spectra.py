@@ -42,9 +42,13 @@ from magspec.spectra import (
     _block_singular_values,
     _block_spectrum,
     _band_eigvals,
+    _conjugation_symmetric,
     _mirror,
     _real_band_eigvals,
-    _real_band_storage,
+    _real_form,
+    _real_sectors,
+    _reflection,
+    _rotation,
     _block_stacks,
     _components,
     _inertia,
@@ -67,9 +71,11 @@ from strategies import (
     dense_dirichlet,
     dense_neumann,
     dense_real_band_spectrum,
+    dense_sector_band_spectrum,
     from_dense,
     vertices,
     window_mirror,
+    window_point_reflection,
 )
 
 PATH3 = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], dtype=complex)
@@ -719,13 +725,28 @@ def counts_under_the_rule(evals, lams, delta):
     return np.searchsorted(evals, np.asarray(lams) + delta, side="right").tolist()
 
 
-def assert_band_path_matches_dense(A, w, bandwidth, points, seed, solver="banded-real"):
+def halves(n):
+    """The sector dimensions of a window of n positions split by its
+    rotation: n / 2 each at even n."""
+    return [n // 2, n - n // 2]
+
+
+def unsplit_real_kernel(A, w, b):
+    """The real band kernel on the whole window (one sector), sorted."""
+    return np.sort(_real_band_eigvals(_real_form(A, _mirror(w), b)))
+
+
+def assert_band_path_matches_dense(A, w, bandwidth, points, seed, solver="banded-real", sectors=None):
     """The band solver's spectrum agrees with dense eigvalsh to 1e-12 of
     the norm bound, and its counts agree exactly with the dense ones and
     with the complex band kernel's under the counting rule, at the given
-    points and at 50 seeded random points."""
+    points and at 50 seeded random points.  The window is solved in the
+    given sectors (the whole window when None); a split spectrum also
+    agrees with the unsplit real kernel, in values and counts."""
     spec = spectral_density(A, w)
     assert (spec.solver, spec.blocks, spec.bandwidth) == (solver, 1, bandwidth)
+    assert spec.sectors == (sectors or [A.dim])
+    assert (spec.symmetry_residual is None) == (sectors is None)
     dense = np.linalg.eigvalsh(A.dense())
     assert np.abs(spec.eigenvalues - dense).max() <= 1e-12 * A.norm_bound
     complex_kernel = np.sort(_band_eigvals(A, bandwidth))
@@ -734,28 +755,39 @@ def assert_band_path_matches_dense(A, w, bandwidth, points, seed, solver="banded
     counts = [spec.count_leq(lam) for lam in lams]
     assert counts == counts_under_the_rule(dense, lams, spec.shift)
     assert counts == counts_under_the_rule(complex_kernel, lams, spec.shift)
+    if sectors is not None:
+        assert spec.symmetry_residual <= spec.shift / 200
+        unsplit = unsplit_real_kernel(A, w, bandwidth)
+        assert np.abs(spec.eigenvalues - unsplit).max() <= 1e-12 * A.norm_bound
+        assert counts == counts_under_the_rule(unsplit, lams, spec.shift)
 
 
 class TestBackendsAgreeAtClusters:
     """Every counting backend gives the same count under the one rule,
     also inside a cluster: the Hofstadter boxes at flux 1/3 and 1/2 have
     many-fold eigenvalues at 4 and 4 +- sqrt 2, which the real and complex
-    band kernels and dense eigvalsh split differently in the last bits."""
+    band kernels and dense eigvalsh split differently in the last bits.
+    The band windows are solved in the two sectors of their rotation (at
+    odd m the centre is fixed, and one sector is one larger); the unsplit
+    real kernel counts alike."""
 
-    @pytest.mark.parametrize("m", [16, 32])
+    @pytest.mark.parametrize("m", [16, 32, 33])
     @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
     @pytest.mark.parametrize("flux", [Fraction(1, 3), Fraction(1, 2)])
     def test_counts_agree_at_probes_clusters_and_eigenvalues(self, flux, boundary, m):
         g = square_lattice()
         A, w, probes = box_matrix(g, hofstadter_weights(g, flux), boundary, m)
         spec = spectral_density(A, w)
-        assert spec.solver == ("banded-real" if m == 32 else "dense")
+        assert spec.solver == ("banded-real" if m > 16 else "dense")
+        assert sorted(spec.sectors) == (halves(m * m) if m > 16 else [m * m])
         seeded = np.random.default_rng(m).choice(spec.eigenvalues, 20, replace=False)
         lams = [*probes, 4.0, 4.0 - 2**0.5, 4.0 + 2**0.5, *seeded]
         counts = [spec.count_leq(lam) for lam in lams]
         assert counts == count_leq(A, lams)
         assert counts == counts_under_the_rule(np.linalg.eigvalsh(A.dense()), lams, spec.shift)
         assert counts == [inertia_count_leq(A, lam) for lam in lams]
+        if m > 16:
+            assert counts == counts_under_the_rule(unsplit_real_kernel(A, w, m), lams, spec.shift)
 
 
 class TestBlockPath:
@@ -801,24 +833,27 @@ class TestBlockPath:
         # half-bandwidth m (the x-neighbour) and n = m^2, so BAND_RATIO * m <= n
         g = square_lattice()
         A, w, points = box_matrix(g, hofstadter_weights(g, flux), boundary, m)
-        assert_band_path_matches_dense(A, w, m, points, seed=m)
+        assert_band_path_matches_dense(A, w, m, points, seed=m, sectors=halves(m * m))
 
     @pytest.mark.parametrize("m", [32, 48])
     @pytest.mark.parametrize("flux", [*FLUXES, GOLDEN])
     def test_harper_box_band_path_matches_dense(self, flux, m):
         g = square_lattice()
         A, w, points = box_matrix(g, hofstadter_weights(g, flux), "dirichlet", m, "harper")
-        assert_band_path_matches_dense(A, w, m, points, seed=m)
+        assert_band_path_matches_dense(A, w, m, points, seed=m, sectors=halves(m * m))
 
     def test_two_orbit_window_band_path_matches_dense(self):
-        # the B-A bridge spans 2m - 1 = 63 places and n = 2 m^2 = 2048
+        # the B-A bridge spans 2m - 1 = 63 places and n = 2 m^2 = 2048; the
+        # point reflection, which keeps orbits, maps it off the stencil, so
+        # the window is one sector
         g, weights = decorated_square_lattice()
         A, w, points = box_matrix(g, weights, "dirichlet", 32)
         assert_band_path_matches_dense(A, w, 63, points, seed=7)
 
     def test_line_window_band_path_matches_dense(self):
         _, D, w = line_window(200)
-        assert_band_path_matches_dense(dirichlet_matrix(D, w), w, 1, [0.5, 2.0, 3.5], seed=200)
+        A = dirichlet_matrix(D, w)
+        assert_band_path_matches_dense(A, w, 1, [0.5, 2.0, 3.5], seed=200, sectors=[100, 100])
 
     def test_count_leq_eigh_shares_the_band_path(self):
         _, D, w = line_window(200)
@@ -832,12 +867,12 @@ class TestBlockPath:
 
     def test_bandwidth_of_matrices_without_off_diagonal_entries(self):
         # no off-diagonal nonzero: half-bandwidth 0, and the dense call
-        evals, blocks, b, solver = _block_spectrum(from_dense(np.zeros((0, 0), dtype=complex)))
-        assert evals.size == 0 and (blocks, b, solver) == (0, 0, "dense")
+        s = _block_spectrum(from_dense(np.zeros((0, 0), dtype=complex)))
+        assert s.eigenvalues.size == 0 and (s.blocks, s.bandwidth, s.solver) == (0, 0, "dense")
         for value in (0.0, 2.5):
             A = from_dense(np.array([[value]], dtype=complex))
-            evals, blocks, b, solver = _block_spectrum(A)
-            assert np.array_equal(evals, [value]) and (blocks, b, solver) == (1, 0, "dense")
+            s = _block_spectrum(A)
+            assert np.array_equal(s.eigenvalues, [value]) and (s.blocks, s.bandwidth, s.solver) == (1, 0, "dense")
             assert count_leq(A, 1.0) == int(value <= 1.0)
 
     def test_triangle_window_splits_into_cells(self):
@@ -908,22 +943,31 @@ windows: [48]
 """
 
 
-def assert_triplet_band_matches_dense_copy(A, M, w):
-    """The window matrix built from triplets equals the dense scatter, and
-    its band spectrum, nnz and half-bandwidth equal those the real band
-    solver got by computing the real form's diagonals off the dense matrix
-    in the vertex-by-vertex mirror's basis, bit for bit."""
+def assert_triplet_band_matches_dense_copy(A, M, w, sectors):
+    """The window matrix built from triplets equals the dense scatter; its
+    one-sector real band spectrum, nnz and half-bandwidth equal those the
+    real band solver got by computing the real form's diagonals off the
+    dense matrix in the vertex-by-vertex mirror's basis, and its spectrum
+    (split into ``sectors`` where the rotation applies) equals the one
+    computed off the dense matrix in the same sectors, bit for bit."""
     assert np.array_equal(A.dense(), M)
-    evals, b = dense_real_band_spectrum(M, window_mirror(w))
+    mirror = window_mirror(w)
+    evals, b = dense_real_band_spectrum(M, mirror)
+    assert A.nnz == int(np.count_nonzero(M))
+    assert np.array_equal(unsplit_real_kernel(A, w, b), evals)
     spec = spectral_density(A, w)
-    assert (spec.solver, spec.bandwidth, A.nnz) == ("banded-real", b, int(np.count_nonzero(M)))
+    assert (spec.solver, spec.bandwidth, spec.sectors) == ("banded-real", b, sectors)
+    rotation = _rotation(A, mirror, window_point_reflection(w))
+    if rotation is not None:
+        evals, dims = dense_sector_band_spectrum(M, mirror, rotation.point, rotation.phases)
+        assert dims == sectors
     assert np.array_equal(spec.eigenvalues, evals)
 
 
 class TestTripletBandPath:
     """Band windows are diagonalized from their COO triplets, without an
     n x n array; the eigenvalues are those of the dense-copy band path
-    through the same (real) kernel."""
+    through the same (real) kernel, in the same sectors."""
 
     @pytest.mark.parametrize("operator,flux,boundary,m", BIT_IDENTITY_CASES)
     def test_square_box_bit_identical_to_dense_copy(self, operator, flux, boundary, m):
@@ -936,14 +980,14 @@ class TestTripletBandPath:
             A, M = dirichlet_matrix(op, w), dense_dirichlet(op, w)
         else:
             A, M = neumann_matrix(g, weights, w), dense_neumann(g, weights, w)
-        assert_triplet_band_matches_dense_copy(A, M, w)
+        assert_triplet_band_matches_dense_copy(A, M, w, halves(m * m))
 
     def test_two_orbit_box_bit_identical_to_dense_copy(self):
         # the Neumann matrix is the Dirichlet one plus its lowered diagonal
         g, weights = decorated_square_lattice()
         w = window_subgraph(g, folner_box(2, 32))
         A, M = neumann_matrix(g, weights, w), dense_neumann(g, weights, w)
-        assert_triplet_band_matches_dense_copy(A, M, w)
+        assert_triplet_band_matches_dense_copy(A, M, w, [A.dim])
 
     @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
     def test_refused_box_bit_identical_to_dense_copy(self, boundary):
@@ -976,6 +1020,7 @@ class TestTripletBandPath:
         finally:
             tracemalloc.stop()
         assert diag["solver"] == "banded-real" and diag["dim"] == n
+        assert diag["sectors"] == [n // 2, n // 2] and diag["symmetry_residual"] <= 1e-12
         assert peak < n * n * 16 / 4, peak
 
     def test_line_window_past_the_dense_cap(self):
@@ -986,6 +1031,7 @@ class TestTripletBandPath:
         _, D, w = line_window(n)
         spec = spectral_density(dirichlet_matrix(D, w), w)
         assert (spec.solver, spec.bandwidth, spec.eigenvalues.size) == ("banded-real", 1, n)
+        assert spec.sectors == [n // 2, n // 2]
         exact = 2 - 2 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
         checked = 0
         for lam in [-0.5, 0.001, 0.3, 1.0, 2.0, 2.7, 3.999, 4.5, *np.linspace(0.01, 3.99, 41)]:
@@ -1098,9 +1144,11 @@ def f2py_real_band_eigvals(ab):
 
 
 def real_storage(A, w):
-    """The real band storage of a window matrix at its own half-bandwidth."""
+    """The real band storage of a mirror-symmetric window matrix at its own
+    half-bandwidth, unsplit."""
     b = int(np.abs(A.rows - A.cols).max())
-    return _real_band_storage(A, _mirror(w), b), b
+    assert _conjugation_symmetric(A, _mirror(w))
+    return _real_form(A, _mirror(w), b), b
 
 
 def dense_real_form(A, mirror):
@@ -1233,7 +1281,8 @@ class TestRealBandKernel:
         A, w = symmetric_gauge_box(9)
         mirror = _mirror(w)
         b = 2 * 9 - 1
-        ab = _real_band_storage(A, mirror, b)
+        assert _conjugation_symmetric(A, mirror)
+        ab = _real_form(A, mirror, b)
         B = dense_real_form(A, mirror).real
         assert ab[b].any()
         for k in range(b + 1):
@@ -1251,15 +1300,15 @@ class TestRealBandKernel:
         cycled = w.positions((w.orbits + 1) % 3, w.shifts)
         keys = A.rows * A.dim + A.cols
         assert np.array_equal(np.sort(cycled[A.rows] * A.dim + cycled[A.cols]), keys)
-        assert _real_band_storage(A, cycled, 3) is None
-        assert _real_band_storage(A, _mirror(w), 3) is not None
+        assert not _conjugation_symmetric(A, cycled)
+        assert _conjugation_symmetric(A, _mirror(w))
 
     def refused(self, A, w):
-        """The window keeps zhbevd, with exactly its eigenvalues."""
+        """The window keeps zhbevd, unsplit, with exactly its eigenvalues."""
         b = int(np.abs(A.rows - A.cols).max())
-        assert _real_band_storage(A, _mirror(w), b) is None
+        assert _real_sectors(A, w, b) is None
         spec = spectral_density(A, w)
-        assert (spec.solver, spec.bandwidth) == ("banded", b)
+        assert (spec.solver, spec.bandwidth, spec.sectors, spec.symmetry_residual) == ("banded", b, [A.dim], None)
         assert np.array_equal(spec.eigenvalues, np.sort(_band_eigvals(A, b)))
 
     def test_gauge_transformed_weights_keep_the_complex_kernel(self):
@@ -1303,6 +1352,177 @@ class TestRealBandKernel:
         self.refused(A, w)
 
 
+def dense_sector_forms(A, mirror, rotation):
+    """The real form of each sector of the rotation on the dense copy:
+    Q^* A Q with Q built column by column, real-orthonormal for Theta
+    inside the sector.  Sector positions p < Pp (and fixed points of P
+    whose phase is the sector's sign) hold f_p = (e_p + sign w_p e_Pp)
+    / sqrt 2 (e_p at a fixed point), multiplied by sqrt(sign conj w_p)
+    where Rp > PRp; a pair p < tau(p) = min(Rp, PRp) holds
+    s = (f_p + f_tau)/sqrt 2 at p and t = i (f_p - f_tau)/sqrt 2 at tau(p),
+    a fixed point of tau holds f_p.  Returns [(Q, Q^* A Q)] per sector."""
+    n = A.dim
+    point, w = rotation.point, rotation.phases
+    ident = np.arange(n)
+    forms = []
+    for sign in (1, -1):
+        members = [p for p in range(n) if p < point[p] or (p == point[p] and w[p] == sign)]
+        f = {}
+        for p in members:
+            v = np.zeros(n, dtype=complex)
+            if p == point[p]:
+                v[p] = 1.0
+            else:
+                v[p], v[point[p]] = np.sqrt(0.5), sign * w[p] * np.sqrt(0.5)
+            if mirror[p] > point[mirror[p]]:
+                v *= np.sqrt(sign * np.conj(w[p]))
+            f[p] = v
+        Q = np.zeros((n, len(members)), dtype=complex)
+        for col, p in enumerate(members):
+            tau = min(mirror[p], point[mirror[p]])
+            if tau == p:
+                Q[:, col] = f[p]
+            elif p < tau:
+                Q[:, col] = (f[p] + f[tau]) * np.sqrt(0.5)
+            else:
+                Q[:, col] = 1j * (f[tau] - f[p]) * np.sqrt(0.5)
+        assert np.abs(Q.conj().T @ Q - np.eye(len(members))).max() <= 1e-14
+        forms.append((Q, Q.conj().T @ A.dense() @ Q))
+    assert ident.size == sum(Q.shape[1] for Q, _ in forms)
+    return forms
+
+
+def square_plus_antidiagonal(m, operator="dml"):
+    """The square lattice plus one (1, -1) hop, uniform weights: real
+    entries, a stencil that the mirror y -> -y maps to (1, 1) and the point
+    reflection keeps."""
+    g = periodic_graph(2, 1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (1, -1))])
+    harper, dml = harper_dml(g, uniform_weights(g))
+    w = window_subgraph(g, folner_box(2, m))
+    return dirichlet_matrix(dml if operator == "dml" else harper, w), w
+
+
+class TestRotationSplit:
+    """A mirror-real band window that also commutes with a phased point
+    reflection U = D P (every window axis reflected, orbits kept) is solved
+    in the two sectors U = +-1, each in real band storage at the window's
+    half-bandwidth; the split is accepted only by its residual on the
+    entries, and every refusal is the one-sector real form."""
+
+    @pytest.mark.parametrize(
+        "case", ["dml-third-17", "harper-golden-15", "neumann-two-sevenths-16", "line-201"]
+    )
+    def test_sector_storage_is_the_lower_band_of_the_dense_sector_form(self, case):
+        # odd sides have a fixed centre and a middle slab that the mirror
+        # maps across the fold
+        A, w = small_real_window(case)
+        mirror = _mirror(w)
+        rotation = _rotation(A, mirror, _reflection(w, slice(None)))
+        assert np.array_equal(rotation.point, window_point_reflection(w))
+        b = int(np.abs(A.rows - A.cols).max())
+        tol = 1e-14 * A.norm_bound
+        forms = dense_sector_forms(A, mirror, rotation)
+        for sign, (Q, B) in zip((1, -1), forms):
+            ab = _real_form(A, mirror, b, rotation, sign)
+            k = Q.shape[1]
+            assert ab.shape == (b + 1, k)
+            assert np.abs(B.imag).max() <= tol
+            offsets = np.subtract.outer(np.arange(k), np.arange(k))
+            assert np.abs(B.real[offsets > b]).max(initial=0.0) <= tol
+            for d in range(b + 1):
+                assert np.abs(ab[d, : k - d] - B.real.diagonal(-d)).max(initial=0.0) <= tol, (sign, d)
+                assert not ab[d, k - d :].any()
+        # the sectors are orthogonal: together they hold the whole spectrum
+        Q = np.hstack([Q for Q, _ in forms])
+        assert np.abs(Q.conj().T @ Q - np.eye(A.dim)).max() <= 1e-14
+        union = np.sort(np.concatenate([np.linalg.eigvalsh(B) for _, B in forms]))
+        assert np.abs(union - np.linalg.eigvalsh(A.dense())).max() <= 1e-12 * A.norm_bound
+
+    @pytest.mark.parametrize("flux", [Fraction(1, 3), Fraction(1, 2), GOLDEN])
+    def test_rotation_is_an_exact_involution_that_keeps_theta(self, flux):
+        g = square_lattice()
+        A, w, _ = box_matrix(g, hofstadter_weights(g, flux), "dirichlet", 12)
+        mirror = _mirror(w)
+        rotation = _rotation(A, mirror, _reflection(w, slice(None)))
+        P, phases = rotation.point, rotation.phases
+        assert np.array_equal(phases[P], phases.conj())  # U^2 = 1
+        assert np.array_equal(phases[mirror], phases.conj())  # R conj(U) R = U
+        U = np.zeros((A.dim, A.dim), dtype=complex)
+        U[P, np.arange(A.dim)] = phases
+        M = A.dense()
+        defect = np.abs(M - U @ M @ U.conj().T).sum(axis=1).max()
+        assert rotation.residual == pytest.approx(defect, abs=1e-15)
+        assert rotation.residual <= A.counting_shift / 200
+
+    @pytest.mark.parametrize("flux", [Fraction(1, 3), Fraction(1, 2)])
+    def test_odd_box_splits_with_a_fixed_centre(self, flux):
+        g = square_lattice()
+        A, w, _ = box_matrix(g, hofstadter_weights(g, flux), "dirichlet", 33)
+        rotation = _rotation(A, _mirror(w), _reflection(w, slice(None)))
+        centre = (A.dim - 1) // 2
+        assert np.flatnonzero(rotation.point == np.arange(A.dim)).tolist() == [centre]
+        sign = rotation.phases[centre]
+        assert sign in (1.0, -1.0)
+        spec = spectral_density(A, w)
+        big = (A.dim + 1) // 2
+        assert spec.sectors == ([big, big - 1] if sign == 1 else [big - 1, big])
+        assert np.abs(spec.eigenvalues - np.linalg.eigvalsh(A.dense())).max() <= 1e-12 * A.norm_bound
+
+    def pinned_diagonal(self, A, m, eps):
+        """A plus eps on the diagonal at (0, 0) and (0, m - 1): the mirror
+        keeps it, the point reflection moves it to the far column."""
+        extra = np.array([0, m - 1])
+        return WindowMatrix.from_triplets(
+            np.concatenate([A.rows, extra]), np.concatenate([A.cols, extra]),
+            np.concatenate([A.vals, np.full(2, eps)]), A.dim,
+        )
+
+    def test_split_is_accepted_up_to_a_two_hundredth_of_the_shift(self):
+        # a residual G moves no eigenvalue by more than 2 G, so the split
+        # needs G <= delta / 200
+        g = square_lattice()
+        m = 32
+        A, w, _ = box_matrix(g, hofstadter_weights(g, Fraction(1, 3)), "dirichlet", m)
+        delta = A.counting_shift
+        below = self.pinned_diagonal(A, m, delta / 400)
+        spec = spectral_density(below, w)
+        assert spec.sectors == [512, 512]
+        assert 0.99 * delta / 400 <= spec.symmetry_residual <= delta / 200
+        dense = np.linalg.eigvalsh(below.dense())
+        assert np.abs(spec.eigenvalues - dense).max() <= delta / 100
+        above = self.pinned_diagonal(A, m, delta / 100)
+        spec = spectral_density(above, w)
+        assert (spec.solver, spec.sectors, spec.symmetry_residual) == ("banded-real", [1024], None)
+        assert np.array_equal(spec.eigenvalues, unsplit_real_kernel(above, w, m))
+
+    def test_window_without_the_rotation_is_its_one_sector(self):
+        # the decorated lattice's B-A bridge is mirror-real but the point
+        # reflection maps it off the stencil
+        g, weights = decorated_square_lattice()
+        w = window_subgraph(g, folner_box(2, 32))
+        A = neumann_matrix(g, weights, w)
+        assert _rotation(A, _mirror(w), _reflection(w, slice(None))) is None
+        spec = spectral_density(A, w)
+        assert (spec.solver, spec.sectors, spec.symmetry_residual) == ("banded-real", [A.dim], None)
+        assert np.array_equal(spec.eigenvalues, unsplit_real_kernel(A, w, 63))
+
+    @pytest.mark.parametrize("operator", ["dml", "harper"])
+    def test_real_window_off_the_mirror_takes_plain_conjugation(self, operator):
+        # the mirror maps the (1, -1) hop to (1, 1), off the stencil; the
+        # entries are real, so Theta = conj, and the rotation still splits
+        A, w = square_plus_antidiagonal(32, operator)
+        assert not _conjugation_symmetric(A, _mirror(w))
+        spec = spectral_density(A, w)
+        assert (spec.solver, spec.bandwidth, spec.sectors) == ("banded-real", 32, [512, 512])
+        dense = np.linalg.eigvalsh(A.dense())
+        assert np.abs(spec.eigenvalues - dense).max() <= 1e-12 * A.norm_bound
+        lams = [*np.random.default_rng(32).uniform(dense[0] - 0.5, dense[-1] + 0.5, 50),
+                *np.random.default_rng(33).choice(dense, 20, replace=False)]
+        counts = [spec.count_leq(lam) for lam in lams]
+        assert counts == counts_under_the_rule(dense, lams, spec.shift)
+        assert counts == counts_under_the_rule(np.sort(_band_eigvals(A, 32)), lams, spec.shift)
+
+
 JUMPS_BLOCK_YAML = """
 label: jumps-block
 graph: {dimension: 1, orbits: 3, templates: [[0, 1, [0]], [1, 2, [0]], [0, 2, [0]]]}
@@ -1312,9 +1532,37 @@ windows: [64, 128, 256, 512]
 """
 
 
+KAGOME_YAML = """
+label: kagome
+graph:
+  dimension: 2
+  orbits: 3
+  templates: [[0, 1, [0, 0]], [0, 2, [0, 0]], [1, 2, [0, 0]], [0, 1, [-1, 0]], [0, 2, [0, -1]], [1, 2, [1, -1]]]
+weights: {kind: uniform}
+operator: dml
+windows: [41]
+"""
+
+
 class TestBlockWindowsFromEntries:
     """Block-diagonal windows and interior restrictions are solved from
-    their entries: no n x n or n x k array and no dimension cap."""
+    their entries: no n x n or n x k array, and no dimension cap on the
+    whole matrix; each dense block is capped as a dense window is."""
+
+    def test_stacked_block_past_the_dense_cap_raises_before_it_is_written(self):
+        # the kagome m = 41 interior restriction is 5043 x 4800 in 4 blocks:
+        # window rows with no interior column are blocks of their own, and
+        # the rest is one 5040 x 4800 block
+        model = build_model(parse_config(KAGOME_YAML).model)
+        w = window_subgraph(model.graph, folner_box(2, 41))
+        split = interior_vertices(model.graph, w, model.operator.propagation)
+        R = interior_restriction(model.operator, w, split, 0.0)
+        assert R.shape == (5043, 4800)
+        assert _components(R.rows, R.cols + R.shape[0], sum(R.shape))[0] == 4
+        t = time.perf_counter()
+        with pytest.raises(WindowTooLargeError, match="5040, 4800"):
+            rect_kernel_dim(R, 1e-8)
+        assert time.perf_counter() - t < 0.5
 
     def test_triangle_window_past_the_dense_cap(self):
         # n = 6000 > MAX_DENSE_DIM; every triangle cell has spectrum
